@@ -33,11 +33,6 @@ class ThresholdReport:
     exact: bool
     feasible_at_desk_scale: bool
 
-    def approx(self) -> float:
-        if self.value is not None:
-            return float(self.value) if self.log10 < 300 else math.inf
-        return 10.0**self.log10 if self.log10 < 300 else math.inf
-
 
 def _power_report(name: str, params: dict, base: Fraction, exponent: Fraction, scale: Fraction) -> ThresholdReport:
     """scale * base**exponent, exact when the exponent is an integer."""

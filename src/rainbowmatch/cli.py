@@ -10,9 +10,9 @@ identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -38,43 +38,6 @@ EXIT_OK = 0
 EXIT_SHORTFALL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation; the seed pins every generated instance and
-    identical configs yield byte-identical JSON reports."""
-
-    subcommand: str
-    input_path: str | None
-    algorithm: str | None
-    seed: int
-    depth_cap: int | None
-    node_limit: int
-    time_limit: float
-    output_format: str
-    flags: frozenset[str]
-    args: argparse.Namespace
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        flags = {
-            name
-            for name in ("trace", "simple", "lp", "edge_disjoint")
-            if getattr(args, name, False)
-        }
-        return cls(
-            subcommand=args.subcommand,
-            input_path=getattr(args, "file", None) or getattr(args, "graph", None),
-            algorithm=getattr(args, "algorithm", None),
-            seed=getattr(args, "seed", 0),
-            depth_cap=getattr(args, "depth_cap", None),
-            node_limit=getattr(args, "node_limit", 10_000_000),
-            time_limit=getattr(args, "time_limit", 30.0),
-            output_format=getattr(args, "format", "json"),
-            flags=frozenset(flags),
-            args=args,
-        )
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -147,6 +110,10 @@ def _cmd_transversal(args) -> int:
     graph = square_to_graph(rect)
     result = oracle_mod.exact_max_rainbow_matching(graph, budget=_budget(args))
     if not result.optimal:
+        sys.stderr.write(
+            f"budget exhausted: oracle stopped after {result.nodes} nodes "
+            f"without proving the maximum\n"
+        )
         return EXIT_BUDGET
     cells = extract_transversal(rect, result.matching)
     if args.format == "json":
@@ -202,7 +169,9 @@ def _cmd_oracle_max(args) -> int:
 def _cmd_connectivity(args) -> int:
     D = gen_mod.generate_proper_digraph(args.vertices, args.out_degree, args.seed)
     if args.op == "ball":
-        t0, ball = conn_mod.low_expansion_ball(D, args.vertex, args.epsilon)
+        t0, ball = conn_mod.low_expansion_ball(
+            D, args.vertex, args.epsilon, budget=_budget(args)
+        )
         payload = {"op": "ball", "t0": t0, "ball": sorted(ball)}
     elif args.op == "twohop":
         derived, cert = conn_mod.build_two_hop_digraph(D, args.m, budget=_budget(args))
@@ -322,7 +291,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="rainbowmatch",
         description="Rainbow matchings, Latin square transversals, and the "
@@ -415,11 +386,9 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    config = RunConfig.from_args(parser.parse_args(argv))
-    handler = _HANDLERS[config.subcommand]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(config.args)
+        return _HANDLERS[args.subcommand](args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return EXIT_BUDGET
@@ -430,3 +399,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

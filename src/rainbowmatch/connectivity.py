@@ -361,8 +361,8 @@ def rainbow_path_through(
 
     Built by greedy segment concatenation: each leg is the shortest rainbow
     path of length <= d that avoids S plus every colour already on the
-    accumulated path.  Legs that cannot be completed name themselves in the
-    raised error.
+    accumulated path, and keeps clear of the anchors still to come.  Legs
+    that cannot be completed name themselves in the raised error.
     """
     if D.vertex_labels is None:
         raise PreconditionViolated("anchored paths need a totally coloured digraph")
@@ -386,7 +386,8 @@ def rainbow_path_through(
     visited: set[int] = {anchors[0]}
     out: list[Arc] = []
     for i, (a, b) in enumerate(zip(anchors, anchors[1:])):
-        leg = _shortest_leg(D, a, b, d, frozenset(used), frozenset(visited - {a}), meter)
+        blocked = (visited - {a}).union(anchors[i + 2 :])
+        leg = _shortest_leg(D, a, b, d, frozenset(used), frozenset(blocked), meter)
         if leg is None:
             raise SegmentNotFound(f"no rainbow leg {i} from {a} to {b} within {d}")
         for arc in leg:

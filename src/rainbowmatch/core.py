@@ -123,9 +123,6 @@ class ColouredBipartiteMultigraph:
     def has_edge(self, e: Edge) -> bool:
         return e in self._edge_set
 
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(cl) for cl in self.colour_classes)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColouredBipartiteMultigraph):
             return NotImplemented
@@ -187,9 +184,6 @@ class RainbowMatching:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    def sorted_by_colour(self) -> "RainbowMatching":
-        return RainbowMatching(tuple(sorted(self.edges, key=lambda e: e.c)))
-
 
 def verify_rainbow_matching(
     graph: ColouredBipartiteMultigraph, matching: RainbowMatching | Sequence[Edge]
@@ -244,7 +238,9 @@ class MatchingContext:
     Exposes the finite maps from vertices and colours to matching edges and
     their lifted set forms.  Accessors are undefined (return ``None`` /
     are skipped in set lifts) exactly on uncovered vertices and missing
-    colours.
+    colours.  ``active`` limits the colours in play (default: all); a
+    colour outside it is neither missing nor searched, so a probe for one
+    missing colour passes the matched colours plus that colour.
     """
 
     __slots__ = (
@@ -255,10 +251,16 @@ class MatchingContext:
         "edge_of_colour",
         "x0",
         "y0",
+        "active_colours",
         "missing_colours",
     )
 
-    def __init__(self, graph: ColouredBipartiteMultigraph, matching: RainbowMatching):
+    def __init__(
+        self,
+        graph: ColouredBipartiteMultigraph,
+        matching: RainbowMatching,
+        active: Iterable[int] | None = None,
+    ):
         ok = verify_rainbow_matching(graph, matching)
         if not ok:
             raise ContextInvalid(f"matching invalid for context: {ok.reason}")
@@ -269,8 +271,11 @@ class MatchingContext:
         self.edge_of_colour = {e.c: e for e in matching}
         self.x0 = tuple(x for x in range(graph.left_size) if x not in self.edge_of_x)
         self.y0 = tuple(y for y in range(graph.right_size) if y not in self.edge_of_y)
+        self.active_colours = tuple(
+            range(graph.colour_count) if active is None else sorted(active)
+        )
         self.missing_colours = tuple(
-            c for c in range(graph.colour_count) if c not in self.edge_of_colour
+            c for c in self.active_colours if c not in self.edge_of_colour
         )
 
     @property
@@ -286,17 +291,9 @@ class MatchingContext:
         e = self.edge_of_x.get(x)
         return None if e is None else e.c
 
-    def y_at_x(self, x: int) -> int | None:
-        e = self.edge_of_x.get(x)
-        return None if e is None else e.y
-
     def colour_at_y(self, y: int) -> int | None:
         e = self.edge_of_y.get(y)
         return None if e is None else e.c
-
-    def x_at_y(self, y: int) -> int | None:
-        e = self.edge_of_y.get(y)
-        return None if e is None else e.x
 
     def x_of_colour(self, c: int) -> int | None:
         e = self.edge_of_colour.get(c)
@@ -310,20 +307,9 @@ class MatchingContext:
     def xs_of_edges(self, edges: Iterable[Edge]) -> frozenset[int]:
         return frozenset(e.x for e in edges)
 
-    def ys_of_edges(self, edges: Iterable[Edge]) -> frozenset[int]:
-        return frozenset(e.y for e in edges)
-
-    def colours_of_edges(self, edges: Iterable[Edge]) -> frozenset[int]:
-        return frozenset(e.c for e in edges)
-
     def colours_of_xs(self, xs: Iterable[int]) -> frozenset[int]:
         return frozenset(
             e.c for e in (self.edge_of_x.get(x) for x in xs) if e is not None
-        )
-
-    def colours_of_ys(self, ys: Iterable[int]) -> frozenset[int]:
-        return frozenset(
-            e.c for e in (self.edge_of_y.get(y) for y in ys) if e is not None
         )
 
     def edges_of_colours(self, cs: Iterable[int]) -> frozenset[Edge]:

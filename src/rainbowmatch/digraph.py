@@ -103,9 +103,6 @@ class LabelledDigraph:
             return 0
         return min(self.out_degree(v) for v in range(self.vertex_count))
 
-    def vertex_label(self, v: int):
-        return None if self.vertex_labels is None else self.vertex_labels[v]
-
     def edge_labels(self) -> frozenset:
         return frozenset(a.label for a in self.arcs)
 

@@ -289,7 +289,6 @@ def is_kd_connected(
 
     if mode == "uncoloured":
         universe = list(range(D.vertex_count))
-        all_sets = []
         total = 0
         for r in range(min(k - 1, len(universe)) + 1):
             total += _binomial(len(universe), r)

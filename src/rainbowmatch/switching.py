@@ -24,11 +24,6 @@ from .core import (
     RainbowMatching,
     Verdict,
     greedy_rainbow_matching,
-    make_context,
-    relabel_matching,
-    restrict,
-    transpose_matching,
-    transposed,
     verify_rainbow_matching,
 )
 from .digraph import Arc, LabelledDigraph, is_rainbow_arc_path, iter_rainbow_paths
@@ -96,8 +91,9 @@ class AugmentFailure:
 def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> LabelledDigraph:
     """Digraph on colours whose arcs are single-colour reroutes through X'.
 
-    Vertex labels are the matched X-endpoints of each colour, with the
-    missing colour labelled "*"; an arc u -> v labelled x records a
+    Vertices are the graph's colour ids; only the context's active colours
+    carry arcs.  Vertex labels are the matched X-endpoints of each colour,
+    with the missing colour labelled "*"; an arc u -> v labelled x records a
     colour-u edge from x in X' to the Y-endpoint of v's matching edge.
     The missing colour has no Y-endpoint, hence no in-arcs.
     """
@@ -114,7 +110,7 @@ def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> Labell
         STAR if c == c_star else ctx.x_of_colour(c) for c in range(graph.colour_count)
     )
     arcs: list[tuple[int, int, int]] = []
-    for u in range(graph.colour_count):
+    for u in ctx.active_colours:
         for e in graph.colour_classes[u]:
             if e.x not in xset:
                 continue
@@ -283,7 +279,7 @@ def augment(
     c_star = ctx.c_star
     x0 = frozenset(ctx.x0)
     y0 = frozenset(ctx.y0)
-    cap = depth_cap if depth_cap is not None else graph.colour_count
+    cap = depth_cap if depth_cap is not None else len(ctx.active_colours)
     meter = BudgetMeter(budget)
 
     # depth 0: a missing-colour edge between uncovered sides extends directly
@@ -352,147 +348,162 @@ def solve_switching_engine(
 ) -> tuple[RainbowMatching, EngineTrace]:
     """Greedy start, then repeated switching augmentation.
 
-    Each round restricts the instance to the covered colours plus one
-    missing colour (the calculus needs exactly one missing colour) and asks
-    :func:`augment` for a one-edge improvement.  Because X-side switchings
-    preserve the Y-cover, every probe is repeated on the transposed
-    bipartition, which moves the other side.  When no single switching
-    augments, the engine explores matchings reachable by non-augmenting
-    exchanges on either side (bounded breadth-first rotation) before giving
-    up.  Output is always a valid rainbow matching; deterministic for fixed
-    input order, depth cap, and limits.
+    Each probe asks :func:`augment` for a one-edge improvement for one
+    missing colour c*; its context keeps the matched colours plus c* active
+    (the calculus needs exactly one missing colour) and works on the host
+    graph in host colour ids.  Because X-side switchings preserve the
+    Y-cover, every probe is repeated on the Y side: the host with the roles
+    of x and y swapped, indexed once per solve, which moves the other side.
+    When no single switching augments, the engine explores matchings
+    reachable by non-augmenting exchanges on either side (bounded
+    breadth-first rotation) before giving up.  Every path search is metered
+    by ``budget``.  Output is always a valid rainbow matching; deterministic
+    for fixed input order, depth cap, and limits.
     """
+    engine = _Engine(graph, depth_cap, budget, rotation_limit)
     matching = greedy_rainbow_matching(graph)
-    trace = EngineTrace()
     while matching.size < graph.colour_count:
-        improved = _improve_once(graph, matching, depth_cap, budget, trace, rotation_limit)
+        improved = engine.improve_once(matching)
         if improved is None:
             break
         matching = improved
     ok = verify_rainbow_matching(graph, matching)
     if not ok:
         raise AssertionError(f"engine produced an invalid matching: {ok.reason}")
-    return matching, trace
+    return matching, engine.trace
 
 
-def _augment_oriented(
-    graph: ColouredBipartiteMultigraph,
-    matching: RainbowMatching,
-    c_star: int,
-    flip: bool,
-    depth_cap: int | None,
-    budget: SearchBudget | None,
-) -> RainbowMatching | AugmentFailure:
-    """Probe one missing colour on one orientation; answer in original ids."""
-    host = transposed(graph) if flip else graph
-    m = transpose_matching(matching) if flip else matching
-    sub, cmap = restrict(host, colours=sorted(m.colours() | {c_star}))
-    inv = {old: new for new, old in enumerate(cmap)}
-    sub_m = RainbowMatching(tuple(Edge(e.x, e.y, inv[e.c]) for e in m.edges))
-    ctx = make_context(sub, sub_m)
-    result = augment(ctx, depth_cap, budget)
-    if isinstance(result, AugmentFailure):
-        return result
-    out = relabel_matching(result, cmap)
-    return transpose_matching(out) if flip else out
+def _swapped(edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    return tuple(Edge(e.y, e.x, e.c) for e in edges)
 
 
-def _improve_once(
-    graph: ColouredBipartiteMultigraph,
-    matching: RainbowMatching,
-    depth_cap: int | None,
-    budget: SearchBudget | None,
-    trace: EngineTrace,
-    rotation_limit: int,
-) -> RainbowMatching | None:
-    missing = sorted(set(range(graph.colour_count)) - matching.colours())
-    # Pass 1: direct augmentation per missing colour, either side.
-    for flip in (False, True):
-        for c_star in missing:
-            result = _augment_oriented(graph, matching, c_star, flip, depth_cap, budget)
-            if isinstance(result, RainbowMatching):
-                trace.augmentations.append((c_star, result.size - matching.size))
-                return result
-            if not flip:
-                trace.failures.append(result)
-    # Pass 2: rotate through switch-reachable matchings of the same size.
-    return _rotation_search(graph, matching, depth_cap, budget, trace, rotation_limit)
+class _YSide:
+    """The host graph seen from Y: each edge (x, y, c) reads (y, x, c).
 
-
-def _rotation_moves(
-    graph: ColouredBipartiteMultigraph,
-    current: RainbowMatching,
-    c_star: int,
-    flip: bool,
-    depth_cap: int | None,
-) -> list[RainbowMatching]:
-    """All same-size matchings one switching away, in original orientation."""
-    host = transposed(graph) if flip else graph
-    m = transpose_matching(current) if flip else current
-    if m.size == 0:
-        return []
-    sub, cmap = restrict(host, colours=sorted(m.colours() | {c_star}))
-    inv = {old: new for new, old in enumerate(cmap)}
-    sub_m = RainbowMatching(tuple(Edge(e.x, e.y, inv[e.c]) for e in m.edges))
-    ctx = make_context(sub, sub_m)
-    D = build_switch_digraph(ctx, frozenset(ctx.x0))
-    cap = depth_cap if depth_cap is not None else sub.colour_count
-    out = []
-    for path in iter_rainbow_paths(
-        D, ctx.c_star, target=None, max_len=cap, edge_rainbow=True, vertex_scope="all"
-    ):
-        if not path:
-            continue
-        sigma = _arcs_to_switching(ctx, path)
-        rotated = relabel_matching(apply_switching(ctx, sigma), cmap)
-        out.append(transpose_matching(rotated) if flip else rotated)
-    return out
-
-
-def _rotation_search(
-    graph: ColouredBipartiteMultigraph,
-    matching: RainbowMatching,
-    depth_cap: int | None,
-    budget: SearchBudget | None,
-    trace: EngineTrace,
-    rotation_limit: int,
-) -> RainbowMatching | None:
-    """Breadth-first search over same-size matchings reachable by exchanges.
-
-    States are matchings; moves apply one switching (either orientation)
-    drawn from a rainbow path of the state's switch digraph.  Each state is
-    probed for a direct augmentation first, so the shallowest augmentable
-    state wins.
+    It stands in for the host in a :class:`MatchingContext`, so the
+    calculus, which always switches on the X side, moves host Y-vertices.
     """
-    if rotation_limit <= 0:
-        return None
-    seen: set[frozenset[Edge]] = {matching.edge_set()}
-    queue: deque[RainbowMatching] = deque([matching])
-    expanded = 0
-    while queue:
-        current = queue.popleft()
-        missing = sorted(set(range(graph.colour_count)) - current.colours())
-        for c_star in missing:
-            expanded += 1
-            if expanded > rotation_limit:
-                return None
-            for flip in (False, True):
-                result = _augment_oriented(
-                    graph, current, c_star, flip, depth_cap, budget
-                )
+
+    __slots__ = ("host", "left_size", "right_size", "colour_count", "colour_classes")
+
+    def __init__(self, host: ColouredBipartiteMultigraph):
+        self.host = host
+        self.left_size = host.right_size
+        self.right_size = host.left_size
+        self.colour_count = host.colour_count
+        self.colour_classes = tuple(_swapped(cl) for cl in host.colour_classes)
+
+    def has_edge(self, e: Edge) -> bool:
+        return self.host.has_edge(Edge(e.y, e.x, e.c))
+
+
+@dataclass
+class _Engine:
+    """State of one solve: the host graph, its Y side once built, the limits."""
+
+    graph: ColouredBipartiteMultigraph
+    depth_cap: int | None
+    budget: SearchBudget | None
+    rotation_limit: int
+    trace: EngineTrace = field(default_factory=EngineTrace)
+    y_side: _YSide | None = None
+
+    def context(self, matching: RainbowMatching, c_star: int, flip: bool) -> MatchingContext:
+        """The probe for c* on one side (Y when ``flip``), in that side's terms."""
+        side = self.graph
+        if flip:
+            if self.y_side is None:
+                self.y_side = _YSide(self.graph)
+            side = self.y_side
+            matching = RainbowMatching(_swapped(matching))
+        return MatchingContext(side, matching, active=matching.colours() | {c_star})
+
+    @staticmethod
+    def to_host(matching: RainbowMatching, flip: bool) -> RainbowMatching:
+        return RainbowMatching(_swapped(matching)) if flip else matching
+
+    def probe(
+        self, matching: RainbowMatching, c_star: int, flip: bool
+    ) -> RainbowMatching | AugmentFailure:
+        """Augment for one missing colour on one side; answer on the host."""
+        result = augment(self.context(matching, c_star, flip), self.depth_cap, self.budget)
+        if isinstance(result, AugmentFailure):
+            return result
+        return self.to_host(result, flip)
+
+    def improve_once(self, matching: RainbowMatching) -> RainbowMatching | None:
+        missing = sorted(set(range(self.graph.colour_count)) - matching.colours())
+        # Pass 1: direct augmentation per missing colour, either side.
+        for flip in (False, True):
+            for c_star in missing:
+                result = self.probe(matching, c_star, flip)
                 if isinstance(result, RainbowMatching):
-                    trace.rotations = expanded
-                    trace.augmentations.append((c_star, 0))
+                    self.trace.augmentations.append((c_star, result.size - matching.size))
                     return result
-            for flip in (False, True):
-                for candidate in _rotation_moves(
-                    graph, current, c_star, flip, depth_cap
-                ):
-                    key = candidate.edge_set()
-                    if key not in seen:
-                        seen.add(key)
-                        queue.append(candidate)
-    return None
+                if not flip:
+                    self.trace.failures.append(result)
+        # Pass 2: rotate through switch-reachable matchings of the same size.
+        return self.rotation_search(matching)
+
+    def rotation_moves(
+        self, current: RainbowMatching, c_star: int, flip: bool, meter: BudgetMeter
+    ) -> list[RainbowMatching]:
+        """All same-size matchings one switching away, on the host."""
+        if current.size == 0:
+            return []
+        ctx = self.context(current, c_star, flip)
+        D = build_switch_digraph(ctx, ctx.x0)
+        cap = self.depth_cap if self.depth_cap is not None else len(ctx.active_colours)
+        out = []
+        for path in iter_rainbow_paths(
+            D,
+            c_star,
+            target=None,
+            max_len=cap,
+            edge_rainbow=True,
+            vertex_scope="all",
+            meter=meter,
+        ):
+            if path:
+                rotated = apply_switching(ctx, _arcs_to_switching(ctx, path))
+                out.append(self.to_host(rotated, flip))
+        return out
+
+    def rotation_search(self, matching: RainbowMatching) -> RainbowMatching | None:
+        """Breadth-first search over same-size matchings reachable by exchanges.
+
+        States are matchings; moves apply one switching (either side) drawn
+        from a rainbow path of the state's switch digraph.  Each state is
+        probed for a direct augmentation first, so the shallowest
+        augmentable state wins.  One meter counts the path search of every
+        move, so ``budget`` bounds the whole search, not just one state.
+        """
+        if self.rotation_limit <= 0:
+            return None
+        meter = BudgetMeter(self.budget)
+        seen: set[frozenset[Edge]] = {matching.edge_set()}
+        queue: deque[RainbowMatching] = deque([matching])
+        expanded = 0
+        while queue:
+            current = queue.popleft()
+            missing = sorted(set(range(self.graph.colour_count)) - current.colours())
+            for c_star in missing:
+                expanded += 1
+                if expanded > self.rotation_limit:
+                    return None
+                for flip in (False, True):
+                    result = self.probe(current, c_star, flip)
+                    if isinstance(result, RainbowMatching):
+                        self.trace.rotations = expanded
+                        self.trace.augmentations.append((c_star, 0))
+                        return result
+                for flip in (False, True):
+                    for candidate in self.rotation_moves(current, c_star, flip, meter):
+                        key = candidate.edge_set()
+                        if key not in seen:
+                            seen.add(key)
+                            queue.append(candidate)
+        return None
 
 
 def woolbright_floor(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +228,30 @@ def test_connectivity_kdset_subcommand(capsys):
 def test_unknown_file_exit_2(capsys):
     code, _ = _capture(capsys, ["solve", "/nonexistent/path.txt"])
     assert code == 2
+
+
+def test_connectivity_ball_honours_node_limit(capsys):
+    argv = ["connectivity", "--op", "ball", "--vertices", "60", "--out-degree", "14",
+            "--epsilon", "0.2", "--node-limit", "10"]
+    assert run(argv) == 3
+    assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_transversal_budget_exhaustion_says_so(tmp_path, capsys):
+    f = tmp_path / "sq.txt"
+    f.write_text(write_latin(random_latin_square(12, seed=1)))
+    assert run(["transversal", "--node-limit", "2000", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exhausted:")
+
+
+def test_python_m_cli_runs_main():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowmatch.cli", "bounds", "--epsilon", "1/2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["epsilon"] == "1/2"

@@ -247,6 +247,22 @@ def test_anchored_path_with_forced_detour():
     assert [a.tail for a in path] + [path[-1].head] == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "seed, anchors",
+    [(1, [7, 31, 48, 28, 30]), (6, [23, 20, 49, 1]), (7, [34, 6, 23, 37, 3])],
+)
+def test_anchored_path_earlier_leg_avoids_later_anchors(seed, anchors):
+    # each of these once failed: an earlier shortest leg ran through a later
+    # anchor, whose own leg then had no rainbow way in
+    D = generate_proper_digraph(60, 12, seed)
+    path = rainbow_path_through(D, range(60), anchors, frozenset(), 3)
+    visited = [path[0].tail] + [a.head for a in path]
+    assert [v for v in visited if v in anchors] == anchors
+    assert visited[0] == anchors[0] and visited[-1] == anchors[-1]
+    labels = [a.label for a in path] + [D.vertex_labels[v] for v in visited]
+    assert len(set(labels)) == len(labels)
+
+
 def test_anchored_path_precondition_and_failure():
     D = complete_biorientation(4)
     with pytest.raises(PreconditionViolated):

@@ -4,13 +4,19 @@ from hypothesis import strategies as st
 
 from rainbowmatch.core import (
     Edge,
+    MatchingContext,
     RainbowMatching,
     build_graph,
+    greedy_rainbow_matching,
     make_context,
+    relabel_matching,
+    restrict,
     verify_rainbow_matching,
 )
 from rainbowmatch.digraph import LabelledDigraph, check_proper_labelling, iter_rainbow_paths
+from rainbowmatch.budget import SearchBudget
 from rainbowmatch.errors import (
+    BudgetExceeded,
     EmptyMatching,
     ExchangeNotApplicable,
     MultipleMissingColours,
@@ -171,8 +177,6 @@ def test_length4_switching_full_exchange():
     if m.size == g.colour_count:
         m = RainbowMatching(m.edges[:-1])
     missing = sorted(set(range(g.colour_count)) - m.colours())
-    from rainbowmatch.core import restrict
-
     sub, cmap = restrict(g, colours=sorted(m.colours() | {missing[0]}))
     inv = {old: new for new, old in enumerate(cmap)}
     ctx = make_context(
@@ -423,3 +427,56 @@ def test_out_degree_witness_on_certified_maxima():
             assert D.out_degree(v) >= bound
             checked += 1
     assert checked >= 60
+
+
+def test_rotation_search_honours_node_limit():
+    # The order-6 cyclic square has no transversal, so the engine stops at 5
+    # after exhausting the rotation search.  No augment probe needs 20
+    # nodes, but the rotation search's move enumerations need 48 together.
+    g = generate_instance("latin", 6, seed=6)
+    tight = SearchBudget(node_limit=20)
+    m, _ = solve_switching_engine(g, budget=tight, rotation_limit=0)
+    assert m.size == 5
+    m, _ = solve_switching_engine(g)
+    assert m.size == 5
+    with pytest.raises(BudgetExceeded):
+        solve_switching_engine(g, budget=tight)
+
+
+def test_active_colours_match_the_restricted_copy():
+    # A probe on the host with the matched colours plus c* active sees the
+    # restricted copy's switch digraph and augmentation, in host colour ids.
+    probes = 0
+    for i in range(60):
+        n = 4 + i % 5
+        g = generate_instance(
+            "random", n, 3, True, seed=7000 + i, left_size=n + 1, right_size=n + 1
+        )
+        m = greedy_rainbow_matching(g)
+        for c_star in sorted(set(range(n)) - m.colours()):
+            active = m.colours() | {c_star}
+            host = MatchingContext(g, m, active=active)
+            sub, cmap = restrict(g, colours=active)
+            inv = {old: new for new, old in enumerate(cmap)}
+            ctx = make_context(sub, RainbowMatching(tuple(Edge(e.x, e.y, inv[e.c]) for e in m)))
+            assert host.missing_colours == (c_star,)
+            if m.size:
+                arcs = sorted(build_switch_digraph(host, host.x0).arcs)
+                mapped = sorted(
+                    (cmap[a.tail], cmap[a.head], a.label)
+                    for a in build_switch_digraph(ctx, ctx.x0).arcs
+                )
+                assert arcs == mapped
+            got, want = augment(host), augment(ctx)
+            if isinstance(want, AugmentFailure):
+                assert got == AugmentFailure(
+                    want.depth_cap,
+                    want.deepest_explored,
+                    want.paths_explored,
+                    tuple(cmap[c] for c in want.frontier),
+                    want.depth_cap_exhausted,
+                )
+            else:
+                assert got == relabel_matching(want, cmap)
+            probes += 1
+    assert probes >= 70
