@@ -102,6 +102,11 @@ def _cmd_solve(args) -> int:
     _emit(payload, args.format)
     if args.algorithm == "oracle" and not result.optimal:
         return EXIT_BUDGET
+    if args.algorithm == "golden" and not gtrace.proved:
+        sys.stderr.write(
+            "budget exhausted: an oracle fallback stopped without proving the maximum\n"
+        )
+        return EXIT_BUDGET
     return EXIT_OK if matching.size == target else EXIT_SHORTFALL
 
 

@@ -408,23 +408,22 @@ def _shortest_leg(
     blocked: frozenset[int],
     meter: BudgetMeter,
 ) -> tuple[Arc, ...] | None:
-    best: tuple[Arc, ...] | None = None
-    for path in iter_rainbow_paths(
-        D,
-        a,
-        target=b,
-        max_len=d,
-        edge_rainbow=True,
-        vertex_scope="all",
-        forbidden_vertices=blocked,
-        initial_used=used - {D.vertex_labels[a]},
-        meter=meter,
-    ):
-        if best is None or len(path) < len(best):
-            best = path
-            if len(best) <= 1:
-                break
-    return best
+    """The first shortest leg in depth-first order, by iterative deepening."""
+    initial_used = used - {D.vertex_labels[a]}
+    for max_len in range(1, d + 1):
+        for path in iter_rainbow_paths(
+            D,
+            a,
+            target=b,
+            max_len=max_len,
+            edge_rainbow=True,
+            vertex_scope="all",
+            forbidden_vertices=blocked,
+            initial_used=initial_used,
+            meter=meter,
+        ):
+            return path
+    return None
 
 
 def lift_path_through_two_hops(

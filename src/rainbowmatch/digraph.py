@@ -279,10 +279,9 @@ def is_rainbow_arc_path(
     vertex_scope: str = "none",
 ) -> bool:
     """Validate an explicit arc sequence as a rainbow path of D."""
-    arc_set = set(D.arcs)
     verts: list[int] = []
     for i, a in enumerate(path):
-        if a not in arc_set:
+        if a not in D.arcs_between(a.tail, a.head):
             return False
         if i == 0:
             verts.append(a.tail)

@@ -13,7 +13,7 @@ so the returned matching is the true optimum whenever assembly fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .budget import SearchBudget
 from .connectivity import low_expansion_ball, rainbow_distance
@@ -48,6 +48,7 @@ class GoldenLevel:
     m1_size: int = 0
     shortfall_leg: str | None = None
     child: "GoldenTrace | None" = None
+    optimal: bool = True  # False when this level's oracle stopped on its budget
 
 
 @dataclass
@@ -57,6 +58,13 @@ class GoldenTrace:
     @property
     def assembled(self) -> bool:
         return bool(self.levels) and self.levels[0].method == "assembly"
+
+    @property
+    def proved(self) -> bool:
+        """No level, child traces included, holds an unproved oracle result."""
+        return all(
+            lv.optimal and (lv.child is None or lv.child.proved) for lv in self.levels
+        )
 
 
 def build_colour_digraph(ctx: MatchingContext) -> LabelledDigraph:
@@ -179,7 +187,7 @@ def _solve_level(
             trace.levels.append(GoldenLevel(n, "engine"))
             return engine_matching, trace
         best = exact_max_rainbow_matching(graph, budget=budget)
-        trace.levels.append(GoldenLevel(n, "base"))
+        trace.levels.append(GoldenLevel(n, "base", optimal=best.optimal))
         return best.matching, trace
 
     if engine_matching.size == n - 1:
@@ -190,8 +198,10 @@ def _solve_level(
             return assembled, trace
 
     best = exact_max_rainbow_matching(graph, budget=budget)
-    if not trace.levels:  # assembly logged its own shortfall level already
-        trace.levels.append(GoldenLevel(n, "oracle"))
+    if trace.levels:  # assembly logged its own shortfall level already
+        trace.levels[-1] = replace(trace.levels[-1], optimal=best.optimal)
+    else:
+        trace.levels.append(GoldenLevel(n, "oracle", optimal=best.optimal))
     return best.matching, trace
 
 

@@ -72,9 +72,15 @@ def exact_max_rainbow_matching(
     """Maximum-size rainbow matching under constraints, by branch and bound.
 
     Branches per colour on "use edge e" / "leave the colour unused", with
-    colours ordered by ascending class size (fail-first) and the bound
-    current size + remaining colours.  ``required`` edges are forced into
-    the output, ``forbidden_x`` vertices and ``forbidden_colours`` are never
+    colours ordered by ascending class size (fail-first).  The state is one
+    int of live edges: an edge dies when its colour is decided or it shares
+    an endpoint with a placed edge.  A node is cut when current size +
+    remaining colours cannot beat the best found.  When beating it needs
+    every remaining colour, a node is also cut if one of them has no live
+    edge left (forward check), and leaving a colour unused is not tried.
+    The bound never cuts a strictly better matching, so the optimum
+    returned is the first one the plain size bound would find.  ``required`` edges are forced into the
+    output, ``forbidden_x`` vertices and ``forbidden_colours`` are never
     touched.  On budget exhaustion the best matching found so far is
     returned with ``optimal=False``.
     """
@@ -108,47 +114,71 @@ def exact_max_rainbow_matching(
     )
     upper = len(required) + len(order)
 
+    # Edge k is bit k, numbered in class-scan order: colours in `order`,
+    # each class's edges as stored.
+    edges = [e for c in order for e in graph.colour_classes[c]]
+    x_mask = [0] * graph.left_size
+    y_mask = [0] * graph.right_size
+    bit = 1
+    for x, y, _ in edges:
+        x_mask[x] |= bit
+        y_mask[y] |= bit
+        bit <<= 1
+    class_mask: list[int] = []
+    first = 0
+    for c in order:
+        n_edges = len(graph.colour_classes[c])
+        class_mask.append(((1 << n_edges) - 1) << first)
+        first += n_edges
+    later_masks = [class_mask[i:] for i in range(len(order))]
+    live = (1 << len(edges)) - 1
+    for x in forb_x | used_x:
+        if 0 <= x < graph.left_size:
+            live &= ~x_mask[x]
+    for y in used_y:
+        live &= ~y_mask[y]
+
     meter = BudgetMeter(budget)
     best: list[Edge] = list(required)
     current: list[Edge] = list(required)
     optimal = True
     done = False
 
-    def search(i: int) -> None:
+    def search(i: int, live: int) -> None:
         nonlocal best, optimal, done
-        if done:
-            return
         try:
             meter.tick()
         except BudgetExceeded:
             optimal = False
             done = True
             return
-        if len(current) > len(best):
+        size = len(current)
+        if size > len(best):
             best = list(current)
-            if len(best) == upper:
+            if size == upper:
                 done = True
                 return
-        if i == len(order):
+        slack = size + len(order) - i - len(best) - 1
+        if slack < 0:
             return
-        if len(current) + (len(order) - i) <= len(best):
-            return
-        c = order[i]
-        for e in graph.colour_classes[c]:
-            if e.x in used_x or e.x in forb_x or e.y in used_y:
-                continue
-            used_x.add(e.x)
-            used_y.add(e.y)
+        if slack == 0:  # beating best needs every colour left: each must keep a live edge
+            for m in later_masks[i]:
+                if not live & m:
+                    return
+        cand = live & class_mask[i]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            e = edges[low.bit_length() - 1]
             current.append(e)
-            search(i + 1)
+            search(i + 1, live & ~(class_mask[i] | x_mask[e.x] | y_mask[e.y]))
             current.pop()
-            used_x.discard(e.x)
-            used_y.discard(e.y)
             if done:
                 return
-        search(i + 1)  # colour c unused
+        if slack:  # with no slack, leaving colour i unused cannot beat best
+            search(i + 1, live & ~class_mask[i])
 
-    search(0)
+    search(0, live)
     matching = RainbowMatching(tuple(sorted(best, key=lambda e: (e.c, e.x, e.y))))
     return OracleResult(matching, optimal, meter.nodes)
 

@@ -246,6 +246,19 @@ def test_transversal_budget_exhaustion_says_so(tmp_path, capsys):
     assert captured.err.startswith("budget exhausted:")
 
 
+def test_golden_unproved_oracle_fallback_exits_3(tmp_path, capsys):
+    # an isotope of the order-6 cyclic square: it has no transversal
+    g = tmp_path / "latin6.txt"
+    assert run(["gen", "--kind", "latin", "--n", "6", "-o", str(g)]) == 0
+    argv = ["solve", "--algorithm", "golden", "--trace", str(g)]
+    assert run(argv) == 1  # proved maximum 5 of 6
+    capsys.readouterr()
+    assert run([*argv, "--node-limit", "100"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["size"] == 5
+    assert captured.err.startswith("budget exhausted:")
+
+
 def test_python_m_cli_runs_main():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rainbowmatch.budget import SearchBudget
 from rainbowmatch.core import (
     Edge,
     RainbowMatching,
@@ -206,3 +207,17 @@ def test_golden_trace_records_shortfall_on_deficient():
     level = trace.levels[0]
     assert level.method == "oracle"
     assert level.shortfall_leg is not None
+
+
+def test_golden_oracle_fallback_records_unproved_result():
+    # an isotope of the order-6 cyclic square has no transversal; the engine
+    # and the assembly legs fit in 100 nodes, the oracle's proof does not
+    g = square_to_graph(random_latin_square(6, seed=6))
+    m, trace = golden_solve(g, budget=SearchBudget(node_limit=100))
+    assert m.size == 5
+    assert [lv.method for lv in trace.levels] == ["oracle"]
+    assert not trace.levels[0].optimal
+    assert not trace.proved
+    m, trace = golden_solve(g)
+    assert m.size == 5
+    assert trace.levels[0].optimal and trace.proved
