@@ -25,7 +25,6 @@ from .digraph import (
     check_proper_labelling,
     is_rainbow_arc_path,
     iter_rainbow_paths,
-    rainbow_reach,
 )
 from .errors import (
     CertificateExhausted,
@@ -67,22 +66,42 @@ def rainbow_distance(
     budget: SearchBudget | None = None,
 ) -> int | float:
     """Length of the shortest rainbow u -> v path, or infinity beyond cap."""
-    meter = BudgetMeter(budget)
-    best = INFINITE
-    for path in iter_rainbow_paths(
-        D,
-        u,
-        target=v,
-        max_len=cap,
-        edge_rainbow=True,
-        vertex_scope=_scope(mode),
-        meter=meter,
-    ):
-        if len(path) < best:
-            best = len(path)
-            if best == 0:
-                break
-    return best
+    path = _first_shortest_path(
+        D, u, v, cap, vertex_scope=_scope(mode), meter=BudgetMeter(budget)
+    )
+    return INFINITE if path is None else len(path)
+
+
+def _first_shortest_path(
+    D: LabelledDigraph,
+    u: int,
+    v: int,
+    cap: int,
+    *,
+    vertex_scope: str,
+    forbidden: frozenset = frozenset(),
+    forbidden_vertices: frozenset = frozenset(),
+    meter: BudgetMeter,
+) -> tuple[Arc, ...] | None:
+    """The first shortest rainbow u -> v path in depth-first order, by
+    iterative deepening up to length cap; None when there is none."""
+    for max_len in range(cap + 1):
+        path = next(
+            iter_rainbow_paths(
+                D,
+                u,
+                target=v,
+                max_len=max_len,
+                vertex_scope=vertex_scope,
+                forbidden=forbidden,
+                forbidden_vertices=forbidden_vertices,
+                meter=meter,
+            ),
+            None,
+        )
+        if path is not None:
+            return path
+    return None
 
 
 def rainbow_ball_layers(
@@ -93,10 +112,20 @@ def rainbow_ball_layers(
     budget: SearchBudget | None = None,
 ) -> dict[int, int]:
     """Map vertex -> rainbow distance from v, up to the cap."""
-    meter = BudgetMeter(budget)
-    return rainbow_reach(
-        D, v, cap, edge_rainbow=True, vertex_scope=_scope(mode), meter=meter
-    )
+    return _layers(D, v, cap, mode, BudgetMeter(budget))
+
+
+def _layers(
+    D: LabelledDigraph, v: int, cap: int, mode: str, meter: BudgetMeter
+) -> dict[int, int]:
+    dist: dict[int, int] = {}
+    for path in iter_rainbow_paths(
+        D, v, max_len=cap, vertex_scope=_scope(mode), meter=meter
+    ):
+        w = path[-1].head if path else v
+        if len(path) < dist.get(w, INFINITE):
+            dist[w] = len(path)
+    return dist
 
 
 def low_expansion_ball(
@@ -110,19 +139,18 @@ def low_expansion_ball(
 
     Returns (t0, ball) with t0 <= ceil(1/eps); existence is a counting fact:
     if every layer grew by more than eps*|D| the ball would exceed |D|.
+    Radius t is tried only after every smaller one failed, so the layers
+    are computed no further out than t0+1; one meter counts every radius.
     """
     eps = _as_fraction(eps)
     if not (0 < eps <= 1):
         raise PreconditionViolated("eps must be in (0, 1]")
-    cap = _ceil(1 / eps) + 1
-    dist = rainbow_ball_layers(D, v, cap, mode=mode, budget=budget)
-    n = D.vertex_count
-    sizes = [0] * (cap + 1)
-    for t in range(cap + 1):
-        sizes[t] = sum(1 for d in dist.values() if d <= t)
-    for t0 in range(cap):
-        if Fraction(sizes[t0 + 1]) <= Fraction(sizes[t0]) + eps * n:
-            ball = frozenset(x for x, d in dist.items() if d <= t0)
+    meter = BudgetMeter(budget)
+    slack = eps * D.vertex_count
+    for t0 in range(_ceil(1 / eps) + 1):
+        dist = _layers(D, v, t0 + 1, mode, meter)
+        ball = frozenset(x for x, d in dist.items() if d <= t0)
+        if len(dist) <= len(ball) + slack:
             return t0, ball
     raise AssertionError("no low-expansion radius found; impossible by counting")
 
@@ -408,22 +436,21 @@ def _shortest_leg(
     blocked: frozenset[int],
     meter: BudgetMeter,
 ) -> tuple[Arc, ...] | None:
-    """The first shortest leg in depth-first order, by iterative deepening."""
-    initial_used = used - {D.vertex_labels[a]}
-    for max_len in range(1, d + 1):
-        for path in iter_rainbow_paths(
-            D,
-            a,
-            target=b,
-            max_len=max_len,
-            edge_rainbow=True,
-            vertex_scope="all",
-            forbidden_vertices=blocked,
-            initial_used=initial_used,
-            meter=meter,
-        ):
-            return path
-    return None
+    """The first shortest leg in depth-first order, avoiding every colour in
+    used except a's own; None when b's colour is among them."""
+    forbidden = used - {D.vertex_labels[a]}
+    if D.vertex_labels[b] in forbidden:
+        return None
+    return _first_shortest_path(
+        D,
+        a,
+        b,
+        d,
+        vertex_scope="all",
+        forbidden=forbidden,
+        forbidden_vertices=blocked,
+        meter=meter,
+    )
 
 
 def lift_path_through_two_hops(

@@ -5,14 +5,18 @@ labelled), the colour digraph used by the golden-ratio solver (edge labels
 only), derived two-hop digraphs (unlabelled), and edge-coloured digraphs in
 general.  "Label" and "colour" are interchangeable here.
 
+``iter_rainbow_paths`` is the one rainbow path search; the switching engine,
+the connectivity toolbox, the oracles and the Menger lab all consume it.
 Rainbow conventions differ per use and are driven by two knobs:
 
 * ``edge_rainbow`` -- edge labels along a path must be pairwise distinct;
 * ``vertex_scope`` -- which vertex labels join the distinctness set:
   ``"none"`` (ignored), ``"internal"`` (endpoints exempt), ``"all"``.
 
-Forbidden label sets only ever constrain edges and *internal* vertices,
-matching the endpoint exemption used throughout.
+A single ``forbidden`` label set constrains whatever the knobs put in play:
+edge labels when ``edge_rainbow`` is set, and the labels of *internal*
+vertices when ``vertex_scope`` is not ``"none"``.  Endpoints are exempt,
+matching the convention used throughout.
 """
 
 from __future__ import annotations
@@ -118,10 +122,8 @@ def iter_rainbow_paths(
     max_len: int,
     edge_rainbow: bool = True,
     vertex_scope: str = "none",
-    forbidden_edge_labels: frozenset = frozenset(),
-    forbidden_vertex_labels: frozenset = frozenset(),
+    forbidden: frozenset = frozenset(),
     forbidden_vertices: frozenset = frozenset(),
-    initial_used: frozenset = frozenset(),
     meter: BudgetMeter | None = None,
 ) -> Iterator[tuple[Arc, ...]]:
     """Enumerate rainbow paths from ``start`` as arc tuples, DFS preorder.
@@ -129,9 +131,18 @@ def iter_rainbow_paths(
     Exploration visits out-arcs in (head, label) order, so paths appear in
     lexicographic order by vertex sequence with label as tiebreak; a path is
     always yielded before its extensions.  With a target, only paths ending
-    there are yielded (the empty path when start == target).  Vertices are
-    never revisited.  ``initial_used`` seeds the distinctness set, which
-    lets callers forbid label collisions with an existing partial path.
+    there are yielded (the empty path when start == target), and the target
+    is never passed through.  Vertices are never revisited, nor are those in
+    ``forbidden_vertices``.
+
+    ``forbidden`` is one set of colours a path must avoid: arc labels when
+    ``edge_rainbow`` is set, and the labels of internal vertices when
+    ``vertex_scope`` is not ``"none"``.  The endpoints are exempt; without a
+    target every vertex after the start counts as internal.
+
+    The search is iterative: a stack holds one out-arc iterator per path
+    vertex, so a path of length L costs no chain of L generator frames per
+    yield.  The meter ticks once per out-arc examined.
     """
     if vertex_scope not in ("none", "internal", "all"):
         raise ValueError(f"unknown vertex_scope {vertex_scope!r}")
@@ -139,90 +150,55 @@ def iter_rainbow_paths(
         raise ValueError("vertex_scope needs a vertex-labelled digraph")
     if start in forbidden_vertices:
         return
+    if target is None or start == target:
+        yield ()
+    if start == target or max_len <= 0:
+        return
 
-    used: set = set(initial_used)
-    if vertex_scope == "all":
-        lbl = D.vertex_labels[start]
-        if lbl in used:
-            return
-        used.add(lbl)
-    visited: set[int] = {start}
+    out_arcs = D._out
+    labels = D.vertex_labels if vertex_scope != "none" else None
+    scope_all = vertex_scope == "all"
+    tick = meter.tick if meter is not None else None
+    used: set = {labels[start]} if scope_all else set()
+    blocked = set(forbidden_vertices)  # plus the vertices on the path
+    blocked.add(start)
     path: list[Arc] = []
-
-    def walk(v: int) -> Iterator[tuple[Arc, ...]]:
-        if target is None or v == target:
-            yield tuple(path)
-        if len(path) >= max_len or (target is not None and v == target):
-            return
-        for arc in D.out_arcs(v):
-            if meter is not None:
-                meter.tick()
+    added: list[tuple] = []  # per path arc: the labels it put into used
+    stack = [iter(out_arcs[start])]
+    while stack:
+        for arc in stack[-1]:
+            if tick is not None:
+                tick()
             w = arc.head
-            if w in visited or w in forbidden_vertices:
+            if w in blocked:
                 continue
-            if edge_rainbow and arc.label in used:
-                continue
-            if arc.label in forbidden_edge_labels:
-                continue
-            added: list = []
+            label = arc.label
             if edge_rainbow:
-                used.add(arc.label)
-                added.append(arc.label)
-            w_internal = target is None or w != target
-            if vertex_scope != "none":
-                wl = D.vertex_labels[w]
-                if vertex_scope == "all" or w_internal:
-                    if wl in used:
-                        for lbl in added:
-                            used.discard(lbl)
-                        continue
-                if w_internal and wl in forbidden_vertex_labels:
-                    for lbl in added:
-                        used.discard(lbl)
+                if label in used or label in forbidden:
                     continue
-                if vertex_scope == "all" or w_internal:
-                    used.add(wl)
-                    added.append(wl)
-            visited.add(w)
+                new: tuple = (label,)
+            else:
+                new = ()
+            if labels is not None and (scope_all or w != target):
+                wl = labels[w]
+                if wl in used or wl in new or (w != target and wl in forbidden):
+                    continue
+                new += (wl,)
             path.append(arc)
-            yield from walk(w)
+            if target is None or w == target:
+                yield tuple(path)
+            if w != target and len(path) < max_len:
+                blocked.add(w)
+                used.update(new)
+                added.append(new)
+                stack.append(iter(out_arcs[w]))
+                break
             path.pop()
-            visited.discard(w)
-            for lbl in added:
-                used.discard(lbl)
-
-    yield from walk(start)
-
-
-def rainbow_reach(
-    D: LabelledDigraph,
-    start: int,
-    max_len: int,
-    *,
-    edge_rainbow: bool = True,
-    vertex_scope: str = "none",
-    forbidden_edge_labels: frozenset = frozenset(),
-    forbidden_vertex_labels: frozenset = frozenset(),
-    meter: BudgetMeter | None = None,
-) -> dict[int, int]:
-    """Minimum rainbow path length from start to every reachable vertex."""
-    best: dict[int, int] = {}
-    for path in iter_rainbow_paths(
-        D,
-        start,
-        target=None,
-        max_len=max_len,
-        edge_rainbow=edge_rainbow,
-        vertex_scope=vertex_scope,
-        forbidden_edge_labels=forbidden_edge_labels,
-        forbidden_vertex_labels=forbidden_vertex_labels,
-        meter=meter,
-    ):
-        v = path[-1].head if path else start
-        length = len(path)
-        if v not in best or length < best[v]:
-            best[v] = length
-    return best
+        else:
+            stack.pop()
+            if path:
+                blocked.discard(path.pop().head)
+                used.difference_update(added.pop())
 
 
 def check_proper_labelling(D: LabelledDigraph) -> Verdict:

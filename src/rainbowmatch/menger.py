@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .budget import SearchBudget
-from .digraph import Arc, LabelledDigraph
+from .budget import BudgetMeter, SearchBudget
+from .digraph import Arc, LabelledDigraph, iter_rainbow_paths
 from .errors import (
     LPNumericalFailure,
     ParameterViolation,
     PathBudgetExceeded,
 )
-from .oracle import enumerate_rainbow_paths
 
 EXACT_PATH_LIMIT = 64
 
@@ -71,6 +70,19 @@ def subdivide_to_simple(D: LabelledDigraph) -> LabelledDigraph:
     return LabelledDigraph(fresh_vertex, arcs)
 
 
+def _st_paths(D: LabelledDigraph, u: int, v: int, forbidden, budget):
+    """Rainbow u -> v paths of length >= 1 (edge-colour convention), lazily."""
+    paths = iter_rainbow_paths(
+        D,
+        u,
+        target=v,
+        max_len=max(D.vertex_count - 1, 1),
+        forbidden=frozenset(forbidden),
+        meter=BudgetMeter(budget),
+    )
+    return (p for p in paths if p)
+
+
 def rainbow_st_paths(
     D: LabelledDigraph,
     u: int,
@@ -78,13 +90,13 @@ def rainbow_st_paths(
     max_paths: int = 20000,
     budget: SearchBudget | None = None,
 ) -> tuple[tuple[Arc, ...], ...]:
-    """All rainbow u -> v paths (edge-colour convention), length >= 1."""
-    paths = enumerate_rainbow_paths(
-        D, u, v, max_len=max(D.vertex_count - 1, 1), mode="edge", budget=budget
-    )
-    paths = tuple(p for p in paths if p)
+    """All rainbow u -> v paths (edge-colour convention), length >= 1.
+
+    The search stops at path max_paths + 1 and raises PathBudgetExceeded.
+    """
+    paths = tuple(itertools.islice(_st_paths(D, u, v, (), budget), max_paths + 1))
     if len(paths) > max_paths:
-        raise PathBudgetExceeded(f"{len(paths)} rainbow paths exceed cap {max_paths}")
+        raise PathBudgetExceeded(f"rainbow paths exceed cap {max_paths}")
     return paths
 
 
@@ -95,25 +107,15 @@ def verify_property_I(
     k: int,
     budget: SearchBudget | None = None,
 ) -> bool:
-    """For every k-colour set there is a rainbow u -> v path avoiding it."""
+    """For every k-colour set there is a rainbow u -> v path avoiding it.
+
+    Each set's search stops at its first path; the budget bounds each set.
+    """
     colours = sorted(D.edge_labels())
-    for S in itertools.combinations(colours, min(k, len(colours))):
-        found = False
-        for p in enumerate_rainbow_paths(
-            D,
-            u,
-            v,
-            max_len=max(D.vertex_count - 1, 1),
-            forbidden_colours=S,
-            mode="edge",
-            budget=budget,
-        ):
-            if p:
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return all(
+        next(_st_paths(D, u, v, S, budget), None) is not None
+        for S in itertools.combinations(colours, min(k, len(colours)))
+    )
 
 
 def verify_property_II(

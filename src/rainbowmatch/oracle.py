@@ -209,8 +209,7 @@ def enumerate_rainbow_paths(
             max_len=max_len,
             edge_rainbow=True,
             vertex_scope=scope,
-            forbidden_edge_labels=forb,
-            forbidden_vertex_labels=forb if scope != "none" else frozenset(),
+            forbidden=forb,
             meter=meter,
         )
     )
@@ -225,27 +224,6 @@ def _work_meter(budget: SearchBudget | None) -> BudgetMeter:
     """
     budget = budget or SearchBudget()
     return BudgetMeter(SearchBudget(time_limit=budget.time_limit))
-
-
-def _rainbow_path_exists(
-    D: LabelledDigraph,
-    u: int,
-    v: int,
-    forbidden: frozenset,
-    meter: BudgetMeter,
-) -> bool:
-    for _ in iter_rainbow_paths(
-        D,
-        u,
-        target=v,
-        max_len=max(D.vertex_count - 1, 0),
-        edge_rainbow=True,
-        vertex_scope="none",
-        forbidden_edge_labels=forbidden,
-        meter=meter,
-    ):
-        return True
-    return False
 
 
 def is_rainbow_k_edge_connected(
@@ -274,6 +252,7 @@ def is_rainbow_k_edge_connected(
         ]
     n_sets = _binomial(len(colours), r)
     meter = _work_meter(budget)
+    max_len = max(D.vertex_count - 1, 0)
 
     def check_sets(sets, mode, total):
         checked = 0
@@ -281,7 +260,10 @@ def is_rainbow_k_edge_connected(
             fs = frozenset(S)
             checked += 1
             for u, v in pairs:
-                if not _rainbow_path_exists(D, u, v, fs, meter):
+                paths = iter_rainbow_paths(
+                    D, u, target=v, max_len=max_len, forbidden=fs, meter=meter
+                )
+                if next(paths, None) is None:
                     return ConnectivityVerdict(False, mode, checked, (fs, u, v))
         return ConnectivityVerdict(True, mode, total if mode == EXHAUSTIVE else checked)
 
@@ -372,21 +354,17 @@ def is_kd_connected(
                 if x == y:
                     continue
                 meter.tick()
-                found = False
-                for _ in iter_rainbow_paths(
+                paths = iter_rainbow_paths(
                     D,
                     x,
                     target=y,
                     max_len=d,
                     edge_rainbow=edge_rainbow,
                     vertex_scope=vertex_scope,
-                    forbidden_edge_labels=S if edge_rainbow else frozenset(),
-                    forbidden_vertex_labels=S if vertex_scope != "none" else frozenset(),
+                    forbidden=S,
                     meter=meter,
-                ):
-                    found = True
-                    break
-                if not found:
+                )
+                if next(paths, None) is None:
                     return False, (S, x, y)
         return True, None
 

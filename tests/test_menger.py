@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rainbowmatch.budget import SearchBudget
 from rainbowmatch.digraph import LabelledDigraph
 from rainbowmatch.errors import ParameterViolation, PathBudgetExceeded
 from rainbowmatch.menger import (
@@ -78,6 +79,20 @@ def test_path_budget():
     D = build_counterexample(3, 9)
     with pytest.raises(PathBudgetExceeded):
         rainbow_st_paths(D, 0, 9, max_paths=10)
+
+
+def test_path_cap_stops_the_search():
+    # the 11th path is reached within 23 nodes; all 529 paths take 3,392
+    D = build_counterexample(3, 8)
+    with pytest.raises(PathBudgetExceeded):
+        rainbow_st_paths(D, 0, 8, max_paths=10, budget=SearchBudget(node_limit=100))
+
+
+def test_property_I_stops_at_the_first_path_per_set():
+    # each 3-colour set's first path takes at most 14 nodes; enumerating
+    # every path of some sets takes up to 1,560
+    D = build_counterexample(3, 8)
+    assert verify_property_I(D, 0, 8, 3, budget=SearchBudget(node_limit=100))
 
 
 def test_subdivision_preserves_counts_and_properties():
