@@ -25,9 +25,9 @@ from . import switching as switching_mod
 from .budget import SearchBudget
 from .core import (
     RainbowMatching,
-    Edge,
     greedy_rainbow_matching,
     read_edge_list,
+    read_matching,
     verify_rainbow_matching,
     write_edge_list,
 )
@@ -53,10 +53,7 @@ def _matching_payload(matching: RainbowMatching) -> list[dict]:
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        node_limit=getattr(args, "node_limit", 10_000_000),
-        time_limit=getattr(args, "time_limit", 30.0),
-    )
+    return SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
 
 
 def _cmd_solve(args) -> int:
@@ -107,6 +104,9 @@ def _cmd_solve(args) -> int:
             "budget exhausted: an oracle fallback stopped without proving the maximum\n"
         )
         return EXIT_BUDGET
+    if args.algorithm == "switching" and trace.stop == "rotation_limit":
+        sys.stderr.write("budget exhausted: the engine's rotation search hit its state limit\n")
+        return EXIT_BUDGET
     return EXIT_OK if matching.size == target else EXIT_SHORTFALL
 
 
@@ -138,15 +138,10 @@ def _cmd_transversal(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = read_edge_list(_read(args.graph))
-    edges = []
-    for ln in _read(args.matching).splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if ln:
-            x, y, c = (int(t) for t in ln.split())
-            edges.append(Edge(x, y, c))
-    verdict = verify_rainbow_matching(graph, RainbowMatching(tuple(edges)))
+    matching = read_matching(_read(args.matching))
+    verdict = verify_rainbow_matching(graph, matching)
     _emit(
-        {"valid": verdict.ok, "reason": verdict.reason, "size": len(edges)},
+        {"valid": verdict.ok, "reason": verdict.reason, "size": matching.size},
         args.format,
     )
     return EXIT_OK if verdict.ok else EXIT_SHORTFALL

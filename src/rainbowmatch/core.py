@@ -10,7 +10,11 @@ its inputs.
 
 from __future__ import annotations
 
+import re
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -26,6 +30,9 @@ class Edge(NamedTuple):
     x: int
     y: int
     c: int
+
+
+_X, _Y = itemgetter(0), itemgetter(1)
 
 
 class Verdict(NamedTuple):
@@ -51,8 +58,6 @@ class ColouredBipartiteMultigraph:
         "edges",
         "edge_disjoint",
         "colour_classes",
-        "x_incidence",
-        "y_incidence",
         "_edge_set",
     )
 
@@ -70,52 +75,52 @@ class ColouredBipartiteMultigraph:
         self.right_size = right_size
         self.colour_count = colour_count
         self.edge_disjoint = edge_disjoint
-        self.edges = tuple(
-            e if type(e) is Edge else Edge(*e) for e in edges
-        )
+        edges = tuple(edges)
+        if set(map(type, edges)) - {Edge}:  # plain tuples from the caller
+            edges = tuple(e if type(e) is Edge else Edge(*e) for e in edges)
+        self.edges = edges
 
+        # Checks over whole columns; an input that fails one is scanned edge
+        # by edge, so that the first fault in edge order is the one raised.
         classes: list[list[Edge]] = [[] for _ in range(colour_count)]
-        x_inc: list[list[Edge]] = [[] for _ in range(left_size)]
-        y_inc: list[list[Edge]] = [[] for _ in range(right_size)]
-        x_seen: list[set[int]] = [set() for _ in range(colour_count)]
-        y_seen: list[set[int]] = [set() for _ in range(colour_count)]
+        if edges:
+            xs, ys, cs = zip(*edges)
+            if not (
+                0 <= min(xs) and max(xs) < left_size
+                and 0 <= min(ys) and max(ys) < right_size
+                and 0 <= min(cs) and max(cs) < colour_count
+            ):
+                self._raise_first_fault()
+            # classes[c].append(e) for every edge, consumed in C
+            deque(map(list.append, map(classes.__getitem__, cs), edges), maxlen=0)
+            if not all(
+                len(set(map(_X, cl))) == len(cl) == len(set(map(_Y, cl))) for cl in classes
+            ) or (edge_disjoint and len(set(zip(xs, ys))) < len(edges)):
+                self._raise_first_fault()
+        self.colour_classes = tuple(map(tuple, classes))
+        self._edge_set = frozenset(edges)
+
+    def _raise_first_fault(self) -> None:
+        """Raise for the first edge, in edge order, that breaks an invariant."""
+        ends: set[tuple[int, str, int]] = set()
         pairs: dict[tuple[int, int], int] = {}
-
-        for e in self.edges:
-            x, y, c = e
-            if not (0 <= x < left_size):
-                raise IdOutOfRange(f"X-vertex {x} outside [0, {left_size})")
-            if not (0 <= y < right_size):
-                raise IdOutOfRange(f"Y-vertex {y} outside [0, {right_size})")
-            if not (0 <= c < colour_count):
-                raise IdOutOfRange(f"colour {c} outside [0, {colour_count})")
-            xs = x_seen[c]
-            ys = y_seen[c]
-            if x in xs:
-                raise DuplicateEndpointInColourClass(
-                    f"colour {c} has two edges at X-vertex {x}"
-                )
-            if y in ys:
-                raise DuplicateEndpointInColourClass(
-                    f"colour {c} has two edges at Y-vertex {y}"
-                )
-            xs.add(x)
-            ys.add(y)
-            if edge_disjoint:
-                prev = pairs.get((x, y))
-                if prev is not None:
-                    raise DuplicateEdgeAcrossColours(
-                        f"pair ({x}, {y}) carries colours {prev} and {c}"
+        for x, y, c in self.edges:
+            if not (0 <= x < self.left_size):
+                raise IdOutOfRange(f"X-vertex {x} outside [0, {self.left_size})")
+            if not (0 <= y < self.right_size):
+                raise IdOutOfRange(f"Y-vertex {y} outside [0, {self.right_size})")
+            if not (0 <= c < self.colour_count):
+                raise IdOutOfRange(f"colour {c} outside [0, {self.colour_count})")
+            for end in ((c, "X", x), (c, "Y", y)):
+                if end in ends:
+                    raise DuplicateEndpointInColourClass(
+                        f"colour {c} has two edges at {end[1]}-vertex {end[2]}"
                     )
-                pairs[(x, y)] = c
-            classes[c].append(e)
-            x_inc[x].append(e)
-            y_inc[y].append(e)
-
-        self.colour_classes = tuple(tuple(cl) for cl in classes)
-        self.x_incidence = tuple(tuple(i) for i in x_inc)
-        self.y_incidence = tuple(tuple(i) for i in y_inc)
-        self._edge_set = frozenset(self.edges)
+                ends.add(end)
+            if self.edge_disjoint and pairs.setdefault((x, y), c) != c:
+                raise DuplicateEdgeAcrossColours(
+                    f"pair ({x}, {y}) carries colours {pairs[x, y]} and {c}"
+                )
 
     def colour_class(self, c: int) -> tuple[Edge, ...]:
         return self.colour_classes[c]
@@ -123,18 +128,16 @@ class ColouredBipartiteMultigraph:
     def has_edge(self, e: Edge) -> bool:
         return e in self._edge_set
 
+    def _key(self) -> tuple:
+        return (self.left_size, self.right_size, self.colour_count, self.edges)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColouredBipartiteMultigraph):
             return NotImplemented
-        return (
-            self.left_size == other.left_size
-            and self.right_size == other.right_size
-            and self.colour_count == other.colour_count
-            and self.edges == other.edges
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.left_size, self.right_size, self.colour_count, self.edges))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (
@@ -369,41 +372,50 @@ def relabel_matching(matching: RainbowMatching, colour_map: Sequence[int]) -> Ra
     return RainbowMatching(tuple(Edge(e.x, e.y, colour_map[e.c]) for e in matching))
 
 
-def transposed(graph: ColouredBipartiteMultigraph) -> ColouredBipartiteMultigraph:
-    """The same multigraph with the two sides swapped."""
-    return ColouredBipartiteMultigraph(
-        graph.right_size,
-        graph.left_size,
-        graph.colour_count,
-        [(e.y, e.x, e.c) for e in graph.edges],
-        edge_disjoint=graph.edge_disjoint,
-    )
+# --- text formats: edge lists ("L R C", then "x y c" lines) and matchings ---
+
+# A line neither blank nor three plain integers; a text with none splits at once.
+# (Unlike a fullmatch of repeated lines, a search keeps no state per line.)
+_NOT_PLAIN = re.compile(r"^(?![ \t]*(?:-?\d+[ \t]+-?\d+[ \t]+-?\d+[ \t]*)?\r?$)", re.M | re.A)
 
 
-def transpose_matching(matching: RainbowMatching) -> RainbowMatching:
-    return RainbowMatching(tuple(Edge(e.y, e.x, e.c) for e in matching))
+def _read_rows(
+    text: str, shape: str, first_shape: str | None = None, name_values: bool = False
+) -> list[Edge]:
+    """Each content line of a text (a line less any ``#`` comment, if not
+    blank) as an Edge-typed triple of integers.  A line of another shape
+    raises ValueError naming it (``first_shape`` for the first line); a
+    non-integer value does so only with ``name_values``, else int() names it."""
+    if not _NOT_PLAIN.search(text):
+        it = map(int, text.split())
+        # tuple.__new__(Edge, t) builds each row with no Python-level call
+        return list(map(tuple.__new__, repeat(Edge), zip(it, it, it)))
+    rows: list[Edge] = []
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    for i, ln in enumerate(filter(None, lines)):
+        parts = ln.split()
+        try:
+            if len(parts) == 3:
+                rows.append(Edge(*map(int, parts)))
+                continue
+        except ValueError:
+            if not name_values:
+                raise  # int() names the value
+        raise ValueError(f"{first_shape if i == 0 and first_shape else shape}, got {ln!r}") from None
+    return rows
 
-
-# --- edge-list text format ---------------------------------------------------
-# First line "L R C"; each subsequent non-comment line "x y c"; '#' comments.
 
 def read_edge_list(text: str, edge_disjoint: bool = False) -> ColouredBipartiteMultigraph:
-    lines = [
-        ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln
-    ]
-    if not lines:
+    rows = _read_rows(text, "edge line must be 'x y c'", "header must be 'L R C'")
+    if not rows:
         raise ValueError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"header must be 'L R C', got {lines[0]!r}")
-    left, right, colours = (int(t) for t in header)
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"edge line must be 'x y c', got {ln!r}")
-        edges.append(tuple(int(t) for t in parts))
-    return build_graph(left, right, colours, edges, edge_disjoint=edge_disjoint)
+    left, right, colours = rows[0]
+    return build_graph(left, right, colours, rows[1:], edge_disjoint=edge_disjoint)
+
+
+def read_matching(text: str) -> RainbowMatching:
+    rows = _read_rows(text, "matching line must be 'x y c'", name_values=True)
+    return RainbowMatching(tuple(rows))
 
 
 def write_edge_list(graph: ColouredBipartiteMultigraph) -> str:

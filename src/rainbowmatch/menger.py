@@ -127,12 +127,10 @@ def verify_property_II(
 ) -> bool:
     """Every pair of rainbow u -> v paths shares an edge (same arc)."""
     paths = rainbow_st_paths(D, u, v, max_paths=max_paths, budget=budget)
-    sets = [frozenset(p) for p in paths]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if not sets[i] & sets[j]:
-                return False
-    return True
+    bit = {arc: 1 << i for i, arc in enumerate(D.arcs)}
+    # a rainbow path repeats no arc, so the sum of its arcs' bits is their union
+    masks = [sum(map(bit.__getitem__, p)) for p in paths]
+    return all(a & b for i, a in enumerate(masks) for b in masks[i + 1 :])
 
 
 @dataclass(frozen=True)

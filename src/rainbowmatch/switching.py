@@ -57,10 +57,6 @@ class Switching:
         return len(self.matched_edges)
 
     @property
-    def start_colour(self) -> int:
-        return self.free_edges[0].c
-
-    @property
     def end_colour(self) -> int:
         return self.matched_edges[-1].c
 
@@ -337,7 +333,8 @@ def _arcs_to_switching(ctx: MatchingContext, arcs: Sequence[Arc]) -> Switching:
 class EngineTrace:
     augmentations: list[tuple[int, int]] = field(default_factory=list)  # (c*, depth)
     rotations: int = 0
-    failures: list[AugmentFailure] = field(default_factory=list)
+    # "complete", "stalled" (no reachable matching augments) or "rotation_limit"
+    stop: str = "complete"
 
 
 def solve_switching_engine(
@@ -440,8 +437,6 @@ class _Engine:
                 if isinstance(result, RainbowMatching):
                     self.trace.augmentations.append((c_star, result.size - matching.size))
                     return result
-                if not flip:
-                    self.trace.failures.append(result)
         # Pass 2: rotate through switch-reachable matchings of the same size.
         return self.rotation_search(matching)
 
@@ -478,8 +473,6 @@ class _Engine:
         augmentable state wins.  One meter counts the path search of every
         move, so ``budget`` bounds the whole search, not just one state.
         """
-        if self.rotation_limit <= 0:
-            return None
         meter = BudgetMeter(self.budget)
         seen: set[frozenset[Edge]] = {matching.edge_set()}
         queue: deque[RainbowMatching] = deque([matching])
@@ -490,6 +483,7 @@ class _Engine:
             for c_star in missing:
                 expanded += 1
                 if expanded > self.rotation_limit:
+                    self.trace.stop = "rotation_limit"
                     return None
                 for flip in (False, True):
                     result = self.probe(current, c_star, flip)
@@ -503,6 +497,7 @@ class _Engine:
                         if key not in seen:
                             seen.add(key)
                             queue.append(candidate)
+        self.trace.stop = "stalled"
         return None
 
 

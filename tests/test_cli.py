@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from rainbowmatch import switching
 from rainbowmatch.cli import run
 from rainbowmatch.core import read_edge_list, write_edge_list
 from rainbowmatch.errors import InfeasibleParameters
@@ -144,6 +146,34 @@ def test_verify_subcommand(tmp_path, capsys):
     bad.write_text("0 0 0\n0 1 1\n")
     code, out = _capture(capsys, ["verify", str(gf), str(bad)])
     assert code in (1, 2)
+
+
+def test_verify_names_a_malformed_matching_line(tmp_path, capsys):
+    gf = tmp_path / "g.txt"
+    gf.write_text("2 2 1\n0 0 0\n1 1 0\n")
+    mf = tmp_path / "m.txt"
+    for line in ("0 0", "0 0 zero"):
+        mf.write_text(f"# one edge\n{line}\n")
+        assert run(["verify", str(gf), str(mf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: matching line must be 'x y c', got {line!r}\n"
+
+
+def test_switching_rotation_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # the order-6 cyclic square has no transversal: the rotation search runs
+    # dry at 5 (exit 1), or first stops at a small rotation limit (exit 3)
+    g = tmp_path / "latin6.txt"
+    g.write_text(write_edge_list(generate_instance("latin", 6, seed=6)))
+    argv = ["solve", "--algorithm", "switching", str(g)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == ""
+    engine = switching.solve_switching_engine
+    monkeypatch.setattr(switching, "solve_switching_engine", partial(engine, rotation_limit=2))
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["size"] == 5
+    assert captured.err.startswith("budget exhausted:")
 
 
 def test_oracle_max_subcommand(tmp_path, capsys):

@@ -10,8 +10,6 @@ from rainbowmatch.core import (
     make_context,
     read_edge_list,
     restrict,
-    transpose_matching,
-    transposed,
     verify_rainbow_matching,
     write_edge_list,
 )
@@ -146,14 +144,6 @@ def test_context_accessors_and_round_trip():
             xs = ctx.xs_of_edges(S)
             cs = ctx.colours_of_xs(xs)
             assert ctx.edges_of_colours(cs) == frozenset(S)
-
-
-def test_transpose_round_trip():
-    g = generate_instance("random", 3, 4, False, seed=5, left_size=5, right_size=6)
-    assert transposed(transposed(g)) == g
-    m = greedy_rainbow_matching(g)
-    assert transpose_matching(transpose_matching(m)) == m
-    assert verify_rainbow_matching(transposed(g), transpose_matching(m)).ok
 
 
 def test_restrict_preserves_vertices_and_remaps_colours():

@@ -443,6 +443,19 @@ def test_rotation_search_honours_node_limit():
         solve_switching_engine(g, budget=tight)
 
 
+def test_engine_says_why_it_stopped():
+    # The order-6 cyclic square has no transversal: the rotation search runs
+    # dry at 5, or first stops at a small rotation limit.
+    g = generate_instance("latin", 6, seed=6)
+    m, trace = solve_switching_engine(g)
+    assert (m.size, trace.stop) == (5, "stalled")
+    for limit in (0, 2):
+        m, trace = solve_switching_engine(g, rotation_limit=limit)
+        assert (m.size, trace.stop) == (5, "rotation_limit")
+    m, trace = solve_switching_engine(generate_instance("latin", 5, seed=1))
+    assert (m.size, trace.stop) == (5, "complete")
+
+
 def test_active_colours_match_the_restricted_copy():
     # A probe on the host with the matched colours plus c* active sees the
     # restricted copy's switch digraph and augmentation, in host colour ids.
