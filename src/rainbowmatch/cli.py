@@ -53,7 +53,10 @@ def _matching_payload(matching: RainbowMatching) -> list[dict]:
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
+    return SearchBudget(
+        node_limit=getattr(args, "node_limit", 10_000_000),
+        time_limit=getattr(args, "time_limit", 30.0),
+    )
 
 
 def _cmd_solve(args) -> int:

@@ -11,10 +11,8 @@ its inputs.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -30,9 +28,6 @@ class Edge(NamedTuple):
     x: int
     y: int
     c: int
-
-
-_X, _Y = itemgetter(0), itemgetter(1)
 
 
 class Verdict(NamedTuple):
@@ -75,52 +70,46 @@ class ColouredBipartiteMultigraph:
         self.right_size = right_size
         self.colour_count = colour_count
         self.edge_disjoint = edge_disjoint
-        edges = tuple(edges)
-        if set(map(type, edges)) - {Edge}:  # plain tuples from the caller
-            edges = tuple(e if type(e) is Edge else Edge(*e) for e in edges)
-        self.edges = edges
+        self.edges = tuple(
+            e if type(e) is Edge else Edge(*e) for e in edges
+        )
 
-        # Checks over whole columns; an input that fails one is scanned edge
-        # by edge, so that the first fault in edge order is the one raised.
         classes: list[list[Edge]] = [[] for _ in range(colour_count)]
-        if edges:
-            xs, ys, cs = zip(*edges)
-            if not (
-                0 <= min(xs) and max(xs) < left_size
-                and 0 <= min(ys) and max(ys) < right_size
-                and 0 <= min(cs) and max(cs) < colour_count
-            ):
-                self._raise_first_fault()
-            # classes[c].append(e) for every edge, consumed in C
-            deque(map(list.append, map(classes.__getitem__, cs), edges), maxlen=0)
-            if not all(
-                len(set(map(_X, cl))) == len(cl) == len(set(map(_Y, cl))) for cl in classes
-            ) or (edge_disjoint and len(set(zip(xs, ys))) < len(edges)):
-                self._raise_first_fault()
-        self.colour_classes = tuple(map(tuple, classes))
-        self._edge_set = frozenset(edges)
-
-    def _raise_first_fault(self) -> None:
-        """Raise for the first edge, in edge order, that breaks an invariant."""
-        ends: set[tuple[int, str, int]] = set()
+        x_seen: list[set[int]] = [set() for _ in range(colour_count)]
+        y_seen: list[set[int]] = [set() for _ in range(colour_count)]
         pairs: dict[tuple[int, int], int] = {}
-        for x, y, c in self.edges:
-            if not (0 <= x < self.left_size):
-                raise IdOutOfRange(f"X-vertex {x} outside [0, {self.left_size})")
-            if not (0 <= y < self.right_size):
-                raise IdOutOfRange(f"Y-vertex {y} outside [0, {self.right_size})")
-            if not (0 <= c < self.colour_count):
-                raise IdOutOfRange(f"colour {c} outside [0, {self.colour_count})")
-            for end in ((c, "X", x), (c, "Y", y)):
-                if end in ends:
-                    raise DuplicateEndpointInColourClass(
-                        f"colour {c} has two edges at {end[1]}-vertex {end[2]}"
-                    )
-                ends.add(end)
-            if self.edge_disjoint and pairs.setdefault((x, y), c) != c:
-                raise DuplicateEdgeAcrossColours(
-                    f"pair ({x}, {y}) carries colours {pairs[x, y]} and {c}"
+
+        for e in self.edges:
+            x, y, c = e
+            if not (0 <= x < left_size):
+                raise IdOutOfRange(f"X-vertex {x} outside [0, {left_size})")
+            if not (0 <= y < right_size):
+                raise IdOutOfRange(f"Y-vertex {y} outside [0, {right_size})")
+            if not (0 <= c < colour_count):
+                raise IdOutOfRange(f"colour {c} outside [0, {colour_count})")
+            xs = x_seen[c]
+            ys = y_seen[c]
+            if x in xs:
+                raise DuplicateEndpointInColourClass(
+                    f"colour {c} has two edges at X-vertex {x}"
                 )
+            if y in ys:
+                raise DuplicateEndpointInColourClass(
+                    f"colour {c} has two edges at Y-vertex {y}"
+                )
+            xs.add(x)
+            ys.add(y)
+            if edge_disjoint:
+                prev = pairs.get((x, y))
+                if prev is not None:
+                    raise DuplicateEdgeAcrossColours(
+                        f"pair ({x}, {y}) carries colours {prev} and {c}"
+                    )
+                pairs[(x, y)] = c
+            classes[c].append(e)
+
+        self.colour_classes = tuple(tuple(cl) for cl in classes)
+        self._edge_set = frozenset(self.edges)
 
     def colour_class(self, c: int) -> tuple[Edge, ...]:
         return self.colour_classes[c]
@@ -128,16 +117,18 @@ class ColouredBipartiteMultigraph:
     def has_edge(self, e: Edge) -> bool:
         return e in self._edge_set
 
-    def _key(self) -> tuple:
-        return (self.left_size, self.right_size, self.colour_count, self.edges)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColouredBipartiteMultigraph):
             return NotImplemented
-        return self._key() == other._key()
+        return (
+            self.left_size == other.left_size
+            and self.right_size == other.right_size
+            and self.colour_count == other.colour_count
+            and self.edges == other.edges
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.left_size, self.right_size, self.colour_count, self.edges))
 
     def __repr__(self) -> str:
         return (
@@ -379,34 +370,31 @@ def relabel_matching(matching: RainbowMatching, colour_map: Sequence[int]) -> Ra
 _NOT_PLAIN = re.compile(r"^(?![ \t]*(?:-?\d+[ \t]+-?\d+[ \t]+-?\d+[ \t]*)?\r?$)", re.M | re.A)
 
 
-def _read_rows(
-    text: str, shape: str, first_shape: str | None = None, name_values: bool = False
-) -> list[Edge]:
-    """Each content line of a text (a line less any ``#`` comment, if not
-    blank) as an Edge-typed triple of integers.  A line of another shape
-    raises ValueError naming it (``first_shape`` for the first line); a
-    non-integer value does so only with ``name_values``, else int() names it."""
-    if not _NOT_PLAIN.search(text):
-        it = map(int, text.split())
-        # tuple.__new__(Edge, t) builds each row with no Python-level call
-        return list(map(tuple.__new__, repeat(Edge), zip(it, it, it)))
-    rows: list[Edge] = []
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    for i, ln in enumerate(filter(None, lines)):
-        parts = ln.split()
-        try:
-            if len(parts) == 3:
-                rows.append(Edge(*map(int, parts)))
-                continue
-        except ValueError:
-            if not name_values:
-                raise  # int() names the value
-        raise ValueError(f"{first_shape if i == 0 and first_shape else shape}, got {ln!r}") from None
-    return rows
+def _plain_rows(text: str) -> list[Edge] | None:
+    """The rows of a text whose every line is blank or three plain integers,
+    or None for any other text (which the caller reads line by line)."""
+    if _NOT_PLAIN.search(text):
+        return None
+    it = map(int, text.split())
+    # tuple.__new__(Edge, t) builds each row with no Python-level call
+    return list(map(tuple.__new__, repeat(Edge), zip(it, it, it)))
+
+
+def _content_lines(text: str) -> list[str]:
+    """The lines of a text less ``#`` comments and outer whitespace, if not blank."""
+    return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
 
 
 def read_edge_list(text: str, edge_disjoint: bool = False) -> ColouredBipartiteMultigraph:
-    rows = _read_rows(text, "edge line must be 'x y c'", "header must be 'L R C'")
+    rows = _plain_rows(text)
+    if rows is None:
+        rows = []
+        for i, ln in enumerate(_content_lines(text)):
+            parts = ln.split()
+            if len(parts) != 3:
+                shape = "edge line must be 'x y c'" if i else "header must be 'L R C'"
+                raise ValueError(f"{shape}, got {ln!r}")
+            rows.append(Edge(*map(int, parts)))  # int() names a bad value
     if not rows:
         raise ValueError("empty edge-list input")
     left, right, colours = rows[0]
@@ -414,7 +402,14 @@ def read_edge_list(text: str, edge_disjoint: bool = False) -> ColouredBipartiteM
 
 
 def read_matching(text: str) -> RainbowMatching:
-    rows = _read_rows(text, "matching line must be 'x y c'", name_values=True)
+    rows = _plain_rows(text)
+    if rows is None:
+        rows = []
+        for ln in _content_lines(text):
+            try:
+                rows.append(Edge(*map(int, ln.split())))
+            except (TypeError, ValueError):
+                raise ValueError(f"matching line must be 'x y c', got {ln!r}") from None
     return RainbowMatching(tuple(rows))
 
 

@@ -2,9 +2,10 @@
 
 The reference is the reader's former loop: one line at a time, then one edge
 at a time through the graph invariants, raising at the first fault.  The
-reader under test tokenises the whole text at once and validates whole
-columns, so both must agree on every text: the same edges and colour classes
-from a well-formed one, the same exception type and text from a malformed one.
+reader under test tokenises a text of plain lines all at once and reads any
+other text line by line, so both must agree on every text: the same edges and
+colour classes from a well-formed one, the same exception type and text from
+a malformed one.
 """
 
 import random
@@ -96,7 +97,7 @@ FIXED = [
     ("2 2 1\n0 0 0\n0 1 0\n", (DuplicateEndpointInColourClass, "colour 0 has two edges at X-vertex 0")),
     ("2 2 2\n0 1 0\n1 1 0\n", (DuplicateEndpointInColourClass, "colour 0 has two edges at Y-vertex 1")),
     # two faults: the duplicate endpoint comes first in edge order, although
-    # the out-of-range id is what a check over whole columns sees first
+    # a check over whole columns would see the out-of-range id first
     ("3 3 2\n1 1 1\n0 0 0\n0 1 0\n0 5 1\n",
      (DuplicateEndpointInColourClass, "colour 0 has two edges at X-vertex 0")),
     ("3 3 2\n0 5 1\n0 0 0\n0 1 0\n", (IdOutOfRange, "Y-vertex 5 outside [0, 3)")),
