@@ -59,6 +59,14 @@ def _budget(args) -> SearchBudget:
     )
 
 
+def _oracle_unproved(result) -> int:
+    sys.stderr.write(
+        f"budget exhausted: oracle stopped after {result.nodes} nodes "
+        f"without proving the maximum\n"
+    )
+    return EXIT_BUDGET
+
+
 def _cmd_solve(args) -> int:
     graph = read_edge_list(_read(args.file))
     target = graph.colour_count
@@ -101,7 +109,7 @@ def _cmd_solve(args) -> int:
         payload["trace"] = trace_payload
     _emit(payload, args.format)
     if args.algorithm == "oracle" and not result.optimal:
-        return EXIT_BUDGET
+        return _oracle_unproved(result)
     if args.algorithm == "golden" and not gtrace.proved:
         sys.stderr.write(
             "budget exhausted: an oracle fallback stopped without proving the maximum\n"
@@ -118,11 +126,7 @@ def _cmd_transversal(args) -> int:
     graph = square_to_graph(rect)
     result = oracle_mod.exact_max_rainbow_matching(graph, budget=_budget(args))
     if not result.optimal:
-        sys.stderr.write(
-            f"budget exhausted: oracle stopped after {result.nodes} nodes "
-            f"without proving the maximum\n"
-        )
-        return EXIT_BUDGET
+        return _oracle_unproved(result)
     cells = extract_transversal(rect, result.matching)
     if args.format == "json":
         payload = {
@@ -165,7 +169,7 @@ def _cmd_oracle_max(args) -> int:
     }
     _emit(payload, args.format)
     if not result.optimal:
-        return EXIT_BUDGET
+        return _oracle_unproved(result)
     return EXIT_OK if result.size == graph.colour_count else EXIT_SHORTFALL
 
 

@@ -248,49 +248,61 @@ def build_two_hop_digraph(
     bundles: dict[tuple[int, int], tuple[TwoHopEntry, ...]] = {}
     for x in range(D.vertex_count):
         for y in range(D.vertex_count):
-            if x == y:
-                continue
-            if D.vertex_labels[x] == D.vertex_labels[y]:
-                continue
-            chosen = _greedy_bundle(_two_hop_candidates(D, x, y, meter), m)
-            if chosen is None:
-                candidates = list(_two_hop_candidates(D, x, y, meter))
-                if len(candidates) <= 24:
-                    chosen = _exhaustive_bundle(candidates, m, meter)
-            if chosen is not None:
-                arcs.append((x, y, None))
-                bundles[(x, y)] = tuple(chosen)
+            if x != y and D.vertex_labels[x] != D.vertex_labels[y]:
+                chosen = _two_hop_bundle(D, x, y, m, meter)
+                if chosen is not None:
+                    arcs.append((x, y, None))
+                    bundles[(x, y)] = tuple(chosen)
     derived = LabelledDigraph(D.vertex_count, arcs)
     return derived, TwoHopCertificate(m, bundles)
 
 
-def _two_hop_candidates(D: LabelledDigraph, x: int, y: int, meter: BudgetMeter):
-    endpoint_labels = {D.vertex_labels[x], D.vertex_labels[y]}
+def _two_hop_bundle(
+    D: LabelledDigraph, x: int, y: int, m: int, meter: BudgetMeter
+) -> list[TwoHopEntry] | None:
+    """m compatible rainbow paths x -> u -> y, or None.
+
+    One flat pass over the out-arcs of x, then the arcs from each midpoint
+    to y, ticks once per arc pair and takes every rainbow candidate whose
+    colour triple misses those already taken; a shared midpoint is a shared
+    colour.  When that greedy pass falls short, the meter is charged for a
+    second pass over the pairs and 24 or fewer candidates are searched
+    exhaustively.
+    """
+    labels = D.vertex_labels
+    ends = (labels[x], labels[y])
+    tick = meter.tick
+    candidates: list[TwoHopEntry] = []
+    chosen: list[TwoHopEntry] = []
+    taken: set = set()  # the colours of the chosen triples
     for a1 in D.out_arcs(x):
         u = a1.head
         if u == y:
             continue
+        c1, cu = a1.label, labels[u]
+        clash = c1 == cu or c1 in ends or cu in ends
         for a2 in D.arcs_between(u, y):
-            meter.tick()
-            triple = {a1.label, D.vertex_labels[u], a2.label}
-            if len(triple) == 3 and not (triple & endpoint_labels):
-                yield TwoHopEntry(a1, u, D.vertex_labels[u], a2)
+            tick()
+            c2 = a2.label
+            if clash or c2 == c1 or c2 == cu or c2 in ends:
+                continue
+            entry = TwoHopEntry(a1, u, cu, a2)
+            candidates.append(entry)
+            if c1 not in taken and cu not in taken and c2 not in taken:
+                chosen.append(entry)
+                if len(chosen) == m:
+                    return chosen
+                taken.update((c1, cu, c2))
+    tick(sum(len(D.arcs_between(a.head, y)) for a in D.out_arcs(x) if a.head != y))
+    if len(candidates) <= 24:
+        return _exhaustive_bundle(candidates, m, meter)
+    return None
 
 
 def _compatible(a: TwoHopEntry, b: TwoHopEntry) -> bool:
     return a.midpoint != b.midpoint and not (
         set(a.colour_triple()) & set(b.colour_triple())
     )
-
-
-def _greedy_bundle(candidates, m: int) -> list[TwoHopEntry] | None:
-    chosen: list[TwoHopEntry] = []
-    for cand in candidates:
-        if all(_compatible(cand, c) for c in chosen):
-            chosen.append(cand)
-            if len(chosen) == m:
-                return chosen
-    return None
 
 
 def _exhaustive_bundle(

@@ -5,6 +5,9 @@ labelled), the colour digraph used by the golden-ratio solver (edge labels
 only), derived two-hop digraphs (unlabelled), and edge-coloured digraphs in
 general.  "Label" and "colour" are interchangeable here.
 
+A digraph builds its sorted out-arc lists at once and its in-arc and
+vertex-pair indexes on first use: most digraphs built here never read them.
+
 ``iter_rainbow_paths`` is the one rainbow path search; the switching engine,
 the connectivity toolbox, the oracles and the Menger lab all consume it.
 Rainbow conventions differ per use and are driven by two knobs:
@@ -47,7 +50,9 @@ class LabelledDigraph:
 
     Parallel arcs (same endpoints, different labels) are allowed; self-loops
     are not.  ``vertex_labels`` is either None (unlabelled vertices) or a
-    tuple of length n.
+    tuple of length n.  The in-arc and vertex-pair indexes are built on the
+    first call that reads them; the digraph stays immutable in value, and
+    two threads that race on first use build the same index.
     """
 
     __slots__ = ("vertex_count", "arcs", "vertex_labels", "_out", "_in", "_by_pair")
@@ -64,40 +69,45 @@ class LabelledDigraph:
             raise ValueError("vertex_labels length must equal vertex_count")
         self.vertex_labels = vertex_labels
         out: list[list[Arc]] = [[] for _ in range(vertex_count)]
-        inc: list[list[Arc]] = [[] for _ in range(vertex_count)]
         for a in self.arcs:
             if not (0 <= a.tail < vertex_count and 0 <= a.head < vertex_count):
                 raise ValueError(f"arc {a} endpoint out of range")
             if a.tail == a.head:
                 raise ValueError(f"self-loop {a} not allowed")
             out[a.tail].append(a)
-            inc[a.head].append(a)
         # sorted adjacency gives lexicographic path enumeration for free
         self._out = tuple(
             tuple(sorted(lst, key=lambda a: (a.head, _label_key(a.label))))
             for lst in out
         )
-        self._in = tuple(tuple(lst) for lst in inc)
-        by_pair: dict[tuple[int, int], list[Arc]] = {}
-        for lst in self._out:
-            for a in lst:
-                by_pair.setdefault((a.tail, a.head), []).append(a)
-        self._by_pair = {k: tuple(v) for k, v in by_pair.items()}
+        self._in: tuple[tuple[Arc, ...], ...] | None = None
+        self._by_pair: dict[tuple[int, int], tuple[Arc, ...]] | None = None
 
     def out_arcs(self, v: int) -> tuple[Arc, ...]:
         return self._out[v]
 
     def arcs_between(self, u: int, v: int) -> tuple[Arc, ...]:
+        if self._by_pair is None:
+            by_pair: dict[tuple[int, int], list[Arc]] = {}
+            for lst in self._out:
+                for a in lst:
+                    by_pair.setdefault((a.tail, a.head), []).append(a)
+            self._by_pair = {pair: tuple(lst) for pair, lst in by_pair.items()}
         return self._by_pair.get((u, v), ())
 
     def in_arcs(self, v: int) -> tuple[Arc, ...]:
+        if self._in is None:
+            inc: list[list[Arc]] = [[] for _ in range(self.vertex_count)]
+            for a in self.arcs:
+                inc[a.head].append(a)
+            self._in = tuple(map(tuple, inc))
         return self._in[v]
 
     def out_neighbours(self, v: int) -> frozenset[int]:
         return frozenset(a.head for a in self._out[v])
 
     def in_neighbours(self, v: int) -> frozenset[int]:
-        return frozenset(a.tail for a in self._in[v])
+        return frozenset(a.tail for a in self.in_arcs(v))
 
     def out_degree(self, v: int) -> int:
         return len(self.out_neighbours(v))

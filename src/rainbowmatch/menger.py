@@ -7,9 +7,11 @@ rainbow source-sink paths shares an edge, so the integral analogue of
 Menger's theorem fails while the fractional path-packing and colour-cover
 programs still agree exactly.
 
-The linear programs are solved by a self-contained dense simplex over the
-explicit path/colour incidence: exact rational arithmetic up to 64 paths,
-floating point beyond.
+The linear programs are solved by a self-contained dense simplex with one
+column per distinct colour set of the paths, numbered by first occurrence;
+later paths with the same set get weight zero.  That is exact: equal columns
+stay equal under row operations, and Bland's rule enters the first of them.
+Arithmetic is exact rational up to 64 paths, floating point beyond.
 """
 
 from __future__ import annotations
@@ -172,28 +174,32 @@ def fractional_menger(
         return PathLP((), (), (), {}, 0, 0, True)
 
     colour_sets = [frozenset(a.label for a in p) for p in paths]
-    colours = sorted(set().union(*colour_sets))
+    columns = list(dict.fromkeys(colour_sets))  # distinct, by first occurrence
+    colours = sorted(set().union(*columns))
     exact = len(paths) <= EXACT_PATH_LIMIT
     one: object = Fraction(1) if exact else 1.0
+    zero = one * 0
 
-    # rows: one capacity constraint per colour; columns: one var per path
-    A = [[one if c in cs else one * 0 for cs in colour_sets] for c in colours]
+    # rows: one capacity constraint per colour; columns: one var per colour set
+    A = [[one if c in cs else zero for cs in columns] for c in colours]
     b = [one for _ in colours]
-    c_obj = [one for _ in paths]
-    x, y, value = _simplex_max(A, b, c_obj, exact=exact, tolerance=tolerance)
+    c_obj = [one for _ in columns]
+    x_col, y, value = _simplex_max(A, b, c_obj, exact=exact, tolerance=tolerance)
+    first = dict(zip(columns, x_col))
+    x = [first.pop(cs, zero) for cs in colour_sets]  # later duplicates get zero
 
     primal_value = sum(x) if x else 0
     dual_value = sum(y) if y else 0
     eps = 0 if exact else tolerance
 
     # primal feasibility
-    for i, c in enumerate(colours):
-        load = sum(xp for xp, cs in zip(x, colour_sets) if c in cs)
-        if load > one * 1 + eps or any(xp < -eps for xp in x):
+    for c in colours:
+        load = sum(xp for xp, cs in zip(x_col, columns) if c in cs)
+        if load > one * 1 + eps or any(xp < -eps for xp in x_col):
             raise LPNumericalFailure(f"primal infeasible at colour {c}")
     # dual feasibility
     dual = {c: y[i] for i, c in enumerate(colours)}
-    for cs in colour_sets:
+    for cs in columns:
         cover = sum(dual[c] for c in cs)
         if cover < one * 1 - eps or any(val < -eps for val in dual.values()):
             raise LPNumericalFailure("dual infeasible on a path constraint")

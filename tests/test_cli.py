@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -174,6 +175,20 @@ def test_switching_rotation_limit_exits_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["size"] == 5
     assert captured.err.startswith("budget exhausted:")
+
+
+@pytest.mark.parametrize("command", [["oracle-max"], ["solve", "--algorithm", "oracle"]])
+def test_oracle_budget_exhaustion_says_so(tmp_path, capsys, command):
+    g = tmp_path / "latin8.txt"
+    assert run(["gen", "--kind", "latin", "--n", "8", "--seed", "3", "-o", str(g)]) == 0
+    capsys.readouterr()
+    assert run([*command, "--node-limit", "50", str(g)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["optimal"] is False
+    assert re.fullmatch(
+        r"budget exhausted: oracle stopped after \d+ nodes without proving the maximum\n",
+        captured.err,
+    )
 
 
 def test_oracle_max_subcommand(tmp_path, capsys):

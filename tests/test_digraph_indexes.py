@@ -1,0 +1,106 @@
+"""The in-arc and vertex-pair indexes of ``LabelledDigraph``, built on first use.
+
+On seeded digraphs with parallel arcs, ``in_arcs``, ``in_neighbours`` and
+``arcs_between`` must agree with brute-force scans of ``D.arcs``, whether
+they are first asked before the rainbow-path kernel has run on the digraph
+or after.  The kernel itself reads only the out-arc lists.
+"""
+
+import random
+import sys
+import threading
+
+import pytest
+
+from rainbowmatch.budget import BudgetMeter
+from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths
+from rainbowmatch.menger import build_counterexample
+
+
+def palette_digraph(n, out_degree, palette, seed):
+    """Arc colours from a small palette, so parallel arcs are common."""
+    rng = random.Random(f"digraph-indexes/{seed}")
+    arcs = []
+    for v in range(n):
+        for _ in range(out_degree):
+            w = rng.randrange(n - 1)
+            arc = (v, w if w < v else w + 1, rng.randrange(palette))
+            if arc not in arcs:
+                arcs.append(arc)
+    rng.shuffle(arcs)  # the in-arc order follows D.arcs, not the out-arc sort
+    return LabelledDigraph(n, arcs, vertex_labels=tuple(range(n)))
+
+
+DIGRAPHS = {
+    "palette-9": lambda: palette_digraph(9, 6, 4, 1),
+    "palette-12": lambda: palette_digraph(12, 8, 6, 2),
+    "menger-2-6": lambda: build_counterexample(2, 6),
+    "menger-3-8": lambda: build_counterexample(3, 8),
+}
+
+
+def _run_kernel(D):
+    meter = BudgetMeter(None)
+    for start in range(D.vertex_count):
+        for _ in iter_rainbow_paths(D, start, max_len=3, meter=meter):
+            pass
+    assert meter.nodes > 0
+
+
+def _check_against_scans(D):
+    n = D.vertex_count
+    assert any(len(D.arcs_between(a.tail, a.head)) > 1 for a in D.arcs)  # parallel arcs
+    for v in range(n):
+        assert D.in_arcs(v) == tuple(a for a in D.arcs if a.head == v)
+        assert D.in_neighbours(v) == frozenset(a.tail for a in D.arcs if a.head == v)
+    for u in range(n):
+        for v in range(n):
+            between = D.arcs_between(u, v)
+            assert sorted(between) == sorted(a for a in D.arcs if (a.tail, a.head) == (u, v))
+            assert between == tuple(a for a in D.out_arcs(u) if a.head == v)  # label order
+
+
+@pytest.mark.parametrize("name", sorted(DIGRAPHS))
+def test_indexes_before_the_kernel(name):
+    D = DIGRAPHS[name]()
+    _check_against_scans(D)
+    _run_kernel(D)
+    _check_against_scans(D)
+
+
+@pytest.mark.parametrize("name", sorted(DIGRAPHS))
+def test_indexes_after_the_kernel(name):
+    D = DIGRAPHS[name]()
+    _run_kernel(D)
+    assert D._in is None and D._by_pair is None  # the kernel reads only _out
+    _check_against_scans(D)
+
+
+def test_threads_racing_on_first_use_see_the_same_indexes():
+    # more threads than cores, switching often, each asking a fresh digraph
+    # for its indexes at the same moment
+    digraphs = [palette_digraph(12, 8, 6, seed) for seed in range(3, 43)]
+    failures = []
+    barrier = threading.Barrier(6)
+
+    def ask():
+        try:
+            for D in digraphs:
+                barrier.wait(timeout=10)
+                _check_against_scans(D)
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            failures.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
