@@ -14,15 +14,13 @@ class SearchBudget:
 
     node_limit   -- maximum number of search nodes visited
     time_limit   -- wall-clock seconds
-    depth_cap    -- maximum recursion / path depth
     """
 
     node_limit: int = 10_000_000
     time_limit: float = 30.0
-    depth_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.node_limit <= 0 or self.time_limit <= 0 or self.depth_cap <= 0:
+        if self.node_limit <= 0 or self.time_limit <= 0:
             raise ValueError("budget fields must be positive")
 
 

@@ -13,6 +13,7 @@ epsilon are ceiling-rounded, explicitly, to avoid off-by-one drift.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,8 +310,6 @@ def _exhaustive_bundle(
     candidates: list[TwoHopEntry], m: int, meter: BudgetMeter
 ) -> list[TwoHopEntry] | None:
     # greedy missed; candidate pool is small so decide exactly
-    import itertools
-
     for combo in itertools.combinations(candidates, m):
         meter.tick()
         if all(

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .core import ColouredBipartiteMultigraph, Edge, build_graph
 from .digraph import LabelledDigraph
 from .errors import InfeasibleParameters, RejectionBudgetExceeded
-from .latin import LatinRectangle
+from .latin import LatinRectangle, square_to_graph
 from .rng import SplitMix64
 
 
@@ -31,7 +31,7 @@ def generate_instance(
     graph of a random order-n Latin square.
     """
     if kind == "latin":
-        return _square_graph(random_latin_square(n, seed))
+        return square_to_graph(random_latin_square(n, seed))
     if kind != "random":
         raise InfeasibleParameters(f"unknown instance kind {kind!r}")
     left = left_size if left_size is not None else class_size
@@ -78,12 +78,6 @@ def random_latin_square(n: int, seed: int = 0) -> LatinRectangle:
         tuple(syms[(rows[i] + cols[j]) % n] for j in range(n)) for i in range(n)
     )
     return LatinRectangle(n, n, grid, tuple(str(s) for s in range(n)))
-
-
-def _square_graph(rect: LatinRectangle) -> ColouredBipartiteMultigraph:
-    from .latin import square_to_graph
-
-    return square_to_graph(rect)
 
 
 def generate_proper_digraph(

@@ -147,8 +147,6 @@ def check_uncovered_edge_bound(
 def golden_solve(
     graph: ColouredBipartiteMultigraph,
     budget: SearchBudget | None = None,
-    log_base: float = math.e,
-    recursion_budget: int | None = None,
 ) -> tuple[RainbowMatching, GoldenTrace]:
     """Recursive ball-splitting solver; always returns a verified matching.
 
@@ -156,11 +154,11 @@ def golden_solve(
     required.  Whenever the engine already covers every colour the level is
     trivial; otherwise, with the matching exactly one short, the level
     attempts the split assembly and falls back to the exact solver on any
-    leg shortfall.  log_base controls the ball parameter 1/log(n).
+    leg shortfall.  The ball parameter is 1/ln n, and the recursion runs on
+    4 * max(n, 1) + 8 units of fuel.
     """
-    if recursion_budget is None:
-        recursion_budget = 4 * max(graph.colour_count, 1) + 8
-    matching, trace = _solve_level(graph, budget, log_base, recursion_budget)
+    fuel = 4 * max(graph.colour_count, 1) + 8
+    matching, trace = _solve_level(graph, budget, fuel)
     ok = verify_rainbow_matching(graph, matching)
     if not ok:
         raise AssertionError(f"golden solver produced invalid matching: {ok.reason}")
@@ -170,7 +168,6 @@ def golden_solve(
 def _solve_level(
     graph: ColouredBipartiteMultigraph,
     budget: SearchBudget | None,
-    log_base: float,
     fuel: int,
 ) -> tuple[RainbowMatching, GoldenTrace]:
     if fuel <= 0:
@@ -191,9 +188,7 @@ def _solve_level(
         return best.matching, trace
 
     if engine_matching.size == n - 1:
-        assembled = _try_assembly(
-            graph, engine_matching, budget, log_base, fuel, trace
-        )
+        assembled = _try_assembly(graph, engine_matching, budget, fuel, trace)
         if assembled is not None:
             return assembled, trace
 
@@ -209,7 +204,6 @@ def _try_assembly(
     graph: ColouredBipartiteMultigraph,
     matching: RainbowMatching,
     budget: SearchBudget | None,
-    log_base: float,
     fuel: int,
     trace: GoldenTrace,
 ) -> RainbowMatching | None:
@@ -217,7 +211,7 @@ def _try_assembly(
     ctx = make_context(graph, matching)
     c_star = ctx.c_star
     D = build_colour_digraph(ctx)
-    eps = min(1.0, 1.0 / math.log(n, log_base)) if n > 1 else 1.0
+    eps = min(1.0, 1.0 / math.log(n)) if n > 1 else 1.0
     _, ball = low_expansion_ball(D, c_star, eps, mode="edge", budget=budget)
     ball_list = sorted(ball)
 
@@ -247,7 +241,7 @@ def _try_assembly(
     child_trace: GoldenTrace | None = None
     if a1:
         sub1, cmap1 = restrict(graph, xs=ball_x, ys=y0, colours=a1)
-        m1_local, child_trace = _solve_level(sub1, budget, log_base, fuel - 1)
+        m1_local, child_trace = _solve_level(sub1, budget, fuel - 1)
         m1 = relabel_matching(m1_local, cmap1)
     else:
         m1 = RainbowMatching()
@@ -271,18 +265,5 @@ def _try_assembly(
         trace.levels.append(level)
         return candidate
     shortfall = "m1" if m1.size < len(a1) else "m0"
-    trace.levels.append(
-        GoldenLevel(
-            n,
-            "oracle",
-            tuple(ball_list),
-            len(m_prime),
-            len(a0),
-            len(a1),
-            m0.size,
-            m1.size,
-            shortfall_leg=shortfall,
-            child=child_trace,
-        )
-    )
+    trace.levels.append(replace(level, method="oracle", shortfall_leg=shortfall))
     return None

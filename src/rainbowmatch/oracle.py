@@ -10,6 +10,7 @@ never silently mixed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -226,6 +227,60 @@ def _work_meter(budget: SearchBudget | None) -> BudgetMeter:
     return BudgetMeter(SearchBudget(time_limit=budget.time_limit))
 
 
+def _sweep(every, total, draw, fails, budget, samples) -> ConnectivityVerdict:
+    """The first witness (S, x, y) that ``fails(S)`` returns decides.  S runs
+    over all ``total`` sets of ``every`` when they fit the node limit, and
+    over ``samples`` sets from ``draw()`` otherwise."""
+    if total <= budget.node_limit:
+        mode, sets = EXHAUSTIVE, every
+    else:
+        mode, sets = SAMPLED, (draw() for _ in range(samples))
+    checked = 0
+    for S in sets:
+        checked += 1
+        witness = fails(frozenset(S))
+        if witness is not None:
+            return ConnectivityVerdict(False, mode, checked, witness)
+    return ConnectivityVerdict(True, mode, checked)
+
+
+def _coloured_verdict(D, colours, k, pairs, max_len, mode, budget, samples, seed):
+    """Whether every removal of min(k-1, |colours|) colours leaves, for each
+    (x, y) in ``pairs``, a rainbow x -> y path of length <= max_len avoiding
+    them under ``mode`` (edge / vertex / total)."""
+    meter = _work_meter(budget)
+    edge_rainbow = mode in ("edge", "total")
+    vertex_scope = "none" if mode == "edge" else "all"
+    r = min(k - 1, len(colours))
+    rng = SplitMix64(seed)
+
+    def fails(S: frozenset) -> tuple | None:
+        for x, y in pairs:
+            meter.tick()
+            paths = iter_rainbow_paths(
+                D,
+                x,
+                target=y,
+                max_len=max_len,
+                edge_rainbow=edge_rainbow,
+                vertex_scope=vertex_scope,
+                forbidden=S,
+                meter=meter,
+            )
+            if next(paths, None) is None:
+                return S, x, y
+        return None
+
+    return _sweep(
+        itertools.combinations(colours, r),
+        math.comb(len(colours), r),
+        lambda: [colours[j] for j in rng.sample_ids(len(colours), r)],
+        fails,
+        budget,
+        samples,
+    )
+
+
 def is_rainbow_k_edge_connected(
     D: LabelledDigraph,
     k: int,
@@ -241,37 +296,13 @@ def is_rainbow_k_edge_connected(
     otherwise uniformly sampled with the sample count reported.
     """
     budget = budget or SearchBudget()
-    colours = sorted(D.edge_labels(), key=repr)
-    r = min(k - 1, len(colours))
+    n = D.vertex_count
     if pairs is None:
-        pairs = [
-            (u, v)
-            for u in range(D.vertex_count)
-            for v in range(D.vertex_count)
-            if u != v
-        ]
-    n_sets = _binomial(len(colours), r)
-    meter = _work_meter(budget)
-    max_len = max(D.vertex_count - 1, 0)
-
-    def check_sets(sets, mode, total):
-        checked = 0
-        for S in sets:
-            fs = frozenset(S)
-            checked += 1
-            for u, v in pairs:
-                paths = iter_rainbow_paths(
-                    D, u, target=v, max_len=max_len, forbidden=fs, meter=meter
-                )
-                if next(paths, None) is None:
-                    return ConnectivityVerdict(False, mode, checked, (fs, u, v))
-        return ConnectivityVerdict(True, mode, total if mode == EXHAUSTIVE else checked)
-
-    if n_sets <= budget.node_limit:
-        return check_sets(itertools.combinations(colours, r), EXHAUSTIVE, n_sets)
-    rng = SplitMix64(seed)
-    sampled = ([colours[i] for i in rng.sample_ids(len(colours), r)] for _ in range(samples))
-    return check_sets(sampled, SAMPLED, samples)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    colours = sorted(D.edge_labels(), key=repr)
+    return _coloured_verdict(
+        D, colours, k, pairs, max(n - 1, 0), "edge", budget, samples, seed
+    )
 
 
 def is_kd_connected(
@@ -297,93 +328,47 @@ def is_kd_connected(
     A = sorted(set(A))
     if len(A) <= 1:
         return ConnectivityVerdict(True, VACUOUS, 0)
-    meter = _work_meter(budget)
 
     if mode == "uncoloured":
-        universe = list(range(D.vertex_count))
-        total = 0
-        for r in range(min(k - 1, len(universe)) + 1):
-            total += _binomial(len(universe), r)
-        exhaustive = total <= budget.node_limit
+        meter = _work_meter(budget)
+        rng = SplitMix64(seed)
+        n = D.vertex_count
+        top = min(k - 1, n)
 
-        def uncoloured_ok(S: frozenset) -> tuple[bool, tuple | None]:
+        def fails(S: frozenset) -> tuple | None:
             members = [a for a in A if a not in S]
             for x in members:
                 meter.tick()
                 dists = _bfs_avoiding(D, x, S, d)
                 for y in members:
                     if y != x and y not in dists:
-                        return False, (S, x, y)
-            return True, None
+                        return S, x, y
+            return None
 
-        if exhaustive:
-            checked = 0
-            for r in range(min(k - 1, len(universe)) + 1):
-                for S in itertools.combinations(universe, r):
-                    checked += 1
-                    ok, wit = uncoloured_ok(frozenset(S))
-                    if not ok:
-                        return ConnectivityVerdict(False, EXHAUSTIVE, checked, wit)
-            return ConnectivityVerdict(True, EXHAUSTIVE, checked)
-        rng = SplitMix64(seed)
-        for i in range(samples):
-            r = rng.below(min(k - 1, len(universe)) + 1)
-            S = frozenset(rng.sample_ids(len(universe), r))
-            ok, wit = uncoloured_ok(S)
-            if not ok:
-                return ConnectivityVerdict(False, SAMPLED, i + 1, wit)
-        return ConnectivityVerdict(True, SAMPLED, samples)
+        return _sweep(
+            itertools.chain.from_iterable(
+                itertools.combinations(range(n), r) for r in range(top + 1)
+            ),
+            sum(math.comb(n, r) for r in range(top + 1)),
+            lambda: rng.sample_ids(n, rng.below(top + 1)),
+            fails,
+            budget,
+            samples,
+        )
 
     if mode not in ("edge", "vertex", "total"):
         raise ValueError(f"unknown mode {mode!r}")
-    edge_rainbow = mode in ("edge", "total")
-    vertex_scope = "none" if mode == "edge" else "all"
-    universe_set: set = set()
+    universe: set = set()
     if mode in ("edge", "total"):
-        universe_set |= set(D.edge_labels())
+        universe |= set(D.edge_labels())
     if mode in ("vertex", "total"):
         if D.vertex_labels is None:
             raise ValueError("vertex/total mode needs vertex labels")
-        universe_set |= set(D.vertex_labels)
-    universe = sorted(universe_set, key=repr)
-    r = min(k - 1, len(universe))
-
-    def coloured_ok(S: frozenset) -> tuple[bool, tuple | None]:
-        for x in A:
-            for y in A:
-                if x == y:
-                    continue
-                meter.tick()
-                paths = iter_rainbow_paths(
-                    D,
-                    x,
-                    target=y,
-                    max_len=d,
-                    edge_rainbow=edge_rainbow,
-                    vertex_scope=vertex_scope,
-                    forbidden=S,
-                    meter=meter,
-                )
-                if next(paths, None) is None:
-                    return False, (S, x, y)
-        return True, None
-
-    n_sets = _binomial(len(universe), r)
-    if n_sets <= budget.node_limit:
-        checked = 0
-        for S in itertools.combinations(universe, r):
-            checked += 1
-            ok, wit = coloured_ok(frozenset(S))
-            if not ok:
-                return ConnectivityVerdict(False, EXHAUSTIVE, checked, wit)
-        return ConnectivityVerdict(True, EXHAUSTIVE, checked)
-    rng = SplitMix64(seed)
-    for i in range(samples):
-        S = frozenset(universe[j] for j in rng.sample_ids(len(universe), r))
-        ok, wit = coloured_ok(S)
-        if not ok:
-            return ConnectivityVerdict(False, SAMPLED, i + 1, wit)
-    return ConnectivityVerdict(True, SAMPLED, samples)
+        universe |= set(D.vertex_labels)
+    pairs = [(x, y) for x in A for y in A if x != y]
+    return _coloured_verdict(
+        D, sorted(universe, key=repr), k, pairs, d, mode, budget, samples, seed
+    )
 
 
 def free_set_check(
@@ -421,8 +406,8 @@ def free_set_check(
     if k > len(a_pool) or k > len(b_pool):
         return True  # no admissible (A, B) pair: vacuous
 
-    n_a = _binomial(len(a_pool), k)
-    n_b = _binomial(len(b_pool), k)
+    n_a = math.comb(len(a_pool), k)
+    n_b = math.comb(len(b_pool), k)
     if n_a * n_b > budget.node_limit:
         raise BudgetExceeded(
             f"{n_a * n_b} (A, B) pairs exceed node limit {budget.node_limit}"
@@ -466,12 +451,3 @@ def _bfs_avoiding(
                 nxt.append(w)
         frontier = nxt
     return dist
-
-
-def _binomial(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -36,6 +36,7 @@ from .errors import (
     PathNotRainbow,
     PreconditionViolated,
 )
+from .oracle import exact_max_rainbow_matching
 
 STAR = "*"  # vertex label of the missing colour in the switch digraph
 
@@ -141,13 +142,7 @@ def path_to_switching(
         arcs.append(hits[0])  # label unique: colour classes are matchings
     if not is_rainbow_arc_path(D, tuple(arcs), edge_rainbow=True, vertex_scope="all"):
         raise PathNotRainbow(f"colour path {verts} is not rainbow")
-    free: list[Edge] = []
-    matched: list[Edge] = []
-    for arc in arcs:
-        head_edge = ctx.edge_of_colour[arc.head]
-        free.append(Edge(arc.label, head_edge.y, arc.tail))
-        matched.append(head_edge)
-    return Switching(tuple(free), tuple(matched))
+    return _arcs_to_switching(ctx, arcs)
 
 
 def validate_switching(
@@ -514,8 +509,6 @@ def woolbright_floor(
     below a guaranteed floor raises (that would be an engine bug or an
     undersized budget, never a true optimum).
     """
-    from .oracle import exact_max_rainbow_matching
-
     m = graph.colour_count
     guaranteed = 0
     if m > 0 and all(len(cl) >= m for cl in graph.colour_classes):

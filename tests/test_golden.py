@@ -185,7 +185,7 @@ def test_assembly_success_and_level_invariants():
     assert res.size == n
     doctored = RainbowMatching(tuple(e for e in res.matching if e.c != n - 1))
     trace = GoldenTrace()
-    out = _try_assembly(g, doctored, None, math.e, 50, trace)
+    out = _try_assembly(g, doctored, None, 50, trace)
     assert out is not None and out.size == n
     assert verify_rainbow_matching(g, out).ok
     level = trace.levels[0]
