@@ -40,6 +40,10 @@ EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
 VACUOUS = "vacuous"
 
+# Bits (table entries times live-edge mask width) the dead-state table of
+# one oracle call may hold.
+_DEAD_BITS = 1 << 21
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -80,10 +84,20 @@ def exact_max_rainbow_matching(
     every remaining colour, a node is also cut if one of them has no live
     edge left (forward check), and leaving a colour unused is not tried.
     The bound never cuts a strictly better matching, so the optimum
-    returned is the first one the plain size bound would find.  ``required`` edges are forced into the
-    output, ``forbidden_x`` vertices and ``forbidden_colours`` are never
-    touched.  On budget exhaustion the best matching found so far is
-    returned with ``optimal=False``.
+    returned is the first one the plain size bound would find.
+
+    A table of dead states remembers each live mask whose slack-0 subtree
+    found no full completion, and cuts the mask when it recurs.  This is
+    sound because a mask stored at colour index i has live bits only in
+    classes >= i and one in class i, so the mask alone fixes both i and
+    the remaining subproblem, whatever ``best`` becomes later.  A subtree cut
+    short by the budget is never stored.  The table stops growing at
+    ``_DEAD_BITS`` bits of masks, and it is freed when the call returns.
+
+    ``required`` edges are forced into the output, ``forbidden_x``
+    vertices and ``forbidden_colours`` are never touched.  On budget
+    exhaustion the best matching found so far is returned with
+    ``optimal=False``.
     """
     required = tuple(Edge(*e) for e in required)
     forb_x = frozenset(forbidden_x)
@@ -144,6 +158,8 @@ def exact_max_rainbow_matching(
     current: list[Edge] = list(required)
     optimal = True
     done = False
+    dead: set[int] = set()  # live masks with no full completion, found at slack 0
+    dead_cap = _DEAD_BITS // max(len(edges), 1)
 
     def search(i: int, live: int) -> None:
         nonlocal best, optimal, done
@@ -163,9 +179,12 @@ def exact_max_rainbow_matching(
         if slack < 0:
             return
         if slack == 0:  # beating best needs every colour left: each must keep a live edge
+            if live in dead:
+                return
             for m in later_masks[i]:
                 if not live & m:
                     return
+            before = len(best)
         cand = live & class_mask[i]
         while cand:
             low = cand & -cand
@@ -178,8 +197,13 @@ def exact_max_rainbow_matching(
                 return
         if slack:  # with no slack, leaving colour i unused cannot beat best
             search(i + 1, live & ~class_mask[i])
+        elif len(best) == before and len(dead) < dead_cap:
+            dead.add(live)
 
-    search(0, live)
+    try:
+        search(0, live)
+    finally:
+        del search  # the closure refers to itself; break the cycle, free `dead`
     matching = RainbowMatching(tuple(sorted(best, key=lambda e: (e.c, e.x, e.y))))
     return OracleResult(matching, optimal, meter.nodes)
 
@@ -295,6 +319,8 @@ def is_rainbow_k_edge_connected(
     Exhaustive over removal sets when their count fits the node budget,
     otherwise uniformly sampled with the sample count reported.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     budget = budget or SearchBudget()
     n = D.vertex_count
     if pairs is None:
@@ -324,6 +350,8 @@ def is_kd_connected(
     S, under the matching convention.  Exhaustive when the quantifier space
     fits the budget, otherwise sampled; the verdict says which.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     budget = budget or SearchBudget()
     A = sorted(set(A))
     if len(A) <= 1:

@@ -3,6 +3,8 @@
 ``bench/run.py --short`` runs every workload on a few instances and checks
 each output with the benchmark's own checkers: two-hop certificates, Menger
 LP values, balls and anchored paths among them.  It takes about a second.
+With ``--trace 1`` the benchmark's tracer wraps the package's layers, the
+oracle's binding in ``switching`` among them, and the same checks must hold.
 """
 
 import json
@@ -16,9 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.skipif(not (ROOT / "bench" / "run.py").exists(), reason="no bench/ directory")
-def test_bench_short_run_is_correct():
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_short_run_is_correct(trace):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--short"],
+        [sys.executable, "bench/run.py", "--short", "--trace", trace],
         cwd=ROOT,
         capture_output=True,
         text=True,

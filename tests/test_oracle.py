@@ -204,6 +204,22 @@ def test_kd_sampled_verdict_labelled():
     assert verdict.mode == "sampled"
 
 
+def test_sampled_verdicts_need_a_positive_sample_count():
+    # The only arc is 0 -> 1, so removing vertex 0 leaves no 1 -> 2 path.
+    D = LabelledDigraph(3, [(0, 1, 7)])
+    tight = SearchBudget(node_limit=1)
+    assert is_kd_connected(D, [0, 1, 2], 3, 2, budget=tight).witness == (
+        frozenset({0}),
+        1,
+        2,
+    )
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            is_kd_connected(D, [0, 1, 2], 3, 2, budget=tight, samples=samples)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            is_rainbow_k_edge_connected(D, 2, budget=tight, samples=samples)
+
+
 # --- free sets -----------------------------------------------------------------
 
 
