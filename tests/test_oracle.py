@@ -205,7 +205,7 @@ def test_kd_sampled_verdict_labelled():
 
 
 def test_sampled_verdicts_need_a_positive_sample_count():
-    # The only arc is 0 -> 1, so removing vertex 0 leaves no 1 -> 2 path.
+    # No arc leaves vertex 1, so any sampled removal set has a witness.
     D = LabelledDigraph(3, [(0, 1, 7)])
     tight = SearchBudget(node_limit=1)
     assert is_kd_connected(D, [0, 1, 2], 3, 2, budget=tight).witness == (
