@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .budget import BudgetMeter, SearchBudget
 from .digraph import (
@@ -182,8 +182,7 @@ def close_high_degree_subgraph(
     return ball
 
 
-@dataclass(frozen=True)
-class TwoHopEntry:
+class TwoHopEntry(NamedTuple):
     first: Arc
     midpoint: int
     midpoint_colour: object

@@ -24,6 +24,7 @@ matching the convention used throughout.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .budget import BudgetMeter
@@ -43,6 +44,17 @@ def _label_key(label) -> tuple:
     if isinstance(label, str):
         return (1, label)
     return (2, repr(label))
+
+
+def _arc_key(a: Arc) -> tuple:
+    return (a.head, _label_key(a.label))
+
+
+# Label type sets on which the labels order among themselves as _label_key
+# orders them, so out-arcs sort by the C-level key (head, label).
+_PLAIN_LABEL_TYPES = ({int, bool}, {str}, {type(None)})
+_HEAD_LABEL = itemgetter(1, 2)
+_LABEL = itemgetter(2)
 
 
 class LabelledDigraph:
@@ -76,10 +88,10 @@ class LabelledDigraph:
                 raise ValueError(f"self-loop {a} not allowed")
             out[a.tail].append(a)
         # sorted adjacency gives lexicographic path enumeration for free
-        self._out = tuple(
-            tuple(sorted(lst, key=lambda a: (a.head, _label_key(a.label))))
-            for lst in out
-        )
+        kinds = set(map(type, map(_LABEL, self.arcs)))
+        plain = any(kinds <= types for types in _PLAIN_LABEL_TYPES)
+        key = _HEAD_LABEL if plain else _arc_key
+        self._out = tuple(tuple(sorted(lst, key=key)) for lst in out)
         self._in: tuple[tuple[Arc, ...], ...] | None = None
         self._by_pair: dict[tuple[int, int], tuple[Arc, ...]] | None = None
 

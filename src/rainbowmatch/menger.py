@@ -11,7 +11,10 @@ The linear programs are solved by a self-contained dense simplex with one
 column per distinct colour set of the paths, numbered by first occurrence;
 later paths with the same set get weight zero.  That is exact: equal columns
 stay equal under row operations, and Bland's rule enters the first of them.
-Arithmetic is exact rational up to 64 paths, floating point beyond.
+Up to 64 paths the pivots are exact and fraction-free: Python ints over one
+common denominator, as in integer-preserving Gaussian elimination (Edmonds
+1967, Bareiss 1968), with the results returned as ``Fraction``.  Beyond 64
+paths the arithmetic is floating point.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .budget import BudgetMeter, SearchBudget
@@ -129,10 +134,14 @@ def verify_property_II(
 ) -> bool:
     """Every pair of rainbow u -> v paths shares an edge (same arc)."""
     paths = rainbow_st_paths(D, u, v, max_paths=max_paths, budget=budget)
-    bit = {arc: 1 << i for i, arc in enumerate(D.arcs)}
-    # a rainbow path repeats no arc, so the sum of its arcs' bits is their union
-    masks = [sum(map(bit.__getitem__, p)) for p in paths]
-    return all(a & b for i, a in enumerate(masks) for b in masks[i + 1 :])
+    through: dict[Arc, int] = {}  # per arc, the bitset of the paths using it
+    for i, p in enumerate(paths):
+        bit = 1 << i
+        for arc in p:
+            through[arc] = through.get(arc, 0) | bit
+    # p meets every path iff the paths through its arcs are all the paths
+    everyone = (1 << len(paths)) - 1
+    return all(reduce(or_, map(through.__getitem__, p)) == everyone for p in paths)
 
 
 @dataclass(frozen=True)
@@ -177,11 +186,11 @@ def fractional_menger(
     columns = list(dict.fromkeys(colour_sets))  # distinct, by first occurrence
     colours = sorted(set().union(*columns))
     exact = len(paths) <= EXACT_PATH_LIMIT
-    one: object = Fraction(1) if exact else 1.0
-    zero = one * 0
+    one: object = 1 if exact else 1.0  # the exact simplex takes ints, returns Fractions
+    zero = Fraction(0) if exact else 0.0
 
     # rows: one capacity constraint per colour; columns: one var per colour set
-    A = [[one if c in cs else zero for cs in columns] for c in colours]
+    A = [[one * (c in cs) for cs in columns] for c in colours]
     b = [one for _ in colours]
     c_obj = [one for _ in columns]
     x_col, y, value = _simplex_max(A, b, c_obj, exact=exact, tolerance=tolerance)
@@ -225,12 +234,15 @@ def _simplex_max(
 
     Slack variables give the starting basis (no phase one needed).  Bland's
     rule prevents cycling.  Returns (x, y, value) with y the dual solution
-    read off the slack reduced costs.
+    read off the slack reduced costs.  With ``exact`` the entries must be
+    integral and the results are ``Fraction``; otherwise they are floats.
     """
+    if exact:
+        return _simplex_max_exact(A, b, c, max_pivots)
     m, n = len(A), len(c)
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    eps = zero if exact else tolerance / 10
+    zero = 0.0
+    one = 1.0
+    eps = tolerance / 10
 
     # tableau: m constraint rows + objective row; columns x | slacks | rhs
     T = [list(A[i]) + [one if j == i else zero for j in range(m)] + [b[i]] for i in range(m)]
@@ -274,4 +286,73 @@ def _simplex_max(
             x[bv] = T[i][n + m]
     y = [T[m][n + i] for i in range(m)]
     value = T[m][n + m]
+    return x, y, value
+
+
+def _integral(v) -> int:
+    i = int(v)
+    if i != v:
+        raise ValueError(f"exact simplex needs integral entries, got {v!r}")
+    return i
+
+
+def _simplex_max_exact(A, b, c, max_pivots: int):
+    """The exact branch of ``_simplex_max``, pivoting on ints.
+
+    The rational tableau is held as ints N over one common denominator
+    ``det`` > 0, the last pivot element (1 at the start).  Every entry of N
+    is a minor of the starting tableau, so each row update
+    ``(t * piv - f * p) // det`` divides exactly.  Signs and ratio
+    comparisons are those of N / det, so the entering column, the pivot
+    row and its Bland tie-break, and hence every result, equal those of a
+    ``Fraction`` tableau.
+    """
+    m, n = len(A), len(c)
+    rhs = n + m
+    T = [
+        [_integral(v) for v in A[i]] + [int(j == i) for j in range(m)] + [_integral(b[i])]
+        for i in range(m)
+    ]
+    T.append([-_integral(v) for v in c] + [0] * (m + 1))
+    basis = [n + i for i in range(m)]
+    det = 1
+
+    for _ in range(max_pivots):
+        obj = T[m]
+        col = next((j for j in range(rhs) if obj[j] < 0), None)
+        if col is None:
+            break
+        pivot_row = None
+        for i in range(m):
+            a = T[i][col]
+            if a > 0:
+                if pivot_row is not None:
+                    # ratio T[i][rhs] / a against best_b / best_a, cross-multiplied
+                    mine, best = T[i][rhs] * best_a, best_b * a
+                    if mine > best or (mine == best and basis[i] > basis[pivot_row]):
+                        continue
+                best_b, best_a, pivot_row = T[i][rhs], a, i
+        if pivot_row is None:
+            raise LPNumericalFailure("LP unbounded; incidence matrix malformed")
+        prow = T[pivot_row]
+        piv = prow[col]
+        for i in range(m + 1):
+            if i != pivot_row:
+                row = T[i]
+                f = row[col]
+                if f:
+                    T[i] = [(t * piv - f * p) // det for t, p in zip(row, prow)]
+                elif piv != det:
+                    T[i] = [t * piv // det for t in row]
+        det = piv
+        basis[pivot_row] = col
+    else:
+        raise LPNumericalFailure("pivot limit reached without convergence")
+
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = Fraction(T[i][rhs], det)
+    y = [Fraction(T[m][n + i], det) for i in range(m)]
+    value = Fraction(T[m][rhs], det)
     return x, y, value

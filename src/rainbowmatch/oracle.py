@@ -96,8 +96,9 @@ def exact_max_rainbow_matching(
 
     ``required`` edges are forced into the output, ``forbidden_x``
     vertices and ``forbidden_colours`` are never touched.  On budget
-    exhaustion the best matching found so far is returned with
-    ``optimal=False``.
+    exhaustion, or when the search recurses past the interpreter's
+    recursion limit (about 990 colours at the default limit), the best
+    matching found so far is returned with ``optimal=False``.
     """
     required = tuple(Edge(*e) for e in required)
     forb_x = frozenset(forbidden_x)
@@ -202,6 +203,10 @@ def exact_max_rainbow_matching(
 
     try:
         search(0, live)
+    except RecursionError:
+        # one frame per colour: past the interpreter's limit the search stops
+        # unproved; the cut-off subtrees never reached `dead.add`
+        optimal = False
     finally:
         del search  # the closure refers to itself; break the cycle, free `dead`
     matching = RainbowMatching(tuple(sorted(best, key=lambda e: (e.c, e.x, e.y))))

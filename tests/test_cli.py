@@ -191,6 +191,20 @@ def test_oracle_budget_exhaustion_says_so(tmp_path, capsys, command):
     )
 
 
+def test_oracle_max_past_the_recursion_limit_stops_unproved(tmp_path, capsys):
+    # the oracle recurses once per colour, and 1,200 colours pass the
+    # interpreter's default limit of 1,000 frames
+    f = tmp_path / "diagonal.txt"
+    f.write_text("1200 1200 1200\n" + "".join(f"{i} {i} {i}\n" for i in range(1200)))
+    assert run(["oracle-max", str(f)]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["optimal"] is False
+    assert 0 < payload["size"] < 1200
+    assert captured.err.startswith("budget exhausted:")
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_max_subcommand(tmp_path, capsys):
     f = tmp_path / "sq.txt"
     f.write_text("2 2 2\n0 0 0\n1 1 0\n0 1 1\n1 0 1\n")

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from rainbowmatch.budget import BudgetMeter
-from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths
+from rainbowmatch.digraph import LabelledDigraph, _arc_key, iter_rainbow_paths
 from rainbowmatch.menger import build_counterexample
 
 
@@ -104,3 +104,26 @@ def test_threads_racing_on_first_use_see_the_same_indexes():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [3, -1, 0, 2, 10**20],
+        [True, False, 1, 0, 2],
+        ["b", "a", "ab", ""],
+        [None, None, None],
+        [2, "a", None, (0, 1), 1.5, False],
+        [(1, 2), (0, 3), (1, 0)],
+        [0.5, 2, 1],
+    ],
+    ids=["ints", "bools-and-ints", "strings", "none", "mixed", "tuples", "floats"],
+)
+def test_out_arcs_follow_the_label_key_order(labels):
+    # The C-level (head, label) key is taken only where it orders the
+    # labels as _label_key does; heads tie so the labels decide.
+    rng = random.Random(f"out-arc-order/{len(labels)}")
+    arcs = [(0, 1 + rng.randrange(2), label) for label in labels for _ in range(2)]
+    rng.shuffle(arcs)
+    D = LabelledDigraph(3, arcs)
+    assert D.out_arcs(0) == tuple(sorted(D.arcs, key=_arc_key))

@@ -204,3 +204,161 @@ def test_weak_duality_on_feasible_pairs():
     assert sum(uniform_primal) <= sum(uniform_dual.values())
     assert sum(uniform_primal) <= lp.dual_value
     assert lp.primal_value <= sum(uniform_dual.values())
+
+
+def _fraction_simplex(A, b, c, max_pivots=100000):
+    """Reference: the generic ``Fraction`` tableau loop that ``_simplex_max``
+    ran on its exact branch before it pivoted on integers."""
+    m, n = len(A), len(c)
+    zero, one = Fraction(0), Fraction(1)
+    T = [
+        [Fraction(v) for v in A[i]] + [one if j == i else zero for j in range(m)] + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    T.append([-Fraction(ci) for ci in c] + [zero] * m + [zero])
+    basis = [n + i for i in range(m)]
+    for _ in range(max_pivots):
+        obj = T[m]
+        col = next((j for j in range(n + m) if obj[j] < 0), None)
+        if col is None:
+            break
+        pivot_row = None
+        best_ratio = None
+        for i in range(m):
+            if T[i][col] > 0:
+                ratio = T[i][n + m] / T[i][col]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
+                ):
+                    best_ratio = ratio
+                    pivot_row = i
+        assert pivot_row is not None, "unbounded"
+        piv = T[pivot_row][col]
+        T[pivot_row] = [t / piv for t in T[pivot_row]]
+        for i in range(m + 1):
+            if i != pivot_row and T[i][col] != zero:
+                factor = T[i][col]
+                T[i] = [t - factor * p for t, p in zip(T[i], T[pivot_row])]
+        basis[pivot_row] = col
+    else:
+        raise AssertionError("pivot limit")
+    x = [zero] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = T[i][n + m]
+    return x, [T[m][n + i] for i in range(m)], T[m][n + m]
+
+
+def _menger_lp(k, m):
+    # the LP that fractional_menger hands the simplex: one column per
+    # distinct path colour set, by first occurrence
+    paths = rainbow_st_paths(build_counterexample(k, m), 0, m)
+    columns = list(dict.fromkeys(frozenset(a.label for a in p) for p in paths))
+    colours = sorted(set().union(*columns))
+    A = [[int(c in cs) for cs in columns] for c in colours]
+    return len(paths), A, [1] * len(colours), [1] * len(columns)
+
+
+def _random_01_lp(seed):
+    from rainbowmatch.rng import SplitMix64
+
+    rng = SplitMix64(seed)
+    m = 1 + rng.below(8)
+    n = 1 + rng.below(30)
+    density = 2 + rng.below(3)  # one entry in 2, 3 or 4 is set
+    A = [[int(rng.below(density) == 0) for _ in range(n)] for _ in range(m)]
+    for j in range(n):  # a column in no row makes the LP unbounded
+        if not any(A[i][j] for i in range(m)):
+            A[rng.below(m)][j] = 1
+    # unit capacities tie many ratios; a zero capacity forces degenerate pivots
+    b = [rng.below(3) if seed % 2 else 1 for _ in range(m)]
+    c = [1 + rng.below(2) if seed % 3 == 0 else 1 for _ in range(n)]
+    return A, b, c
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_integer_pivots_match_the_fraction_tableau_on_random_lps(seed):
+    from rainbowmatch.menger import _simplex_max
+
+    A, b, c = _random_01_lp(seed)
+    got = _simplex_max(A, b, c, exact=True)
+    # repr pins the Fraction type as well as the values
+    assert repr(got) == repr(_fraction_simplex(A, b, c))
+
+
+def test_integer_pivots_match_the_fraction_tableau_on_counterexamples():
+    from rainbowmatch.menger import EXACT_PATH_LIMIT, _simplex_max
+
+    # Every counterexample LP on the exact branch: k = 1 with m = 4..63 and
+    # k = 2 with m = 6, 7.  The Fraction reference pivots a dense
+    # (m+1)-square LP for k = 1 (2.3 s at m = 63, about 33 s over all m), so
+    # it runs on m <= 24 and on the 64-path boundary; every case checks the
+    # value (m+k)/m and the dual certificate.
+    cases = [(1, m) for m in range(4, 64)] + [(2, 6), (2, 7)]
+    for k, m in cases:
+        n_paths, A, b, c = _menger_lp(k, m)
+        assert n_paths <= EXACT_PATH_LIMIT
+        x, y, value = got = _simplex_max(A, b, c, exact=True)
+        assert value == sum(y) == sum(x) == Fraction(m + k, m)
+        assert all(sum(yi for yi, row in zip(y, A) if row[j]) >= 1 for j in range(len(c)))
+        if k == 2 or m <= 24 or m == 63:
+            assert repr(got) == repr(_fraction_simplex(A, b, c)), (k, m)
+    assert _menger_lp(1, 64)[0] > EXACT_PATH_LIMIT
+    assert _menger_lp(2, 8)[0] > EXACT_PATH_LIMIT
+
+
+def test_integer_pivots_reject_non_integral_entries():
+    from rainbowmatch.menger import _simplex_max
+
+    with pytest.raises(ValueError):
+        _simplex_max([[Fraction(1, 2)]], [1], [1], exact=True)
+    with pytest.raises(ValueError):
+        _simplex_max([[1]], [Fraction(3, 2)], [1], exact=True)
+    with pytest.raises(ValueError):
+        _simplex_max([[1]], [1], [0.5], exact=True)
+    # integral Fractions are accepted and give the same result as ints
+    assert _simplex_max([[Fraction(2)]], [Fraction(3)], [Fraction(1)], exact=True) == (
+        [Fraction(3, 2)],
+        [Fraction(1, 2)],
+        Fraction(3, 2),
+    )
+
+
+def _every_pair_shares_an_arc(D, u, v):
+    sets = [frozenset(p) for p in rainbow_st_paths(D, u, v)]
+    return all(a & b for i, a in enumerate(sets) for b in sets[i + 1 :])
+
+
+def _random_multidigraph(seed):
+    from rainbowmatch.rng import SplitMix64
+
+    rng = SplitMix64(seed)
+    n = 3 + rng.below(4)
+    palette = 2 + rng.below(5)
+    arcs = []
+    for _ in range(n + rng.below(2 * n)):
+        tail = rng.below(n - 1)
+        head = tail + 1 + rng.below(min(2, n - 1 - tail))  # mostly forward hops
+        arcs.append((tail, head, rng.below(palette)))
+        if rng.below(4) == 0:  # a parallel arc, sometimes of the same colour
+            arcs.append((tail, head, rng.below(palette)))
+    return LabelledDigraph(n, arcs)
+
+
+def test_property_II_against_pairwise_intersection():
+    verdicts = []
+    for seed in range(200):
+        D = _random_multidigraph(seed)
+        sink = D.vertex_count - 1
+        expected = _every_pair_shares_an_arc(D, 0, sink)
+        assert verify_property_II(D, 0, sink) == expected, seed
+        verdicts.append(expected)
+        if seed % 10 == 0:
+            S = subdivide_to_simple(D)
+            assert verify_property_II(S, 0, sink) == expected, seed
+    assert 20 <= sum(verdicts) <= 180  # both verdicts occur often
+    for k, m in [(1, 4), (1, 6), (2, 6), (2, 7)]:
+        for D in (build_counterexample(k, m), subdivide_to_simple(build_counterexample(k, m))):
+            assert verify_property_II(D, 0, m) is _every_pair_shares_an_arc(D, 0, m) is True
