@@ -70,9 +70,10 @@ class ColouredBipartiteMultigraph:
         self.right_size = right_size
         self.colour_count = colour_count
         self.edge_disjoint = edge_disjoint
-        self.edges = tuple(
-            e if type(e) is Edge else Edge(*e) for e in edges
-        )
+        edges = tuple(edges)
+        if not set(map(type, edges)) <= {Edge}:
+            edges = tuple(e if type(e) is Edge else Edge(*e) for e in edges)
+        self.edges = edges
 
         classes: list[list[Edge]] = [[] for _ in range(colour_count)]
         x_seen: list[set[int]] = [set() for _ in range(colour_count)]
@@ -193,15 +194,16 @@ def verify_rainbow_matching(
     for e in edges:
         if not graph.has_edge(e):
             return Verdict(False, f"edge {tuple(e)} not in host graph")
-        if e.x in xs:
-            return Verdict(False, f"shared X-endpoint {e.x}")
-        if e.y in ys:
-            return Verdict(False, f"shared Y-endpoint {e.y}")
-        if e.c in cs:
-            return Verdict(False, f"repeated colour {e.c}")
-        xs.add(e.x)
-        ys.add(e.y)
-        cs.add(e.c)
+        x, y, c = e
+        if x in xs:
+            return Verdict(False, f"shared X-endpoint {x}")
+        if y in ys:
+            return Verdict(False, f"shared Y-endpoint {y}")
+        if c in cs:
+            return Verdict(False, f"repeated colour {c}")
+        xs.add(x)
+        ys.add(y)
+        cs.add(c)
     return Verdict(True, None)
 
 
@@ -367,15 +369,21 @@ def relabel_matching(matching: RainbowMatching, colour_map: Sequence[int]) -> Ra
 
 # A line neither blank nor three plain integers; a text with none splits at once.
 # (Unlike a fullmatch of repeated lines, a search keeps no state per line.)
+# A "#" fails the search anyway, so a text with a comment skips it.  Past the
+# search every token is ASCII -?\d+, so int() cannot fail on one: it runs once
+# per distinct token, and each repeat reads the same int from a dict.
 _NOT_PLAIN = re.compile(r"^(?![ \t]*(?:-?\d+[ \t]+-?\d+[ \t]+-?\d+[ \t]*)?\r?$)", re.M | re.A)
 
 
 def _plain_rows(text: str) -> list[Edge] | None:
     """The rows of a text whose every line is blank or three plain integers,
     or None for any other text (which the caller reads line by line)."""
-    if _NOT_PLAIN.search(text):
+    if "#" in text or _NOT_PLAIN.search(text):
         return None
-    it = map(int, text.split())
+    tokens = text.split()
+    distinct = set(tokens)
+    value = dict(zip(distinct, map(int, distinct)))
+    it = map(value.__getitem__, tokens)
     # tuple.__new__(Edge, t) builds each row with no Python-level call
     return list(map(tuple.__new__, repeat(Edge), zip(it, it, it)))
 

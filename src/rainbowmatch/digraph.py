@@ -24,6 +24,7 @@ matching the convention used throughout.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
@@ -76,7 +77,12 @@ class LabelledDigraph:
         vertex_labels: tuple | None = None,
     ):
         self.vertex_count = vertex_count
-        self.arcs = tuple(Arc(*a) for a in arcs)
+        # tuple.__new__(Arc, a) builds each arc with no Python-level call; an
+        # arc of the wrong size is rebuilt by Arc(*a), which raises its error.
+        arcs = tuple(map(tuple.__new__, repeat(Arc), arcs))
+        if not set(map(len, arcs)) <= {3}:
+            arcs = tuple(Arc(*a) for a in arcs)
+        self.arcs = arcs
         if vertex_labels is not None and len(vertex_labels) != vertex_count:
             raise ValueError("vertex_labels length must equal vertex_count")
         self.vertex_labels = vertex_labels

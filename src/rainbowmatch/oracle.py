@@ -132,7 +132,7 @@ def exact_max_rainbow_matching(
 
     # Edge k is bit k, numbered in class-scan order: colours in `order`,
     # each class's edges as stored.
-    edges = [e for c in order for e in graph.colour_classes[c]]
+    edges = list(itertools.chain.from_iterable(map(graph.colour_classes.__getitem__, order)))
     x_mask = [0] * graph.left_size
     y_mask = [0] * graph.right_size
     bit = 1

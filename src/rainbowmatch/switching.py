@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .budget import BudgetMeter, SearchBudget
@@ -365,8 +367,11 @@ def solve_switching_engine(
     return matching, engine.trace
 
 
+_YXC = itemgetter(1, 0, 2)
+
+
 def _swapped(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    return tuple(Edge(e.y, e.x, e.c) for e in edges)
+    return tuple(map(tuple.__new__, repeat(Edge), map(_YXC, edges)))
 
 
 class _YSide:

@@ -72,6 +72,31 @@ def test_verify_shared_y():
     assert "Y-endpoint" in verdict.reason
 
 
+def test_verify_takes_plain_tuples():
+    g = read_edge_list("3 3 3\n0 0 0\n1 1 0\n1 2 1\n0 1 1\n2 1 2\n1 0 2\n")
+    assert verify_rainbow_matching(g, [(0, 0, 0), (1, 2, 1), (2, 1, 2)]) == (True, None)
+    faults = {
+        "edge (0, 2, 0) not in host graph": [(1, 1, 0), (0, 2, 0)],
+        "shared X-endpoint 1": [(1, 1, 0), (1, 2, 1)],
+        "shared Y-endpoint 1": [(1, 1, 0), (0, 1, 1)],
+        "repeated colour 0": [(0, 0, 0), (1, 1, 0)],
+    }
+    for reason, matching in faults.items():
+        assert verify_rainbow_matching(g, matching) == (False, reason)
+
+
+def test_build_keeps_or_converts_edges():
+    rows = [(0, 0, 0), (1, 1, 0), (0, 1, 1)]
+    edges = tuple(Edge(*r) for r in rows)
+    forms = [edges, list(edges), rows, [list(r) for r in rows], iter(rows), [edges[0], *rows[1:]]]
+    for form in forms:
+        g = build_graph(2, 2, 2, form)
+        assert g.edges == edges
+        assert all(type(e) is Edge for e in g.edges)
+        assert g.colour_classes == ((edges[0], edges[1]), (edges[2],))
+    assert build_graph(2, 2, 2, edges).edges is edges  # already Edges: kept as is
+
+
 def test_verify_on_2x2_latin_pairs():
     # exhaustive over all edge pairs: no pair is a rainbow matching of size 2
     edges = LATIN_2x2.edges

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from rainbowmatch.core import Edge, read_edge_list
+from rainbowmatch.core import Edge, RainbowMatching, read_edge_list, read_matching
 from rainbowmatch.errors import (
     DuplicateEdgeAcrossColours,
     DuplicateEndpointInColourClass,
@@ -181,3 +181,122 @@ def test_random_texts_agree_with_reference():
             else:
                 parsed += 1
     assert parsed > 1000 and raised > 1000
+
+
+# Tokens int() reads in its own way.  "07", "-0" and a 20-digit id pass the
+# plain-text gate and are read once per distinct token; "+1" and "1_0" send
+# the text to the line loop.
+INT_OWN = [
+    "9 9 2\n07 7 0\n7 0 1\n",  # "07" and "7" are one X-vertex: a fault in colour 1
+    "9 9 2\n07 7 0\n7 0 0\n",  # ... and in colour 0
+    "9 9 2\n07 007 0\n7 7 1\n0 1 -0\n",
+    "2 2 1\n-0 -0 -0\n",
+    "2 2 1\n+1 0 0\n0 +1 0\n",
+    "20 20 2\n1_0 10 0\n10 1_0 1\n",
+    "12345678901234567890 3 1\n12345678901234567889 0 0\n",
+    "2 2 1\n12345678901234567890 0 0\n",
+    "2 2 1\n-12345678901234567890 0 0\n",
+    "3 3 2\n0 0 0\n1 1 1\n0 0 1\n",  # a pair carrying two colours
+]
+
+
+@pytest.mark.parametrize("text", INT_OWN)
+def test_int_own_tokens_agree_with_reference(text):
+    for edge_disjoint in (False, True):
+        assert outcome(fast_read, text, edge_disjoint) == outcome(reference_read, text, edge_disjoint)
+
+
+def planted_text(rng, n, fault):
+    """An edge-list text of n edge-disjoint classes of size n+1 on n+3 vertices
+    (rows of a cyclic square) and one empty class, edges shuffled; ``fault``
+    breaks one edge, or puts a copy of one in the empty class."""
+    order = n + 3
+    edges = []
+    for c, shift in enumerate(rng.sample(range(order), n)):
+        for x in rng.sample(range(order), n + 1):
+            edges.append([x, (x + shift) % order, c])
+    rng.shuffle(edges)
+    i = rng.randrange(len(edges))
+    if fault == "range":
+        edges[i][rng.randrange(3)] = order + n
+    elif fault == "endpoint":  # the X-vertex of another edge of its colour
+        j = next(j for j in range(len(edges)) if j != i and edges[j][2] == edges[i][2])
+        edges[i][0] = edges[j][0]
+    elif fault == "pair":
+        edges.insert(rng.randrange(len(edges)), [*edges[i][:2], n])
+    rows = [f"{order} {order} {n + 1}"]
+    rows.extend(f"{x} {y} {c}" for x, y, c in edges)
+    return "\n".join(rows) + "\n"
+
+
+PLANTED_FAULTS = {
+    None: (None, None),
+    "range": (IdOutOfRange, IdOutOfRange),
+    "endpoint": (DuplicateEndpointInColourClass, DuplicateEndpointInColourClass),
+    "pair": (None, DuplicateEdgeAcrossColours),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_planted_texts_agree_with_reference(fault):
+    rng = random.Random(f"planted/{fault}")
+    for _ in range(3):
+        text = planted_text(rng, 40, fault)
+        assert len(text.splitlines()) == 1 + 40 * 41 + (fault == "pair")
+        for edge_disjoint, raises in zip((False, True), PLANTED_FAULTS[fault]):
+            expected = outcome(reference_read, text, edge_disjoint)
+            assert outcome(fast_read, text, edge_disjoint) == expected
+            assert expected[0] is raises if raises else len(expected[0]) == len(text.splitlines()) - 1
+
+
+def reference_read_matching(text):
+    """The matching of a text read one line at a time."""
+    edges = []
+    for raw in text.splitlines():
+        ln = raw.split("#", 1)[0].strip()
+        if not ln:
+            continue
+        parts = ln.split()
+        try:
+            if len(parts) != 3:
+                raise ValueError
+            edges.append(Edge(*(int(t) for t in parts)))
+        except ValueError:
+            raise ValueError(f"matching line must be 'x y c', got {ln!r}") from None
+    return RainbowMatching(tuple(edges))
+
+
+def read_matching_checked(text):
+    matching = read_matching(text)
+    assert all(type(e) is Edge for e in matching)
+    return matching
+
+
+def matching_outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "0 0 0\n", "0 0 0\n1 1 1", "07 -0 12345678901234567890\n",
+    "# a matching\n0 0 0  # e\r\n1\t1 1\r\n", "+1 1_0 0\n",
+    "0 0\n", "0 0 0 0\n", "0 x 0\n", "1.5 0 0\n", *INT_OWN,
+])
+def test_read_matching_fixed_texts(text):
+    assert matching_outcome(read_matching_checked, text) == matching_outcome(reference_read_matching, text)
+
+
+def test_read_matching_random_texts_agree_with_reference():
+    rng = random.Random("read_matching")
+    parsed = raised = 0
+    for _ in range(1000):
+        text = random_text(rng)
+        expected = matching_outcome(reference_read_matching, text)
+        assert matching_outcome(read_matching_checked, text) == expected, text
+        if isinstance(expected, RainbowMatching):
+            parsed += 1
+        else:
+            raised += 1
+    assert parsed > 300 and raised > 100
