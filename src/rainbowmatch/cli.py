@@ -230,15 +230,17 @@ def _cmd_menger(args) -> int:
     if args.simple:
         D = menger_mod.subdivide_to_simple(D)  # source/sink ids survive
     u, v = 0, args.m
+    property_I = menger_mod.verify_property_I(D, u, v, args.k, budget=_budget(args))
+    paths = menger_mod.rainbow_st_paths(D, u, v, budget=_budget(args))
     payload = {
         "k": args.k,
         "m": args.m,
-        "property_I": menger_mod.verify_property_I(D, u, v, args.k, budget=_budget(args)),
-        "property_II": menger_mod.verify_property_II(D, u, v, budget=_budget(args)),
-        "path_count": len(menger_mod.rainbow_st_paths(D, u, v, budget=_budget(args))),
+        "property_I": property_I,
+        "property_II": menger_mod.verify_property_II(paths),
+        "path_count": len(paths),
     }
     if args.lp:
-        lp = menger_mod.fractional_menger(D, u, v)
+        lp = menger_mod.fractional_menger(paths)
         payload["lp"] = {
             "primal_value": str(lp.primal_value),
             "dual_value": str(lp.dual_value),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -406,7 +406,7 @@ def read_edge_list(text: str, edge_disjoint: bool = False) -> ColouredBipartiteM
     if not rows:
         raise ValueError("empty edge-list input")
     left, right, colours = rows[0]
-    return build_graph(left, right, colours, rows[1:], edge_disjoint=edge_disjoint)
+    return build_graph(left, right, colours, islice(rows, 1, None), edge_disjoint=edge_disjoint)
 
 
 def read_matching(text: str) -> RainbowMatching:

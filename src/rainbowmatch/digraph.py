@@ -13,12 +13,12 @@ the connectivity toolbox, the oracles and the Menger lab all consume it.
 Rainbow conventions differ per use and are driven by two knobs:
 
 * ``edge_rainbow`` -- edge labels along a path must be pairwise distinct;
-* ``vertex_scope`` -- which vertex labels join the distinctness set:
-  ``"none"`` (ignored), ``"internal"`` (endpoints exempt), ``"all"``.
+* ``vertex_scope`` -- whether vertex labels join the distinctness set:
+  ``"none"`` (ignored) or ``"all"`` (every path vertex, endpoints included).
 
 A single ``forbidden`` label set constrains whatever the knobs put in play:
 edge labels when ``edge_rainbow`` is set, and the labels of *internal*
-vertices when ``vertex_scope`` is not ``"none"``.  Endpoints are exempt,
+vertices when ``vertex_scope`` is ``"all"``.  Endpoints are exempt,
 matching the convention used throughout.
 """
 
@@ -165,14 +165,14 @@ def iter_rainbow_paths(
 
     ``forbidden`` is one set of colours a path must avoid: arc labels when
     ``edge_rainbow`` is set, and the labels of internal vertices when
-    ``vertex_scope`` is not ``"none"``.  The endpoints are exempt; without a
+    ``vertex_scope`` is ``"all"``.  The endpoints are exempt; without a
     target every vertex after the start counts as internal.
 
     The search is iterative: a stack holds one out-arc iterator per path
     vertex, so a path of length L costs no chain of L generator frames per
     yield.  The meter ticks once per out-arc examined.
     """
-    if vertex_scope not in ("none", "internal", "all"):
+    if vertex_scope not in ("none", "all"):
         raise ValueError(f"unknown vertex_scope {vertex_scope!r}")
     if vertex_scope != "none" and D.vertex_labels is None:
         raise ValueError("vertex_scope needs a vertex-labelled digraph")
@@ -184,10 +184,9 @@ def iter_rainbow_paths(
         return
 
     out_arcs = D._out
-    labels = D.vertex_labels if vertex_scope != "none" else None
-    scope_all = vertex_scope == "all"
+    labels = D.vertex_labels if vertex_scope == "all" else None
     tick = meter.tick if meter is not None else None
-    used: set = {labels[start]} if scope_all else set()
+    used: set = {labels[start]} if labels is not None else set()
     blocked = set(forbidden_vertices)  # plus the vertices on the path
     blocked.add(start)
     path: list[Arc] = []
@@ -207,7 +206,7 @@ def iter_rainbow_paths(
                 new: tuple = (label,)
             else:
                 new = ()
-            if labels is not None and (scope_all or w != target):
+            if labels is not None:
                 wl = labels[w]
                 if wl in used or wl in new or (w != target and wl in forbidden):
                     continue
@@ -299,6 +298,4 @@ def is_rainbow_arc_path(
         labels.extend(a.label for a in path)
     if vertex_scope == "all":
         labels.extend(D.vertex_labels[v] for v in verts)
-    elif vertex_scope == "internal":
-        labels.extend(D.vertex_labels[v] for v in verts[1:-1])
     return len(set(labels)) == len(labels)

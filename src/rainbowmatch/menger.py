@@ -35,6 +35,8 @@ from .errors import (
 )
 
 EXACT_PATH_LIMIT = 64
+_TOLERANCE = 1e-9  # float branch: feasibility slack and largest duality gap
+_MAX_PIVOTS = 100_000
 
 
 def build_counterexample(k: int, m: int) -> LabelledDigraph:
@@ -79,7 +81,9 @@ def subdivide_to_simple(D: LabelledDigraph) -> LabelledDigraph:
 
 def _st_paths(D: LabelledDigraph, u: int, v: int, forbidden, budget):
     """Rainbow u -> v paths of length >= 1 (edge-colour convention), lazily."""
-    paths = iter_rainbow_paths(
+    if u == v:  # the kernel's only path from u to u is the empty one
+        return iter(())
+    return iter_rainbow_paths(
         D,
         u,
         target=v,
@@ -87,7 +91,6 @@ def _st_paths(D: LabelledDigraph, u: int, v: int, forbidden, budget):
         forbidden=frozenset(forbidden),
         meter=BudgetMeter(budget),
     )
-    return (p for p in paths if p)
 
 
 def rainbow_st_paths(
@@ -125,15 +128,11 @@ def verify_property_I(
     )
 
 
-def verify_property_II(
-    D: LabelledDigraph,
-    u: int,
-    v: int,
-    max_paths: int = 20000,
-    budget: SearchBudget | None = None,
-) -> bool:
-    """Every pair of rainbow u -> v paths shares an edge (same arc)."""
-    paths = rainbow_st_paths(D, u, v, max_paths=max_paths, budget=budget)
+def verify_property_II(paths: tuple[tuple[Arc, ...], ...]) -> bool:
+    """Every pair of the rainbow u -> v paths shares an edge (same arc).
+
+    ``paths`` is the tuple that ``rainbow_st_paths`` returns.
+    """
     through: dict[Arc, int] = {}  # per arc, the bitset of the paths using it
     for i, p in enumerate(paths):
         bit = 1 << i
@@ -161,16 +160,10 @@ class PathLP:
         return abs(float(self.dual_value) - float(self.primal_value))
 
 
-def fractional_menger(
-    D: LabelledDigraph,
-    u: int,
-    v: int,
-    tolerance: float = 1e-9,
-    max_paths: int = 20000,
-    budget: SearchBudget | None = None,
-) -> PathLP:
+def fractional_menger(paths: tuple[tuple[Arc, ...], ...]) -> PathLP:
     """Solve the fractional path-packing / colour-cover pair over the
-    enumerated rainbow u -> v paths and assert strong duality.
+    rainbow u -> v paths that ``rainbow_st_paths`` returns, and assert
+    strong duality.
 
     Primal: maximise the total path weight subject to unit capacity per
     colour.  Dual: minimise total colour weight subject to unit coverage of
@@ -178,7 +171,6 @@ def fractional_menger(
     dual from the slack reduced costs), then re-verified for feasibility;
     weak duality is asserted before the gap.
     """
-    paths = rainbow_st_paths(D, u, v, max_paths=max_paths, budget=budget)
     if not paths:
         return PathLP((), (), (), {}, 0, 0, True)
 
@@ -193,43 +185,37 @@ def fractional_menger(
     A = [[one * (c in cs) for cs in columns] for c in colours]
     b = [one for _ in colours]
     c_obj = [one for _ in columns]
-    x_col, y, value = _simplex_max(A, b, c_obj, exact=exact, tolerance=tolerance)
+    x_col, y, value = _simplex_max(A, b, c_obj, exact=exact)
     first = dict(zip(columns, x_col))
     x = [first.pop(cs, zero) for cs in colour_sets]  # later duplicates get zero
 
-    primal_value = sum(x) if x else 0
-    dual_value = sum(y) if y else 0
-    eps = 0 if exact else tolerance
+    primal_value = sum(x)
+    dual_value = sum(y)
+    eps = 0 if exact else _TOLERANCE
 
     # primal feasibility
+    if any(xp < -eps for xp in x_col):
+        raise LPNumericalFailure(f"primal infeasible at colour {colours[0]}")
     for c in colours:
-        load = sum(xp for xp, cs in zip(x_col, columns) if c in cs)
-        if load > one * 1 + eps or any(xp < -eps for xp in x_col):
+        if sum(xp for xp, cs in zip(x_col, columns) if c in cs) > one + eps:
             raise LPNumericalFailure(f"primal infeasible at colour {c}")
     # dual feasibility
-    dual = {c: y[i] for i, c in enumerate(colours)}
-    for cs in columns:
-        cover = sum(dual[c] for c in cs)
-        if cover < one * 1 - eps or any(val < -eps for val in dual.values()):
-            raise LPNumericalFailure("dual infeasible on a path constraint")
+    dual = dict(zip(colours, y))
+    if any(val < -eps for val in y) or any(
+        sum(dual[c] for c in cs) < one - eps for cs in columns
+    ):
+        raise LPNumericalFailure("dual infeasible on a path constraint")
     # weak duality first, then the strong-duality gap
-    if float(primal_value) > float(dual_value) + tolerance:
+    if float(primal_value) > float(dual_value) + _TOLERANCE:
         raise LPNumericalFailure("weak duality violated")
-    if abs(float(primal_value) - float(dual_value)) > tolerance:
+    if abs(float(primal_value) - float(dual_value)) > _TOLERANCE:
         raise LPNumericalFailure(
             f"duality gap {float(dual_value) - float(primal_value)} above tolerance"
         )
     return PathLP(paths, tuple(colours), tuple(x), dual, primal_value, dual_value, exact)
 
 
-def _simplex_max(
-    A: Sequence[Sequence],
-    b: Sequence,
-    c: Sequence,
-    exact: bool,
-    tolerance: float = 1e-9,
-    max_pivots: int = 100000,
-):
+def _simplex_max(A: Sequence[Sequence], b: Sequence, c: Sequence, exact: bool):
     """Dense tableau simplex for max c.x s.t. Ax <= b, x >= 0, b >= 0.
 
     Slack variables give the starting basis (no phase one needed).  Bland's
@@ -238,18 +224,18 @@ def _simplex_max(
     integral and the results are ``Fraction``; otherwise they are floats.
     """
     if exact:
-        return _simplex_max_exact(A, b, c, max_pivots)
+        return _simplex_max_exact(A, b, c)
     m, n = len(A), len(c)
     zero = 0.0
     one = 1.0
-    eps = tolerance / 10
+    eps = _TOLERANCE / 10
 
     # tableau: m constraint rows + objective row; columns x | slacks | rhs
     T = [list(A[i]) + [one if j == i else zero for j in range(m)] + [b[i]] for i in range(m)]
     T.append([-ci for ci in c] + [zero] * m + [zero])
     basis = [n + i for i in range(m)]
 
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         obj = T[m]
         col = next((j for j in range(n + m) if obj[j] < -eps), None)
         if col is None:
@@ -296,7 +282,7 @@ def _integral(v) -> int:
     return i
 
 
-def _simplex_max_exact(A, b, c, max_pivots: int):
+def _simplex_max_exact(A, b, c):
     """The exact branch of ``_simplex_max``, pivoting on ints.
 
     The rational tableau is held as ints N over one common denominator
@@ -317,7 +303,7 @@ def _simplex_max_exact(A, b, c, max_pivots: int):
     basis = [n + i for i in range(m)]
     det = 1
 
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         obj = T[m]
         col = next((j for j in range(rhs) if obj[j] < 0), None)
         if col is None:

@@ -21,7 +21,7 @@ from .core import (
     MatchingContext,
     RainbowMatching,
 )
-from .digraph import Arc, LabelledDigraph, iter_rainbow_paths
+from .digraph import LabelledDigraph, iter_rainbow_paths
 from .errors import BudgetExceeded, InfeasibleConstraints
 from .rng import SplitMix64
 
@@ -29,7 +29,6 @@ __all__ = [
     "SearchBudget",
     "OracleResult",
     "exact_max_rainbow_matching",
-    "enumerate_rainbow_paths",
     "is_rainbow_k_edge_connected",
     "is_kd_connected",
     "free_set_check",
@@ -211,38 +210,6 @@ def exact_max_rainbow_matching(
         del search  # the closure refers to itself; break the cycle, free `dead`
     matching = RainbowMatching(tuple(sorted(best, key=lambda e: (e.c, e.x, e.y))))
     return OracleResult(matching, optimal, meter.nodes)
-
-
-def enumerate_rainbow_paths(
-    D: LabelledDigraph,
-    u: int,
-    v: int,
-    max_len: int,
-    forbidden_colours: Iterable = (),
-    mode: str = "edge",
-    budget: SearchBudget | None = None,
-) -> tuple[tuple[Arc, ...], ...]:
-    """All rainbow u -> v paths of length <= max_len, lexicographic order.
-
-    In ``edge`` mode only edge colours must be pairwise distinct and avoid
-    the forbidden set; ``total`` mode adds internal vertex colours to both
-    requirements (endpoints exempt).
-    """
-    forb = frozenset(forbidden_colours)
-    meter = BudgetMeter(budget)
-    scope = "none" if mode == "edge" else "internal"
-    return tuple(
-        iter_rainbow_paths(
-            D,
-            u,
-            target=v,
-            max_len=max_len,
-            edge_rainbow=True,
-            vertex_scope=scope,
-            forbidden=forb,
-            meter=meter,
-        )
-    )
 
 
 def _work_meter(budget: SearchBudget | None) -> BudgetMeter:

@@ -225,7 +225,7 @@ def test_criterion_8_menger_counterexamples():
         for m in range(2 * k + 2, 10):
             digraph = build_counterexample(k, m)
             assert verify_property_I(digraph, 0, m, k)
-            assert verify_property_II(digraph, 0, m)
+            assert verify_property_II(rainbow_st_paths(digraph, 0, m))
             checked += 1
     assert checked == 12
     assert len(rainbow_st_paths(build_counterexample(1, 4), 0, 4)) == 5
@@ -239,7 +239,7 @@ def test_criterion_9_fractional_duality():
     instances = [(1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (2, 8), (3, 9)]
     for k, m in instances:
         digraph = build_counterexample(k, m)
-        lp = fractional_menger(digraph, 0, m, tolerance=1e-9)
+        lp = fractional_menger(rainbow_st_paths(digraph, 0, m))
         assert lp.duality_gap <= 1e-9
         if len(lp.paths) <= 64:
             # exact-rational route: zero gap between exactly-feasible

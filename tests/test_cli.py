@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmatch import switching
+from rainbowmatch import menger, switching
 from rainbowmatch.cli import run
 from rainbowmatch.core import read_edge_list, write_edge_list
 from rainbowmatch.errors import InfeasibleParameters
@@ -252,6 +252,20 @@ def test_menger_subcommand(capsys):
     assert payload["property_I"] and payload["property_II"]
     assert payload["path_count"] == 5
     assert payload["lp"]["primal_value"] == "5/4"
+
+
+def test_menger_lp_enumerates_the_paths_once(capsys, monkeypatch):
+    calls = []
+    enumerate_paths = menger.rainbow_st_paths
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_paths(*args, **kwargs)
+
+    monkeypatch.setattr(menger, "rainbow_st_paths", counted)
+    code, out = _capture(capsys, ["menger", "--k", "2", "--m", "6", "--lp"])
+    assert code == 0 and json.loads(out)["path_count"] == 43
+    assert len(calls) == 1
 
 
 def test_menger_simple_subcommand(capsys):

@@ -77,7 +77,7 @@ def test_kernel_equals_brute_force(seed):
     two_colours = rng.sample(range(n + 2), 2)
     for edge_rainbow, vertex_scope, forbidden, forbidden_vertices, target, max_len in itertools.product(
         (True, False),
-        ("none", "internal", "all"),
+        ("none", "all"),
         (frozenset(), frozenset(two_colours[:1]), frozenset(two_colours)),
         (frozenset(), frozenset({others[0]}), frozenset({start})),
         (None, start, others[-1], others[0]),

@@ -14,6 +14,7 @@ import pytest
 from rainbowmatch.menger import (
     build_counterexample,
     fractional_menger,
+    rainbow_st_paths,
     subdivide_to_simple,
 )
 
@@ -54,4 +55,4 @@ def _digest(lp) -> str:
 @pytest.mark.parametrize("case", sorted(SNAPSHOT_SHA256))
 def test_lp_matches_snapshot(case):
     D, sink = _digraph(case)
-    assert _digest(fractional_menger(D, 0, sink)) == SNAPSHOT_SHA256[case]
+    assert _digest(fractional_menger(rainbow_st_paths(D, 0, sink))) == SNAPSHOT_SHA256[case]

@@ -60,14 +60,14 @@ def test_property_I_single_edge_fails():
 
 
 def test_property_II_counterexamples():
-    assert verify_property_II(build_counterexample(1, 4), 0, 4)
-    assert verify_property_II(build_counterexample(2, 6), 0, 6)
+    assert verify_property_II(rainbow_st_paths(build_counterexample(1, 4), 0, 4))
+    assert verify_property_II(rainbow_st_paths(build_counterexample(2, 6), 0, 6))
 
 
 def test_property_II_disjoint_paths_fail():
     # two colour-disjoint parallel routes
     D = LabelledDigraph(4, [(0, 1, 0), (1, 3, 1), (0, 2, 2), (2, 3, 3)])
-    assert not verify_property_II(D, 0, 3)
+    assert not verify_property_II(rainbow_st_paths(D, 0, 3))
 
 
 def test_path_count_k1_m4():
@@ -103,25 +103,25 @@ def test_subdivision_preserves_counts_and_properties():
     assert len(pairs) == len(set(pairs))
     assert len(rainbow_st_paths(S, 0, 4)) == 5
     assert verify_property_I(S, 0, 4, 1)
-    assert verify_property_II(S, 0, 4)
+    assert verify_property_II(rainbow_st_paths(S, 0, 4))
 
 
 def test_lp_no_path():
     D = LabelledDigraph(3, [(0, 1, 0)])
-    lp = fractional_menger(D, 0, 2)
+    lp = fractional_menger(rainbow_st_paths(D, 0, 2))
     assert lp.primal_value == 0 and lp.dual_value == 0
 
 
 def test_lp_single_edge():
     D = LabelledDigraph(2, [(0, 1, 7)])
-    lp = fractional_menger(D, 0, 1)
+    lp = fractional_menger(rainbow_st_paths(D, 0, 1))
     assert lp.primal_value == 1 and lp.dual_value == 1
     assert lp.exact
 
 
 def test_lp_counterexample_value_and_cross_check():
     D = build_counterexample(1, 4)
-    lp = fractional_menger(D, 0, 4)
+    lp = fractional_menger(rainbow_st_paths(D, 0, 4))
     assert lp.exact
     assert lp.primal_value == lp.dual_value
     # frozen expected value, recomputed here by exhaustive rational vertex
@@ -139,7 +139,7 @@ def test_lp_cross_check_small_counterexamples():
     # vertex enumeration scales as C(paths+colours, paths): tiny LPs only
     for k, m in [(1, 4), (1, 5), (1, 6)]:
         D = build_counterexample(k, m)
-        lp = fractional_menger(D, 0, m)
+        lp = fractional_menger(rainbow_st_paths(D, 0, m))
         assert lp.exact and lp.duality_gap == 0
         colour_sets = [frozenset(a.label for a in p) for p in lp.paths]
         colours = sorted(set().union(*colour_sets))
@@ -153,14 +153,14 @@ def test_lp_cross_check_small_counterexamples():
 def test_lp_exact_certificate_midsize():
     # 43 paths: exact rationals; equal feasible primal/dual certify optimality
     D = build_counterexample(2, 6)
-    lp = fractional_menger(D, 0, 6)
+    lp = fractional_menger(rainbow_st_paths(D, 0, 6))
     assert lp.exact
     assert lp.primal_value == lp.dual_value
 
 
 def test_lp_float_mode_beyond_64_paths():
     D = build_counterexample(2, 8)  # 1 + 16 + 56 = 73 paths
-    lp = fractional_menger(D, 0, 8)
+    lp = fractional_menger(rainbow_st_paths(D, 0, 8))
     assert not lp.exact
     assert lp.duality_gap <= 1e-9
 
@@ -194,7 +194,7 @@ def test_simplex_against_vertex_oracle_random_incidences():
 def test_weak_duality_on_feasible_pairs():
     # any feasible primal value is at most any feasible dual value
     D = build_counterexample(1, 5)
-    lp = fractional_menger(D, 0, 5)
+    lp = fractional_menger(rainbow_st_paths(D, 0, 5))
     n_paths = len(lp.paths)
     uniform_primal = [Fraction(1, n_paths)] * n_paths  # feasible: loads <= 1
     colour_sets = [frozenset(a.label for a in p) for p in lp.paths]
@@ -353,12 +353,13 @@ def test_property_II_against_pairwise_intersection():
         D = _random_multidigraph(seed)
         sink = D.vertex_count - 1
         expected = _every_pair_shares_an_arc(D, 0, sink)
-        assert verify_property_II(D, 0, sink) == expected, seed
+        assert verify_property_II(rainbow_st_paths(D, 0, sink)) == expected, seed
         verdicts.append(expected)
         if seed % 10 == 0:
             S = subdivide_to_simple(D)
-            assert verify_property_II(S, 0, sink) == expected, seed
+            assert verify_property_II(rainbow_st_paths(S, 0, sink)) == expected, seed
     assert 20 <= sum(verdicts) <= 180  # both verdicts occur often
     for k, m in [(1, 4), (1, 6), (2, 6), (2, 7)]:
         for D in (build_counterexample(k, m), subdivide_to_simple(build_counterexample(k, m))):
-            assert verify_property_II(D, 0, m) is _every_pair_shares_an_arc(D, 0, m) is True
+            paths = rainbow_st_paths(D, 0, m)
+            assert verify_property_II(paths) is _every_pair_shares_an_arc(D, 0, m) is True

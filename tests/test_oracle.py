@@ -7,13 +7,12 @@ from rainbowmatch.gen import generate_instance
 from rainbowmatch.latin import LatinRectangle, parse_latin, square_to_graph
 from rainbowmatch.menger import build_counterexample
 from rainbowmatch.oracle import (
-    enumerate_rainbow_paths,
     exact_max_rainbow_matching,
     free_set_check,
     is_kd_connected,
     is_rainbow_k_edge_connected,
 )
-from rainbowmatch.digraph import LabelledDigraph
+from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths
 
 from helpers import (
     complete_biorientation,
@@ -102,25 +101,25 @@ def test_oracle_agrees_with_backtracker_all_order4_squares():
 
 def test_enumerate_empty_path_when_endpoints_equal():
     D = complete_biorientation(3)
-    paths = enumerate_rainbow_paths(D, 1, 1, max_len=2)
+    paths = tuple(iter_rainbow_paths(D, 1, target=1, max_len=2))
     assert paths == ((),)
 
 
 def test_enumerate_forbidden_colour_blocks_edge():
     D = LabelledDigraph(2, [(0, 1, 7)])
-    assert enumerate_rainbow_paths(D, 0, 1, max_len=3, forbidden_colours={7}) == ()
+    assert tuple(iter_rainbow_paths(D, 0, target=1, max_len=3, forbidden=frozenset({7}))) == ()
 
 
 def test_enumerate_counterexample_path_count():
     D = build_counterexample(1, 4)
-    paths = enumerate_rainbow_paths(D, 0, 4, max_len=4)
+    paths = tuple(iter_rainbow_paths(D, 0, target=4, max_len=4))
     nonempty = [p for p in paths if p]
     assert len(nonempty) == 5
 
 
 def test_enumerate_lexicographic_and_deterministic():
     D = LabelledDigraph(4, [(0, 1, 5), (0, 2, 6), (1, 3, 7), (2, 3, 8), (0, 3, 9)])
-    paths = enumerate_rainbow_paths(D, 0, 3, max_len=3)
+    paths = tuple(iter_rainbow_paths(D, 0, target=3, max_len=3))
     seqs = [tuple(a.head for a in p) for p in paths]
     assert seqs == [(1, 3), (2, 3), (3,)]
 
@@ -150,7 +149,7 @@ def test_path_exists_iff_1_connected_pairwise():
     D = LabelledDigraph(3, [(0, 1, 4), (1, 2, 5), (2, 0, 6)])
     for u in range(3):
         for v in range(3):
-            paths = enumerate_rainbow_paths(D, u, v, max_len=2)
+            paths = tuple(iter_rainbow_paths(D, u, target=v, max_len=2))
             verdict = is_rainbow_k_edge_connected(D, 1, pairs=[(u, v)])
             assert bool(paths) == verdict.connected
 
