@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 
+# Nodes between two reads of the clock.
+CLOCK_STRIDE = 4096
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -27,18 +30,17 @@ class SearchBudget:
 class BudgetMeter:
     """Counts search nodes against a budget; checks the clock occasionally."""
 
-    __slots__ = ("nodes", "node_limit", "deadline", "_clock_stride")
+    __slots__ = ("nodes", "node_limit", "deadline")
 
     def __init__(self, budget: SearchBudget | None):
         budget = budget or SearchBudget()
         self.nodes = 0
         self.node_limit = budget.node_limit
         self.deadline = time.monotonic() + budget.time_limit
-        self._clock_stride = 4096
 
     def tick(self, n: int = 1) -> None:
         self.nodes += n
         if self.nodes > self.node_limit:
             raise BudgetExceeded(f"node limit exceeded ({self.node_limit})")
-        if self.nodes % self._clock_stride < n and time.monotonic() > self.deadline:
+        if self.nodes % CLOCK_STRIDE < n and time.monotonic() > self.deadline:
             raise BudgetExceeded("time limit exceeded")

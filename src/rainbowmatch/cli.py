@@ -61,7 +61,7 @@ def _budget(args) -> SearchBudget:
 
 def _oracle_unproved(result) -> int:
     sys.stderr.write(
-        f"budget exhausted: oracle stopped after {result.nodes} nodes "
+        f"budget exhausted: oracle stopped ({result.stop}) after {result.nodes} nodes "
         f"without proving the maximum\n"
     )
     return EXIT_BUDGET

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from time import monotonic
 from typing import Iterable, Sequence
 
-from .budget import BudgetMeter, SearchBudget
+from .budget import CLOCK_STRIDE, BudgetMeter, SearchBudget
 from .core import (
     ColouredBipartiteMultigraph,
     Edge,
@@ -42,6 +43,12 @@ VACUOUS = "vacuous"
 # Bits (table entries times live-edge mask width) the dead-state table of
 # one oracle call may hold.
 _DEAD_BITS = 1 << 21
+# Bits the kill masks cached by one oracle call may hold.
+_KILL_BITS = 1 << 21
+
+
+class _Stop(Exception):
+    """Ends the search early; args[0] is the OracleResult.stop it gives."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,7 @@ class OracleResult:
     matching: RainbowMatching
     optimal: bool
     nodes: int
+    stop: str  # "complete" | "node_limit" | "time_limit" | "recursion"
 
     @property
     def size(self) -> int:
@@ -66,6 +74,28 @@ class ConnectivityVerdict:
         return self.connected
 
 
+def _class_layout(widths: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Bit masks of consecutive classes of the given widths (each >= 1),
+    lowest bits first: ``(class_mask, tops, rest)``.
+
+    class_mask[i] covers class i, tops[i] holds the top bit of every class
+    from i on (tops[len(widths)] is 0), and rest every bit that is not a
+    top.  For any mask ``live``, the top bit of class j is set in
+    ``((live & rest) + rest) | live`` exactly when live meets class j: a
+    live bit below the top carries into it, and the carry stops there.
+    """
+    class_mask: list[int] = []
+    tops = [0] * (len(widths) + 1)
+    first = 0
+    for i, width in enumerate(widths):
+        class_mask.append(((1 << width) - 1) << first)
+        first += width
+        tops[i] = 1 << first - 1
+    for i in reversed(range(len(widths))):
+        tops[i] |= tops[i + 1]
+    return class_mask, tops, ((1 << first) - 1) ^ tops[0]
+
+
 def exact_max_rainbow_matching(
     graph: ColouredBipartiteMultigraph,
     required: Iterable[Edge] = (),
@@ -81,9 +111,16 @@ def exact_max_rainbow_matching(
     an endpoint with a placed edge.  A node is cut when current size +
     remaining colours cannot beat the best found.  When beating it needs
     every remaining colour, a node is also cut if one of them has no live
-    edge left (forward check), and leaving a colour unused is not tried.
-    The bound never cuts a strictly better matching, so the optimum
-    returned is the first one the plain size bound would find.
+    edge left (forward check, one bit test by ``_class_layout``), and
+    leaving a colour unused is not tried.  The bound never cuts a strictly
+    better matching, so the optimum returned is the first one the plain
+    size bound would find.
+
+    A parent counts each child against the budget and runs the child's
+    cuts itself; it recurses only into children that survive them.
+    ``nodes`` counts every child visited, cut or not, so it is the size of
+    the search tree.  Each edge's kill mask ``~(class | x | y)`` is cached
+    the first time it is used, up to ``_KILL_BITS`` bits of masks.
 
     A table of dead states remembers each live mask whose slack-0 subtree
     found no full completion, and cuts the mask when it recurs.  This is
@@ -91,13 +128,15 @@ def exact_max_rainbow_matching(
     classes >= i and one in class i, so the mask alone fixes both i and
     the remaining subproblem, whatever ``best`` becomes later.  A subtree cut
     short by the budget is never stored.  The table stops growing at
-    ``_DEAD_BITS`` bits of masks, and it is freed when the call returns.
+    ``_DEAD_BITS`` bits of masks.  Both the table and the kill-mask cache
+    are freed when the call returns.
 
     ``required`` edges are forced into the output, ``forbidden_x``
     vertices and ``forbidden_colours`` are never touched.  On budget
     exhaustion, or when the search recurses past the interpreter's
     recursion limit (about 990 colours at the default limit), the best
-    matching found so far is returned with ``optimal=False``.
+    matching found so far is returned with ``optimal=False``, and ``stop``
+    says which limit ended the search.
     """
     required = tuple(Edge(*e) for e in required)
     forb_x = frozenset(forbidden_x)
@@ -139,13 +178,7 @@ def exact_max_rainbow_matching(
         x_mask[x] |= bit
         y_mask[y] |= bit
         bit <<= 1
-    class_mask: list[int] = []
-    first = 0
-    for c in order:
-        n_edges = len(graph.colour_classes[c])
-        class_mask.append(((1 << n_edges) - 1) << first)
-        first += n_edges
-    later_masks = [class_mask[i:] for i in range(len(order))]
+    class_mask, tops, rest = _class_layout([len(graph.colour_classes[c]) for c in order])
     live = (1 << len(edges)) - 1
     for x in forb_x | used_x:
         if 0 <= x < graph.left_size:
@@ -154,62 +187,81 @@ def exact_max_rainbow_matching(
         live &= ~y_mask[y]
 
     meter = BudgetMeter(budget)
+    node_limit, deadline = meter.node_limit, meter.deadline
+    nodes = 1  # the root
+    last = len(order) - 1
     best: list[Edge] = list(required)
+    best_len = len(required)
     current: list[Edge] = list(required)
-    optimal = True
-    done = False
     dead: set[int] = set()  # live masks with no full completion, found at slack 0
     dead_cap = _DEAD_BITS // max(len(edges), 1)
+    kills: list[int | None] = [None] * len(edges)  # ~(class | x | y) of each edge used
+    kill_room = _KILL_BITS // max(len(edges), 1)
 
-    def search(i: int, live: int) -> None:
-        nonlocal best, optimal, done
-        try:
-            meter.tick()
-        except BudgetExceeded:
-            optimal = False
-            done = True
-            return
-        size = len(current)
-        if size > len(best):
-            best = list(current)
-            if size == upper:
-                done = True
-                return
-        slack = size + len(order) - i - len(best) - 1
-        if slack < 0:
-            return
-        if slack == 0:  # beating best needs every colour left: each must keep a live edge
-            if live in dead:
-                return
-            for m in later_masks[i]:
-                if not live & m:
-                    return
-            before = len(best)
-        cand = live & class_mask[i]
+    def search(i: int, live: int, size: int) -> None:
+        """Visit the children of the node at colour i.  The node itself was
+        counted, and not cut, by its parent."""
+        nonlocal best, best_len, nodes, kill_room
+        slack = size + last - i - best_len
+        before = best_len
+        cls = class_mask[i]
+        later = tops[i + 1]
+        cand = live & cls
         while cand:
             low = cand & -cand
             cand ^= low
-            e = edges[low.bit_length() - 1]
-            current.append(e)
-            search(i + 1, live & ~(class_mask[i] | x_mask[e.x] | y_mask[e.y]))
-            current.pop()
-            if done:
-                return
+            k = low.bit_length() - 1
+            kill = kills[k]
+            if kill is None:
+                e = edges[k]
+                kill = ~(cls | x_mask[e.x] | y_mask[e.y])
+                if kill_room:
+                    kills[k] = kill
+                    kill_room -= 1
+            child = live & kill
+            nodes += 1
+            if nodes > node_limit or not nodes % CLOCK_STRIDE and monotonic() > deadline:
+                raise _Stop("node_limit" if nodes > node_limit else "time_limit")
+            if size == best_len:  # the child beats best
+                best = current + [edges[k]]
+                best_len += 1
+                if best_len == upper:
+                    raise _Stop("complete")
+            child_slack = size + last - i - best_len
+            if child_slack > 0 or not child_slack and child not in dead and (
+                ((child & rest) + rest) | child
+            ) & later == later:
+                current.append(edges[k])
+                search(i + 1, child, size + 1)
+                current.pop()
         if slack:  # with no slack, leaving colour i unused cannot beat best
-            search(i + 1, live & ~class_mask[i])
-        elif len(best) == before and len(dead) < dead_cap:
+            child = live & ~cls
+            nodes += 1
+            if nodes > node_limit or not nodes % CLOCK_STRIDE and monotonic() > deadline:
+                raise _Stop("node_limit" if nodes > node_limit else "time_limit")
+            child_slack = size + last - i - 1 - best_len
+            if child_slack > 0 or not child_slack and child not in dead and (
+                ((child & rest) + rest) | child
+            ) & later == later:
+                search(i + 1, child, size)
+        elif best_len == before and len(dead) < dead_cap:
             dead.add(live)
 
+    stop = "complete"
     try:
-        search(0, live)
+        if order:
+            search(0, live, len(required))
+    except _Stop as halt:
+        stop = halt.args[0]
     except RecursionError:
         # one frame per colour: past the interpreter's limit the search stops
         # unproved; the cut-off subtrees never reached `dead.add`
-        optimal = False
+        stop = "recursion"
     finally:
-        del search  # the closure refers to itself; break the cycle, free `dead`
+        del search  # the closure refers to itself; break the cycle, free the tables
+    meter.nodes = nodes
     matching = RainbowMatching(tuple(sorted(best, key=lambda e: (e.c, e.x, e.y))))
-    return OracleResult(matching, optimal, meter.nodes)
+    return OracleResult(matching, stop == "complete", nodes, stop)
 
 
 def _work_meter(budget: SearchBudget | None) -> BudgetMeter:

@@ -186,7 +186,7 @@ def test_oracle_budget_exhaustion_says_so(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["optimal"] is False
     assert re.fullmatch(
-        r"budget exhausted: oracle stopped after \d+ nodes without proving the maximum\n",
+        r"budget exhausted: oracle stopped \(node_limit\) after \d+ nodes without proving the maximum\n",
         captured.err,
     )
 
@@ -201,7 +201,7 @@ def test_oracle_max_past_the_recursion_limit_stops_unproved(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert payload["optimal"] is False
     assert 0 < payload["size"] < 1200
-    assert captured.err.startswith("budget exhausted:")
+    assert captured.err.startswith("budget exhausted: oracle stopped (recursion)")
     assert "Traceback" not in captured.err
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch.budget import SearchBudget
 from rainbowmatch.core import Edge, make_context
@@ -7,6 +9,7 @@ from rainbowmatch.gen import generate_instance
 from rainbowmatch.latin import LatinRectangle, parse_latin, square_to_graph
 from rainbowmatch.menger import build_counterexample
 from rainbowmatch.oracle import (
+    _class_layout,
     exact_max_rainbow_matching,
     free_set_check,
     is_kd_connected,
@@ -83,7 +86,23 @@ def test_oracle_budget_returns_flagged_best():
     g = generate_instance("random", 6, 6, False, seed=5, left_size=8, right_size=8)
     res = exact_max_rainbow_matching(g, budget=SearchBudget(node_limit=3))
     assert not res.optimal
+    assert res.stop == "node_limit"
     assert res.nodes >= 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_forward_check_bit_test_matches_a_per_class_loop(data):
+    # width-1 classes included: the 1,200-colour diagonal has only those
+    widths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    class_mask, tops, rest = _class_layout(widths)
+    i = data.draw(st.integers(0, len(widths)))
+    live, first = 0, sum(widths[:i])
+    for width in widths[i:]:  # bits only in classes >= i, as in the search
+        live |= data.draw(st.integers(0, (1 << width) - 1)) << first
+        first += width
+    verdict = (((live & rest) + rest) | live) & tops[i] == tops[i]
+    assert verdict == all(live & m for m in class_mask[i:])
 
 
 def test_oracle_agrees_with_backtracker_all_order4_squares():

@@ -1,19 +1,22 @@
-"""The exact oracle's table of dead states.
+"""The exact oracle's search tree and its tables.
 
-The table remembers live-edge masks proved to have no full completion at
-slack 0.  It is meant as a pure cut: with the table switched off or held
-small (its bit cap monkeypatched) the oracle must return the same
-matchings and ``optimal`` flags, and search at least as many nodes.  A call must also
-leave no cyclic garbage behind, so that the table is freed on return.
+The dead-state table remembers live-edge masks proved to have no full
+completion at slack 0.  It is meant as a pure cut: with the table switched
+off or held small (its bit cap monkeypatched) the oracle must return the
+same matchings and ``optimal`` flags, and search at least as many nodes.
+The kill-mask cache must change nothing at all, node counts included, and a
+digest pins the whole tree.  A call must also leave no cyclic garbage
+behind, so that both are freed on return.
 """
 
 import gc
+import hashlib
 import random
 
 import pytest
 
 from rainbowmatch import oracle
-from rainbowmatch.budget import SearchBudget
+from rainbowmatch.budget import CLOCK_STRIDE, SearchBudget
 from rainbowmatch.core import build_graph, verify_rainbow_matching
 from rainbowmatch.gen import generate_instance, random_latin_square
 from rainbowmatch.latin import square_to_graph
@@ -58,12 +61,15 @@ def _calls():
 
 
 def test_oracle_call_leaves_no_cyclic_garbage():
+    # a whole tree, a search ended by its first full matching, a node limit
     g = square_to_graph(random_latin_square(10, 1))
+    calls = [(g, {}), (_planted(12, 0), {}), (g, {"budget": SearchBudget(node_limit=500)})]
     gc.collect()
     gc.disable()
     try:
-        exact_max_rainbow_matching(g)
-        assert gc.collect() == 0
+        for graph, kw in calls:
+            exact_max_rainbow_matching(graph, **kw)
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -103,7 +109,7 @@ def test_optimum_matches_cell_backtracker(order):
 def test_budget_cut_results_are_valid_and_no_larger():
     g = square_to_graph(random_latin_square(8, 2))
     full = exact_max_rainbow_matching(g)
-    assert full.optimal
+    assert full.optimal and full.stop == "complete"
     unproved = 0
     for limit in [1, 2, 3, 5, 8, 13, 50, 200, 1_000, 3_000, full.nodes - 1]:
         res = exact_max_rainbow_matching(g, budget=SearchBudget(node_limit=limit))
@@ -111,6 +117,41 @@ def test_budget_cut_results_are_valid_and_no_larger():
             assert res.size == full.size
             continue
         unproved += 1
+        assert res.stop == "node_limit"
         assert verify_rainbow_matching(g, res.matching).ok
         assert res.size <= full.size
     assert unproved >= 5
+
+
+# One digest of (nodes, optimal, matching) over the `_calls()` corpus and a
+# node-limit sweep of each of its calls.  Recorded before the children's cuts
+# moved into their parent's loop: a change to how a node is visited must
+# leave the search tree, and so every node count, as it was.  A cap of 0
+# bits switches the kill-mask cache off; 1,000 bits hold a few masks.
+TREE_SHA256 = "afa7d5016751ededd4c65ab9be3708b7342725689bbeb68c8ad578bfd16ead2e"
+
+
+@pytest.mark.parametrize("kill_bits", [None, 0, 1_000])
+def test_search_tree_matches_snapshot(monkeypatch, kill_bits):
+    if kill_bits is not None:
+        monkeypatch.setattr(oracle, "_KILL_BITS", kill_bits)
+    digest = hashlib.sha256()
+
+    def record(name, res):
+        digest.update(f"{name} {res.nodes} {res.optimal} {[tuple(e) for e in res.matching]}\n".encode())
+
+    for name, g, kw in _calls():
+        full = exact_max_rainbow_matching(g, **kw)
+        record(name, full)
+        for limit in sorted({1, 2, 3, 5, 10, 50, full.nodes - 1, full.nodes, full.nodes + 1}):
+            record(f"{name}/{limit}", exact_max_rainbow_matching(g, budget=SearchBudget(node_limit=limit), **kw))
+    assert digest.hexdigest() == TREE_SHA256
+
+
+def test_time_limit_stops_unproved():
+    # the clock is read every CLOCK_STRIDE nodes, and this tree has more
+    g = square_to_graph(random_latin_square(10, 1))
+    assert exact_max_rainbow_matching(g).nodes > CLOCK_STRIDE
+    res = exact_max_rainbow_matching(g, budget=SearchBudget(time_limit=1e-9))
+    assert not res.optimal and res.stop == "time_limit"
+    assert verify_rainbow_matching(g, res.matching).ok
