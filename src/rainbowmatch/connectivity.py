@@ -238,83 +238,95 @@ def build_two_hop_digraph(
     share the midpoint or any colour of their (first edge, midpoint, second
     edge) triples.  A greedy independent set capped at m decides the arc;
     every emitted certificate re-validates against its invariants.
+
+    Per pair, the midpoints are x's out-head bits AND y's in-tail bits,
+    read lowest first: the order of x's out-arcs.  The greedy pass ticks
+    the meter once per pair; only when it falls short are the candidates
+    collected, the second pass charged and 24 or fewer searched exactly.
     """
     if m < 1:
         raise ValueError("bundle size m must be >= 1")
     if D.vertex_labels is None:
         raise PreconditionViolated("two-hop derivation needs vertex colours")
     meter = BudgetMeter(budget)
-    arcs: list[tuple[int, int, None]] = []
-    bundles: dict[tuple[int, int], tuple[TwoHopEntry, ...]] = {}
-    for x in range(D.vertex_count):
-        for y in range(D.vertex_count):
-            if x != y and D.vertex_labels[x] != D.vertex_labels[y]:
-                chosen = _two_hop_bundle(D, x, y, m, meter)
-                if chosen is not None:
-                    arcs.append((x, y, None))
-                    bundles[(x, y)] = tuple(chosen)
-    derived = LabelledDigraph(D.vertex_count, arcs)
-    return derived, TwoHopCertificate(m, bundles)
-
-
-def _two_hop_bundle(
-    D: LabelledDigraph, x: int, y: int, m: int, meter: BudgetMeter
-) -> list[TwoHopEntry] | None:
-    """m compatible rainbow paths x -> u -> y, or None.
-
-    One flat pass over the out-arcs of x, then the arcs from each midpoint
-    to y, ticks once per arc pair and takes every rainbow candidate whose
-    colour triple misses those already taken; a shared midpoint is a shared
-    colour.  When that greedy pass falls short, the meter is charged for a
-    second pass over the pairs and 24 or fewer candidates are searched
-    exhaustively.
-    """
-    labels = D.vertex_labels
-    ends = (labels[x], labels[y])
     tick = meter.tick
-    candidates: list[TwoHopEntry] = []
-    chosen: list[TwoHopEntry] = []
-    taken: set = set()  # the colours of the chosen triples
-    for a1 in D.out_arcs(x):
-        u = a1.head
-        if u == y:
-            continue
-        c1, cu = a1.label, labels[u]
-        clash = c1 == cu or c1 in ends or cu in ends
-        for a2 in D.arcs_between(u, y):
-            tick()
-            c2 = a2.label
-            if clash or c2 == c1 or c2 == cu or c2 in ends:
+    labels = D.vertex_labels
+    n = D.vertex_count
+    into = [D.arcs_into(v) for v in range(n)]
+    in_bits = [sum(map((1).__lshift__, tails)) for tails in into]
+    new = tuple.__new__  # builds a TwoHopEntry without its Python-level __new__
+    bundles: dict[tuple[int, int], tuple[TwoHopEntry, ...]] = {}
+    for x in range(n):
+        lx = labels[x]
+        out_bits = sum({1 << a.head for a in D.out_arcs(x)})  # parallel arcs: a set
+        for y in range(n):
+            ly = labels[y]
+            mids = out_bits & in_bits[y]
+            if not mids or lx == ly:  # lx == ly also when x == y
                 continue
-            entry = TwoHopEntry(a1, u, cu, a2)
-            candidates.append(entry)
-            if c1 not in taken and cu not in taken and c2 not in taken:
-                chosen.append(entry)
-                if len(chosen) == m:
-                    return chosen
-                taken.update((c1, cu, c2))
-    tick(sum(len(D.arcs_between(a.head, y)) for a in D.out_arcs(x) if a.head != y))
-    if len(candidates) <= 24:
-        return _exhaustive_bundle(candidates, m, meter)
-    return None
-
-
-def _compatible(a: TwoHopEntry, b: TwoHopEntry) -> bool:
-    return a.midpoint != b.midpoint and not (
-        set(a.colour_triple()) & set(b.colour_triple())
-    )
+            into_y = into[y]
+            pairs = 0
+            need = m
+            chosen: tuple[TwoHopEntry, ...] = ()
+            while need and mids:
+                low = mids & -mids
+                mids ^= low
+                u = low.bit_length() - 1
+                cu = labels[u]
+                a2s = into_y[u]
+                for a1 in into[u][x]:
+                    c1 = a1[2]
+                    clash = c1 == cu or c1 == lx or c1 == ly or cu == lx or cu == ly
+                    for a2 in a2s:
+                        pairs += 1
+                        c2 = a2[2]
+                        if clash or c2 == c1 or c2 == cu or c2 == lx or c2 == ly:
+                            continue
+                        if chosen and (c1 in taken or cu in taken or c2 in taken):
+                            continue
+                        chosen += (new(TwoHopEntry, (a1, u, cu, a2)),)
+                        need -= 1
+                        if not need:
+                            break
+                        if len(chosen) == 1:
+                            taken = {c1, cu, c2}
+                        else:
+                            taken.update((c1, cu, c2))
+                    if not need:
+                        break
+            if not need:
+                tick(pairs)
+                bundles[x, y] = chosen
+                continue
+            tick(2 * pairs)  # the greedy pass, then the fallback's second pass
+            if chosen:  # else there is no candidate at all
+                candidates = [
+                    TwoHopEntry(a1, a1.head, labels[a1.head], a2)
+                    for a1 in D.out_arcs(x)
+                    for a2 in into_y.get(a1.head, ())
+                    if len({lx, ly, a1.label, labels[a1.head], a2.label}) == 5
+                ]
+                if len(candidates) <= 24:
+                    chosen = _exhaustive_bundle(candidates, m, meter)
+                    if chosen is not None:
+                        bundles[x, y] = chosen
+    derived = LabelledDigraph(n, ((x, y, None) for x, y in bundles))
+    return derived, TwoHopCertificate(m, bundles)
 
 
 def _exhaustive_bundle(
     candidates: list[TwoHopEntry], m: int, meter: BudgetMeter
-) -> list[TwoHopEntry] | None:
-    # greedy missed; candidate pool is small so decide exactly
+) -> tuple[TwoHopEntry, ...] | None:
+    # greedy missed; candidate pool is small so decide exactly.  Two paths
+    # are compatible when they share neither midpoint nor colour.
     for combo in itertools.combinations(candidates, m):
         meter.tick()
         if all(
-            _compatible(a, b) for a, b in itertools.combinations(combo, 2)
+            a.midpoint != b.midpoint
+            and not set(a.colour_triple()) & set(b.colour_triple())
+            for a, b in itertools.combinations(combo, 2)
         ):
-            return list(combo)
+            return combo
     return None
 
 

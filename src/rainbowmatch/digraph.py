@@ -6,7 +6,7 @@ only), derived two-hop digraphs (unlabelled), and edge-coloured digraphs in
 general.  "Label" and "colour" are interchangeable here.
 
 A digraph builds its sorted out-arc lists at once and its in-arc and
-vertex-pair indexes on first use: most digraphs built here never read them.
+per-head indexes on first use: most digraphs built here never read them.
 
 ``iter_rainbow_paths`` is the one rainbow path search; the switching engine,
 the connectivity toolbox, the oracles and the Menger lab all consume it.
@@ -24,7 +24,7 @@ matching the convention used throughout.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
@@ -54,6 +54,7 @@ def _arc_key(a: Arc) -> tuple:
 # Label type sets on which the labels order among themselves as _label_key
 # orders them, so out-arcs sort by the C-level key (head, label).
 _PLAIN_LABEL_TYPES = ({int, bool}, {str}, {type(None)})
+_HEAD = itemgetter(1)
 _HEAD_LABEL = itemgetter(1, 2)
 _LABEL = itemgetter(2)
 
@@ -63,12 +64,13 @@ class LabelledDigraph:
 
     Parallel arcs (same endpoints, different labels) are allowed; self-loops
     are not.  ``vertex_labels`` is either None (unlabelled vertices) or a
-    tuple of length n.  The in-arc and vertex-pair indexes are built on the
+    tuple of length n.  The in-arc index and the per-head index (for each
+    head v, tail u -> the arcs u -> v in out-arc order) are built on the
     first call that reads them; the digraph stays immutable in value, and
     two threads that race on first use build the same index.
     """
 
-    __slots__ = ("vertex_count", "arcs", "vertex_labels", "_out", "_in", "_by_pair")
+    __slots__ = ("vertex_count", "arcs", "vertex_labels", "_out", "_in", "_into")
 
     def __init__(
         self,
@@ -99,19 +101,24 @@ class LabelledDigraph:
         key = _HEAD_LABEL if plain else _arc_key
         self._out = tuple(tuple(sorted(lst, key=key)) for lst in out)
         self._in: tuple[tuple[Arc, ...], ...] | None = None
-        self._by_pair: dict[tuple[int, int], tuple[Arc, ...]] | None = None
+        self._into: tuple[dict[int, tuple[Arc, ...]], ...] | None = None
 
     def out_arcs(self, v: int) -> tuple[Arc, ...]:
         return self._out[v]
 
+    def arcs_into(self, v: int) -> dict[int, tuple[Arc, ...]]:
+        """Tail u -> the arcs u -> v in out-arc order, tails ascending.
+        The dict is the digraph's own index: read it, never change it."""
+        if self._into is None:
+            into: list[dict[int, tuple[Arc, ...]]] = [{} for _ in self._out]
+            for u, lst in enumerate(self._out):
+                for head, arcs in groupby(lst, _HEAD):  # out-arcs sort by head
+                    into[head][u] = tuple(arcs)
+            self._into = tuple(into)
+        return self._into[v]
+
     def arcs_between(self, u: int, v: int) -> tuple[Arc, ...]:
-        if self._by_pair is None:
-            by_pair: dict[tuple[int, int], list[Arc]] = {}
-            for lst in self._out:
-                for a in lst:
-                    by_pair.setdefault((a.tail, a.head), []).append(a)
-            self._by_pair = {pair: tuple(lst) for pair, lst in by_pair.items()}
-        return self._by_pair.get((u, v), ())
+        return self.arcs_into(v).get(u, ())
 
     def in_arcs(self, v: int) -> tuple[Arc, ...]:
         if self._in is None:

@@ -156,6 +156,10 @@ def golden_solve(
     attempts the split assembly and falls back to the exact solver on any
     leg shortfall.  The ball parameter is 1/ln n, and the recursion runs on
     4 * max(n, 1) + 8 units of fuel.
+
+    Measured on random, planted tight, cyclic-isotope and uniform Latin
+    corpora: every level was completed by the engine or the exact solver,
+    none by the split assembly, which only a doctored test matching reaches.
     """
     fuel = 4 * max(graph.colour_count, 1) + 8
     matching, trace = _solve_level(graph, budget, fuel)

@@ -1,9 +1,10 @@
-"""The in-arc and vertex-pair indexes of ``LabelledDigraph``, built on first use.
+"""The in-arc and per-head indexes of ``LabelledDigraph``, built on first use.
 
 On seeded digraphs with parallel arcs, ``in_arcs``, ``in_neighbours`` and
 ``arcs_between`` must agree with brute-force scans of ``D.arcs``, whether
 they are first asked before the rainbow-path kernel has run on the digraph
-or after.  The kernel itself reads only the out-arc lists.
+or after.  The kernel itself reads only the out-arc lists, and the two-hop
+derivation reads the per-head index but not the in-arc index.
 """
 
 import random
@@ -13,7 +14,9 @@ import threading
 import pytest
 
 from rainbowmatch.budget import BudgetMeter
+from rainbowmatch.connectivity import build_two_hop_digraph
 from rainbowmatch.digraph import LabelledDigraph, _arc_key, iter_rainbow_paths
+from rainbowmatch.gen import generate_proper_digraph
 from rainbowmatch.menger import build_counterexample
 
 
@@ -72,8 +75,14 @@ def test_indexes_before_the_kernel(name):
 def test_indexes_after_the_kernel(name):
     D = DIGRAPHS[name]()
     _run_kernel(D)
-    assert D._in is None and D._by_pair is None  # the kernel reads only _out
+    assert D._in is None and D._into is None  # the kernel reads only _out
     _check_against_scans(D)
+
+
+def test_two_hop_derivation_builds_only_the_per_head_index():
+    D = generate_proper_digraph(12, 4, seed=1)
+    build_two_hop_digraph(D, 2)
+    assert D._into is not None and D._in is None
 
 
 def test_threads_racing_on_first_use_see_the_same_indexes():

@@ -117,7 +117,7 @@ def _run(monkeypatch, D, m):
     return derived, cert, meter.nodes
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(DIGRAPHS))
 def test_two_hop_matches_reference(monkeypatch, name, m):
     D = DIGRAPHS[name]()
@@ -136,12 +136,16 @@ def test_exhaustive_fallback_is_exercised():
     assert rescued > 0
 
 
-@pytest.mark.parametrize("m", [1, 3])
-@pytest.mark.parametrize("name", ["proper-16-7", "palette-12-8"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(DIGRAPHS))
 def test_two_hop_budget_matches_reference(name, m):
+    # a derivation that batches its ticks must still run out at exactly the
+    # node limits where ticking one at a time runs out
     D = DIGRAPHS[name]()
     total = reference_two_hop(D, m)[2]
-    for limit in (total - 1, total):
+    for limit in sorted({1, 2, total // 3, total // 2, total - 1, total, total + 1}):
+        if limit < 1:
+            continue
         budget = SearchBudget(node_limit=limit)
         outcomes = []
         for derive in (reference_two_hop, build_two_hop_digraph):
@@ -150,4 +154,4 @@ def test_two_hop_budget_matches_reference(name, m):
                 outcomes.append("done")
             except BudgetExceeded:
                 outcomes.append("budget")
-        assert outcomes[0] == outcomes[1] == ("budget" if limit < total else "done")
+        assert outcomes[0] == outcomes[1] == ("budget" if limit < total else "done"), limit
