@@ -272,15 +272,6 @@ def check_proper_labelling(D: LabelledDigraph) -> Verdict:
     return Verdict(True, None)
 
 
-def is_out_proper(D: LabelledDigraph) -> bool:
-    """Out-arcs at every vertex carry pairwise distinct labels."""
-    for v in range(D.vertex_count):
-        labels = [a.label for a in D.out_arcs(v)]
-        if len(labels) != len(set(labels)):
-            return False
-    return True
-
-
 def is_rainbow_arc_path(
     D: LabelledDigraph,
     path: tuple[Arc, ...],

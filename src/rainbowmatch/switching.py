@@ -33,7 +33,6 @@ from .errors import (
     EmptyMatching,
     ExchangeNotApplicable,
     FloorNotCertified,
-    MultipleMissingColours,
     PathNotInDigraph,
     PathNotRainbow,
     PreconditionViolated,
@@ -98,12 +97,8 @@ def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> Labell
     """
     if ctx.matching.size == 0:
         raise EmptyMatching("switch digraph needs a non-empty matching")
-    if len(ctx.missing_colours) != 1:
-        raise MultipleMissingColours(
-            f"{len(ctx.missing_colours)} colours missing, need exactly 1"
-        )
-    xset = frozenset(x_prime)
     c_star = ctx.c_star
+    xset = frozenset(x_prime)
     graph = ctx.graph
     labels = tuple(
         STAR if c == c_star else ctx.x_of_colour(c) for c in range(graph.colour_count)
@@ -138,7 +133,7 @@ def path_to_switching(
         return EMPTY_SWITCHING
     arcs: list[Arc] = []
     for a, b in zip(verts, verts[1:]):
-        hits = [arc for arc in D.out_arcs(a) if arc.head == b]
+        hits = D.arcs_between(a, b)
         if not hits:
             raise PathNotInDigraph(f"no arc {a} -> {b} in the switch digraph")
         arcs.append(hits[0])  # label unique: colour classes are matchings
@@ -264,11 +259,6 @@ def augment(
     edge.  Exhaustion returns a structured report (a legitimate outcome:
     the matching may simply be maximum).
     """
-    graph = ctx.graph
-    if len(ctx.missing_colours) != 1:
-        raise MultipleMissingColours(
-            f"{len(ctx.missing_colours)} colours missing, need exactly 1"
-        )
     c_star = ctx.c_star
     x0 = frozenset(ctx.x0)
     y0 = frozenset(ctx.y0)
@@ -276,10 +266,9 @@ def augment(
     meter = BudgetMeter(budget)
 
     # depth 0: a missing-colour edge between uncovered sides extends directly
-    for e in graph.colour_classes[c_star]:
-        if e.x in x0 and e.y in y0:
-            out = tuple(sorted(ctx.matching.edges + (e,), key=lambda t: (t.c, t.x, t.y)))
-            return RainbowMatching(out)
+    e = _closing_edge(ctx, c_star, x0, y0, frozenset())
+    if e is not None:
+        return _with_edge(ctx.matching, e)
 
     if ctx.matching.size == 0:
         return AugmentFailure(cap, 0, 0, (), False)
@@ -305,15 +294,24 @@ def augment(
             v = path[-1].head
             frontier.add(v)
             sigma = _arcs_to_switching(ctx, path)
-            sx = sigma.x_vertices()
-            for e in graph.colour_classes[v]:
-                if e.x in x0 and e.x not in sx and e.y in y0:
-                    exchanged = apply_switching(ctx, sigma)
-                    out = tuple(
-                        sorted(exchanged.edges + (e,), key=lambda t: (t.c, t.x, t.y))
-                    )
-                    return RainbowMatching(out)
+            e = _closing_edge(ctx, v, x0, y0, sigma.x_vertices())
+            if e is not None:
+                return _with_edge(apply_switching(ctx, sigma), e)
     return AugmentFailure(cap, deepest, paths_explored, tuple(sorted(frontier)), True)
+
+
+def _closing_edge(
+    ctx: MatchingContext, c: int, x0: frozenset[int], y0: frozenset[int], sx: frozenset[int]
+) -> Edge | None:
+    """First colour-c edge from uncovered X outside ``sx`` to uncovered Y."""
+    for e in ctx.graph.colour_classes[c]:
+        if e.x in x0 and e.x not in sx and e.y in y0:
+            return e
+    return None
+
+
+def _with_edge(matching: RainbowMatching, e: Edge) -> RainbowMatching:
+    return RainbowMatching(tuple(sorted(matching.edges + (e,), key=lambda t: (t.c, t.x, t.y))))
 
 
 def _arcs_to_switching(ctx: MatchingContext, arcs: Sequence[Arc]) -> Switching:
@@ -419,37 +417,41 @@ class _Engine:
     def to_host(matching: RainbowMatching, flip: bool) -> RainbowMatching:
         return RainbowMatching(_swapped(matching)) if flip else matching
 
-    def probe(
-        self, matching: RainbowMatching, c_star: int, flip: bool
-    ) -> RainbowMatching | AugmentFailure:
-        """Augment for one missing colour on one side; answer on the host."""
-        result = augment(self.context(matching, c_star, flip), self.depth_cap, self.budget)
-        if isinstance(result, AugmentFailure):
-            return result
-        return self.to_host(result, flip)
-
     def improve_once(self, matching: RainbowMatching) -> RainbowMatching | None:
         missing = sorted(set(range(self.graph.colour_count)) - matching.colours())
         # Pass 1: direct augmentation per missing colour, either side.
         for flip in (False, True):
             for c_star in missing:
-                result = self.probe(matching, c_star, flip)
+                result = augment(self.context(matching, c_star, flip), self.depth_cap, self.budget)
                 if isinstance(result, RainbowMatching):
                     self.trace.augmentations.append((c_star, result.size - matching.size))
-                    return result
+                    return self.to_host(result, flip)
         # Pass 2: rotate through switch-reachable matchings of the same size.
         return self.rotation_search(matching)
 
-    def rotation_moves(
+    def explore(
         self, current: RainbowMatching, c_star: int, flip: bool, meter: BudgetMeter
-    ) -> list[RainbowMatching]:
-        """All same-size matchings one switching away, on the host."""
-        if current.size == 0:
-            return []
+    ) -> tuple[RainbowMatching | None, list[RainbowMatching]]:
+        """One side's rotation state for c*: its augmentation, else its moves.
+
+        Moves are the same-size matchings one switching away.  Both answers,
+        on the host, come from one switch digraph and one walk on ``meter``.
+        The augmentation is :func:`augment`'s, the shortest hit first in
+        preorder: the walk yields each length's paths in the order that a walk
+        capped at that length does.
+        """
         ctx = self.context(current, c_star, flip)
-        D = build_switch_digraph(ctx, ctx.x0)
+        x0 = frozenset(ctx.x0)
+        y0 = frozenset(ctx.y0)
+        e = _closing_edge(ctx, c_star, x0, y0, frozenset())
+        if e is not None:
+            return self.to_host(_with_edge(ctx.matching, e), flip), []
+        if current.size == 0:
+            return None, []
+        D = build_switch_digraph(ctx, x0)
         cap = self.depth_cap if self.depth_cap is not None else len(ctx.active_colours)
-        out = []
+        best: tuple[int, RainbowMatching] | None = None  # (length, augmented)
+        moves = []
         for path in iter_rainbow_paths(
             D,
             c_star,
@@ -459,19 +461,27 @@ class _Engine:
             vertex_scope="all",
             meter=meter,
         ):
-            if path:
-                rotated = apply_switching(ctx, _arcs_to_switching(ctx, path))
-                out.append(self.to_host(rotated, flip))
-        return out
+            if not path:
+                continue
+            sigma = _arcs_to_switching(ctx, path)
+            rotated = apply_switching(ctx, sigma)
+            if best is None or len(path) < best[0]:
+                e = _closing_edge(ctx, path[-1].head, x0, y0, sigma.x_vertices())
+                if e is not None:
+                    best = (len(path), _with_edge(rotated, e))
+            moves.append(self.to_host(rotated, flip))
+        if best is not None:
+            return self.to_host(best[1], flip), []
+        return None, moves
 
     def rotation_search(self, matching: RainbowMatching) -> RainbowMatching | None:
         """Breadth-first search over same-size matchings reachable by exchanges.
 
         States are matchings; moves apply one switching (either side) drawn
-        from a rainbow path of the state's switch digraph.  Each state is
-        probed for a direct augmentation first, so the shallowest
-        augmentable state wins.  One meter counts the path search of every
-        move, so ``budget`` bounds the whole search, not just one state.
+        from a rainbow path of the state's switch digraph, which is walked once
+        per (state, c*, side) for its direct augmentation and its moves.  States
+        are explored breadth first, so the shallowest augmentable state wins.
+        One meter counts every walk: ``budget`` bounds the whole search.
         """
         meter = BudgetMeter(self.budget)
         seen: set[frozenset[Edge]] = {matching.edge_set()}
@@ -486,13 +496,12 @@ class _Engine:
                     self.trace.stop = "rotation_limit"
                     return None
                 for flip in (False, True):
-                    result = self.probe(current, c_star, flip)
-                    if isinstance(result, RainbowMatching):
+                    augmented, moves = self.explore(current, c_star, flip, meter)
+                    if augmented is not None:
                         self.trace.rotations = expanded
                         self.trace.augmentations.append((c_star, 0))
-                        return result
-                for flip in (False, True):
-                    for candidate in self.rotation_moves(current, c_star, flip, meter):
+                        return augmented
+                    for candidate in moves:
                         key = candidate.edge_set()
                         if key not in seen:
                             seen.add(key)

@@ -8,6 +8,7 @@ of simplex) so that agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from rainbowmatch.digraph import LabelledDigraph
@@ -167,3 +168,20 @@ def golden_suite(count: int = 20):
         yield n, generate_instance(
             "random", n, cs, False, seed=900 + i, left_size=cs + 2, right_size=cs + 2
         )
+
+
+def tight_text(order: int, seed: int) -> str:
+    """order-1 whole rows of a random isotope of the cyclic square."""
+    rng = random.Random(f"engine-snapshot/{order}/{seed}")
+    rows, cols, syms = list(range(order)), list(range(order)), list(range(order))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    rng.shuffle(syms)
+    edges = [
+        (cols[j], syms[(rows[i] + cols[j]) % order], i)
+        for i in range(order - 1)
+        for j in range(order)
+    ]
+    rng.shuffle(edges)
+    lines = [f"{order} {order} {order - 1}"] + [f"{x} {y} {c}" for x, y, c in edges]
+    return "\n".join(lines) + "\n"

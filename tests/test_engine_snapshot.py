@@ -6,41 +6,35 @@ instances.  The tight systems (n rows of a cyclic square of order n+1)
 reach the rotation search, and the full even-order squares, which have no
 transversal, exhaust it.  A change to the engine that alters any matching,
 augmentation record or rotation count changes the digest.
+
+A second digest pins the same tight systems under ``--node-limit N`` at
+several N, stdout, stderr and exit code: the small limits exit 3, so it
+records where each run's meters stop it.  It was re-recorded when the
+rotation search came to walk each state once on its one meter: three runs
+that exited 3 now finish (tight-10-1 at N=70, tight-12-4 at N=90 and
+tight-17-0 at N=130), and no other run changed.
 """
 
 import hashlib
-import random
 
 from rainbowmatch.cli import run
 from rainbowmatch.core import write_edge_list
 from rainbowmatch.gen import generate_instance
+
+from helpers import tight_text
 
 SNAPSHOT_SHA256 = "477d3353c139acc338437d86ee5d2705bdc4eee0afbf46832101cf76f865655f"
 
 # (order, seed) of tight systems; most of them reach the rotation search
 TIGHT = [(7, 0), (9, 0), (9, 9), (10, 1), (11, 0), (12, 4), (13, 6), (15, 8), (17, 0), (17, 6), (17, 7)]
 
-
-def _tight_text(order: int, seed: int) -> str:
-    """order-1 whole rows of a random isotope of the cyclic square."""
-    rng = random.Random(f"engine-snapshot/{order}/{seed}")
-    rows, cols, syms = list(range(order)), list(range(order)), list(range(order))
-    rng.shuffle(rows)
-    rng.shuffle(cols)
-    rng.shuffle(syms)
-    edges = [
-        (cols[j], syms[(rows[i] + cols[j]) % order], i)
-        for i in range(order - 1)
-        for j in range(order)
-    ]
-    rng.shuffle(edges)
-    lines = [f"{order} {order} {order - 1}"] + [f"{x} {y} {c}" for x, y, c in edges]
-    return "\n".join(lines) + "\n"
+NODE_LIMIT_SHA256 = "2b5f1a3aae4f52a664b4b06a48eac559f030793076f093f90cf86877f951e353"
+NODE_LIMITS = (50, 70, 90, 110, 130, 150, 200, 300, 500, 700)
 
 
 def _instances():
     for order, seed in TIGHT:
-        yield f"tight-{order}-{seed}", _tight_text(order, seed), []
+        yield f"tight-{order}-{seed}", tight_text(order, seed), []
     for n in (4, 6, 8):
         yield f"latin-{n}", write_edge_list(generate_instance("latin", n, seed=n)), []
     for i in range(12):
@@ -49,8 +43,8 @@ def _instances():
             "random", n, n - 1 + i % 3, False, seed=100 + i, left_size=n + 1, right_size=n + 1
         )
         yield f"random-{i}", write_edge_list(g), []
-    yield "tight-11-0-cap2", _tight_text(11, 0), ["--depth-cap", "2"]
-    yield "tight-13-6-cap1", _tight_text(13, 6), ["--depth-cap", "1"]
+    yield "tight-11-0-cap2", tight_text(11, 0), ["--depth-cap", "2"]
+    yield "tight-13-6-cap1", tight_text(13, 6), ["--depth-cap", "1"]
 
 
 def test_switching_cli_output_matches_snapshot(tmp_path, capsys):
@@ -62,3 +56,18 @@ def test_switching_cli_output_matches_snapshot(tmp_path, capsys):
         out = capsys.readouterr().out.replace(str(path), f"{name}.txt")
         digest.update(f"{name} exit {rc}\n{out}".encode())
     assert digest.hexdigest() == SNAPSHOT_SHA256
+
+
+def test_node_limited_switching_matches_snapshot(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for order, seed in TIGHT:
+        name = f"tight-{order}-{seed}"
+        path = tmp_path / f"{name}.txt"
+        path.write_text(tight_text(order, seed))
+        for limit in NODE_LIMITS:
+            argv = ["solve", "--algorithm", "switching", "--trace", "--node-limit", str(limit)]
+            rc = run([*argv, str(path)])
+            out, err = capsys.readouterr()
+            out = out.replace(str(path), f"{name}.txt")
+            digest.update(f"{name} N={limit} exit {rc}\n{out}{err}".encode())
+    assert digest.hexdigest() == NODE_LIMIT_SHA256

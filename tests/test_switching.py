@@ -9,12 +9,13 @@ from rainbowmatch.core import (
     build_graph,
     greedy_rainbow_matching,
     make_context,
+    read_edge_list,
     relabel_matching,
     restrict,
     verify_rainbow_matching,
 )
 from rainbowmatch.digraph import LabelledDigraph, check_proper_labelling, iter_rainbow_paths
-from rainbowmatch.budget import SearchBudget
+from rainbowmatch.budget import BudgetMeter, SearchBudget
 from rainbowmatch.errors import (
     BudgetExceeded,
     EmptyMatching,
@@ -29,6 +30,7 @@ from rainbowmatch.latin import parse_latin, square_to_graph
 from rainbowmatch.oracle import exact_max_rainbow_matching
 from rainbowmatch.switching import (
     AugmentFailure,
+    _Engine,
     Switching,
     apply_switching,
     augment,
@@ -39,7 +41,7 @@ from rainbowmatch.switching import (
     woolbright_floor,
 )
 
-from helpers import deficient_suite, switching_suite
+from helpers import deficient_suite, switching_suite, tight_text
 
 LATIN_2x2 = square_to_graph(parse_latin("1 2\n2 1"))
 
@@ -493,3 +495,52 @@ def test_active_colours_match_the_restricted_copy():
                 assert got == relabel_matching(want, cmap)
             probes += 1
     assert probes >= 70
+
+
+def _reference_moves(engine, ctx, c_star, flip):
+    """Every same-size matching one switching away, on the host: one walk of
+    the switch digraph, ``apply_switching`` per non-empty path."""
+    if ctx.matching.size == 0:
+        return []
+    D = build_switch_digraph(ctx, ctx.x0)
+    cap = engine.depth_cap if engine.depth_cap is not None else len(ctx.active_colours)
+    moves = []
+    for path in iter_rainbow_paths(D, c_star, max_len=cap, vertex_scope="all"):
+        if path:
+            sigma = path_to_switching(ctx, ctx.x0, [c_star] + [a.head for a in path], D)
+            moves.append(engine.to_host(apply_switching(ctx, sigma), flip))
+    return moves
+
+
+@pytest.mark.parametrize("depth_cap", [None, 2])
+def test_explore_gives_augment_or_the_reference_moves(monkeypatch, depth_cap):
+    # Replays every (matching, c*, side) the engine builds a context for:
+    # the states pass 1 probes and those the rotation search explores.  On
+    # the rotation states of these systems the first hit in preorder is also
+    # a shortest one; some pass-1 states are where the two differ.
+    states = []
+    context = _Engine.context
+
+    def recording(self, matching, c_star, flip):
+        states.append((self, matching, c_star, flip))
+        return context(self, matching, c_star, flip)
+
+    monkeypatch.setattr(_Engine, "context", recording)
+    for order, seed in [(9, 0), (11, 0), (13, 6), (15, 8), (17, 7)]:
+        graph = read_edge_list(tight_text(order, seed))
+        m, _ = solve_switching_engine(graph, depth_cap=depth_cap)
+        assert m.size == graph.colour_count
+    monkeypatch.undo()
+    outcomes = {"augmented": 0, "moves": 0}
+    for engine, current, c_star, flip in states:
+        augmented, moves = engine.explore(current, c_star, flip, BudgetMeter(None))
+        ctx = engine.context(current, c_star, flip)
+        want = augment(ctx, engine.depth_cap)
+        if isinstance(want, RainbowMatching):
+            assert (augmented, moves) == (engine.to_host(want, flip), [])
+            outcomes["augmented"] += 1
+        else:
+            assert augmented is None
+            assert moves == _reference_moves(engine, ctx, c_star, flip)
+            outcomes["moves"] += 1
+    assert outcomes["augmented"] >= 5 and outcomes["moves"] >= 20
