@@ -31,6 +31,7 @@ from .errors import (
     CertificateExhausted,
     NoVerifiedSetFound,
     PathNotInDigraph,
+    PathNotRainbow,
     PreconditionViolated,
     SegmentNotFound,
 )
@@ -445,7 +446,8 @@ def rainbow_path_through(
             used.add(D.vertex_labels[arc.head])
             visited.add(arc.head)
         out.extend(leg)
-    assert is_rainbow_arc_path(D, tuple(out), edge_rainbow=True, vertex_scope="all")
+    if not is_rainbow_arc_path(D, tuple(out), edge_rainbow=True, vertex_scope="all"):
+        raise PathNotRainbow("rainbow_path_through built a path that is not rainbow")
     return tuple(out)
 
 
@@ -495,24 +497,19 @@ def lift_path_through_two_hops(
     path_labels = {D.vertex_labels[v] for v in verts}
     if any(D.vertex_labels[v] in S for v in verts[1:-1]):
         raise PreconditionViolated("an internal path vertex carries a forbidden colour")
-    used: set = set()
+    blocked = set(S) | path_labels  # grows by each chosen triple
     out: list[Arc] = []
     for a, b in zip(verts, verts[1:]):
         entries = certificate.bundles.get((a, b))
         if entries is None:
             raise PathNotInDigraph(f"derived arc {a} -> {b} has no certificate")
-        pick = None
-        for entry in entries:
-            triple = set(entry.colour_triple())
-            if triple & used or triple & S or triple & path_labels:
-                continue
-            pick = entry
-            break
+        pick = next((e for e in entries if blocked.isdisjoint(e.colour_triple())), None)
         if pick is None:
             raise CertificateExhausted(
                 f"no admissible midpoint left for derived arc {a} -> {b}"
             )
-        used |= set(pick.colour_triple())
+        blocked.update(pick.colour_triple())
         out.extend((pick.first, pick.second))
-    assert is_rainbow_arc_path(D, tuple(out), edge_rainbow=True, vertex_scope="all")
+    if not is_rainbow_arc_path(D, tuple(out), edge_rainbow=True, vertex_scope="all"):
+        raise PathNotRainbow("lift_path_through_two_hops built a path that is not rainbow")
     return tuple(out)

@@ -10,7 +10,6 @@ its inputs.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -367,20 +366,24 @@ def relabel_matching(matching: RainbowMatching, colour_map: Sequence[int]) -> Ra
 
 # --- text formats: edge lists ("L R C", then "x y c" lines) and matchings ---
 
-# A line neither blank nor three plain integers; a text with none splits at once.
-# (Unlike a fullmatch of repeated lines, a search keeps no state per line.)
-# A "#" fails the search anyway, so a text with a comment skips it.  Past the
-# search every token is ASCII -?\d+, so int() cannot fail on one: it runs once
-# per distinct token, and each repeat reads the same int from a dict.
-_NOT_PLAIN = re.compile(r"^(?![ \t]*(?:-?\d+[ \t]+-?\d+[ \t]+-?\d+[ \t]*)?\r?$)", re.M | re.A)
+# The bulk path reads a canonical text: every line three runs of ASCII digits
+# joined by single spaces, and "\n" after every line but perhaps the last.
+# Less its digits such a text is "  \n" per line (the last "\n" optional);
+# as that would also pass an empty id, "1  2", the text must split into three
+# tokens per line.  int() reads each distinct token once; a dict gives repeats.
+_DELETE_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _plain_rows(text: str) -> list[Edge] | None:
-    """The rows of a text whose every line is blank or three plain integers,
-    or None for any other text (which the caller reads line by line)."""
-    if "#" in text or _NOT_PLAIN.search(text):
+    """The rows of a canonical text, or None for any other text (which the
+    caller reads line by line)."""
+    residue = text.translate(_DELETE_DIGITS)
+    lines = (len(residue) + 1) // 3
+    if residue != ("  \n" * lines)[: len(residue)]:
         return None
     tokens = text.split()
+    if len(tokens) != 3 * lines:
+        return None
     distinct = set(tokens)
     value = dict(zip(distinct, map(int, distinct)))
     it = map(value.__getitem__, tokens)

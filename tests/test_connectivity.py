@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rainbowmatch import connectivity
 from rainbowmatch.connectivity import (
     build_two_hop_digraph,
     close_high_degree_subgraph,
@@ -15,6 +16,7 @@ from rainbowmatch.connectivity import (
 from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths
 from rainbowmatch.errors import (
     CertificateExhausted,
+    PathNotRainbow,
     PreconditionViolated,
     SegmentNotFound,
 )
@@ -304,3 +306,15 @@ def test_lift_exhausted_by_forbidding_certificate_colours():
     colours = frozenset(entry.colour_triple())
     with pytest.raises(CertificateExhausted):
         lift_path_through_two_hops(D, cert, [arc.tail, arc.head], colours)
+
+
+def test_returned_paths_are_reverified(monkeypatch):
+    # the re-verification is an explicit check, so it holds under python -O
+    D = generate_proper_digraph(30, 10, seed=2)
+    derived, cert = build_two_hop_digraph(D, 3)
+    arc = derived.arcs[0]
+    monkeypatch.setattr(connectivity, "is_rainbow_arc_path", lambda *args, **kwargs: False)
+    with pytest.raises(PathNotRainbow, match="rainbow_path_through"):
+        rainbow_path_through(complete_biorientation(6), range(6), [0, 2, 4], frozenset(), 2)
+    with pytest.raises(PathNotRainbow, match="lift_path_through_two_hops"):
+        lift_path_through_two_hops(D, cert, [arc.tail, arc.head], frozenset())

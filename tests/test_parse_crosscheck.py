@@ -12,12 +12,14 @@ import random
 
 import pytest
 
-from rainbowmatch.core import Edge, RainbowMatching, read_edge_list, read_matching
+from rainbowmatch import core
+from rainbowmatch.core import Edge, RainbowMatching, read_edge_list, read_matching, write_edge_list
 from rainbowmatch.errors import (
     DuplicateEdgeAcrossColours,
     DuplicateEndpointInColourClass,
     IdOutOfRange,
 )
+from rainbowmatch.gen import generate_instance
 
 
 def reference_read(text, edge_disjoint=False):
@@ -106,6 +108,29 @@ FIXED = [
     ("# c\r\n2\t2 2  \r\n\r\n \t \n0 0 0 # e\n1\t1  1",
      ((Edge(0, 0, 0), Edge(1, 1, 1)), ((Edge(0, 0, 0),), (Edge(1, 1, 1),)))),
 ]
+
+ONE_EDGE = ((Edge(0, 1, 0),), ((Edge(0, 1, 0),),))
+# Texts at the edge of the layout the reader takes in bulk (three ASCII-digit
+# ids joined by single spaces, "\n" after each line but perhaps the last): on
+# either side of that edge, each must read as the line-by-line reference does.
+NEAR_CANONICAL = [
+    ("2 2 1\n0  1 0\n", ONE_EDGE),  # a double space
+    ("2 2 1\n 0 1 0\n", ONE_EDGE),  # a leading space
+    ("2 2 1\n0 1 0 \n", ONE_EDGE),  # a trailing space
+    ("2 2 1\n0\t1 0\n", ONE_EDGE),
+    ("2 2 1\r\n0 1 0\r\n", ONE_EDGE),
+    ("4 4 1\n\u0663 \uff13 0\n", ((Edge(3, 3, 0),), ((Edge(3, 3, 0),),))),  # digits int() reads
+    # str.splitlines breaks a line at these, so an id after one starts a new line
+    *[(f"2 2 1\n0{ch}1 0\n", (ValueError, "edge line must be 'x y c', got '0'"))
+      for ch in "\x0b\x0c\x1c\x85\u2028"],
+    ("2 2 1\n0\xa01 0\n", ONE_EDGE),  # whitespace to str.split, not to splitlines
+    *[(f"2 2 1\n0 1 0{ch}\n", ONE_EDGE) for ch in "\x0b\x0c\x1c\x85\xa0\u2028"],
+    ("  ", (ValueError, "empty edge-list input")),  # "  \n" less its line break
+    ("2 2 1", ((), ((),))),  # a header only, with no final newline
+    ("2 2 1\n0 1 0", ONE_EDGE),  # a last edge line with no final newline
+    ("2 2 1\n0 1 0\n\n", ONE_EDGE),  # a trailing blank line
+]
+FIXED += NEAR_CANONICAL
 
 
 @pytest.mark.parametrize("text,expected", FIXED)
@@ -249,6 +274,21 @@ def test_planted_texts_agree_with_reference(fault):
             assert expected[0] is raises if raises else len(expected[0]) == len(text.splitlines()) - 1
 
 
+def test_generated_and_benchmark_layouts_take_the_bulk_path():
+    # the solver workloads' inputs are read in bulk; one step off the layout
+    # sends a text to the line loop, which reads the same graph
+    generated = write_edge_list(generate_instance("random", 12, 10, seed=3, left_size=15))
+    planted = planted_text(random.Random("bulk"), 40, None)  # as the benchmark writes them
+    for text in (generated, planted):
+        rows = core._plain_rows(text)
+        assert rows is not None and len(rows) == len(text.splitlines())
+        graph = read_edge_list(text)
+        for changed in (text.replace("\n", "\r\n"), text.replace(" ", "\t", 1),
+                        text.replace(" ", "  ", 1)):
+            assert core._plain_rows(changed) is None
+            assert read_edge_list(changed) == graph
+
+
 def reference_read_matching(text):
     """The matching of a text read one line at a time."""
     edges = []
@@ -283,6 +323,7 @@ def matching_outcome(read, text):
     "", "\n\n", "0 0 0\n", "0 0 0\n1 1 1", "07 -0 12345678901234567890\n",
     "# a matching\n0 0 0  # e\r\n1\t1 1\r\n", "+1 1_0 0\n",
     "0 0\n", "0 0 0 0\n", "0 x 0\n", "1.5 0 0\n", *INT_OWN,
+    *(text for text, _ in NEAR_CANONICAL),
 ])
 def test_read_matching_fixed_texts(text):
     assert matching_outcome(read_matching_checked, text) == matching_outcome(reference_read_matching, text)
