@@ -5,7 +5,8 @@ classes are matchings.  Vertices and colours are dense 0-based integer ids
 (original labels, when any, live in side tables owned by the I/O layer).
 Graphs and contexts are immutable after construction and safe to share
 across concurrent workers; everything in this module is a pure function of
-its inputs.
+its inputs.  A graph's ``x_index`` (per colour, X-vertex -> edge) is the
+graph's own index: read it, never change it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class ColouredBipartiteMultigraph:
 
     Parallel edges of different colours are stored explicitly; nothing is
     deduplicated.  When ``edge_disjoint`` is set, construction additionally
-    rejects any (x, y) pair carrying two colours.
+    rejects any (x, y) pair carrying two colours.  ``x_index[c]`` maps each
+    X-vertex to its colour-c edge, in edge order; ``colour_classes`` are its
+    values.  The dicts are the graph's own index: read them, never change them.
     """
 
     __slots__ = (
@@ -52,7 +55,7 @@ class ColouredBipartiteMultigraph:
         "edges",
         "edge_disjoint",
         "colour_classes",
-        "_edge_set",
+        "x_index",
     )
 
     def __init__(
@@ -74,8 +77,7 @@ class ColouredBipartiteMultigraph:
             edges = tuple(e if type(e) is Edge else Edge(*e) for e in edges)
         self.edges = edges
 
-        classes: list[list[Edge]] = [[] for _ in range(colour_count)]
-        x_seen: list[set[int]] = [set() for _ in range(colour_count)]
+        x_index: list[dict[int, Edge]] = [{} for _ in range(colour_count)]
         y_seen: list[set[int]] = [set() for _ in range(colour_count)]
         pairs: dict[tuple[int, int], int] = {}
 
@@ -87,9 +89,9 @@ class ColouredBipartiteMultigraph:
                 raise IdOutOfRange(f"Y-vertex {y} outside [0, {right_size})")
             if not (0 <= c < colour_count):
                 raise IdOutOfRange(f"colour {c} outside [0, {colour_count})")
-            xs = x_seen[c]
+            at_x = x_index[c]
             ys = y_seen[c]
-            if x in xs:
+            if x in at_x:
                 raise DuplicateEndpointInColourClass(
                     f"colour {c} has two edges at X-vertex {x}"
                 )
@@ -97,7 +99,7 @@ class ColouredBipartiteMultigraph:
                 raise DuplicateEndpointInColourClass(
                     f"colour {c} has two edges at Y-vertex {y}"
                 )
-            xs.add(x)
+            at_x[x] = e
             ys.add(y)
             if edge_disjoint:
                 prev = pairs.get((x, y))
@@ -106,16 +108,19 @@ class ColouredBipartiteMultigraph:
                         f"pair ({x}, {y}) carries colours {prev} and {c}"
                     )
                 pairs[(x, y)] = c
-            classes[c].append(e)
 
-        self.colour_classes = tuple(tuple(cl) for cl in classes)
-        self._edge_set = frozenset(self.edges)
+        self.x_index = tuple(x_index)
+        self.colour_classes = tuple(tuple(at_x.values()) for at_x in x_index)
 
     def colour_class(self, c: int) -> tuple[Edge, ...]:
         return self.colour_classes[c]
 
     def has_edge(self, e: Edge) -> bool:
-        return e in self._edge_set
+        """Whether ``e`` is an edge; any tuple not of three ids is not."""
+        if len(e) != 3:
+            return False
+        c = e[2]
+        return 0 <= c < self.colour_count and self.x_index[c].get(e[0]) == e
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColouredBipartiteMultigraph):
@@ -371,6 +376,8 @@ def relabel_matching(matching: RainbowMatching, colour_map: Sequence[int]) -> Ra
 # Less its digits such a text is "  \n" per line (the last "\n" optional);
 # as that would also pass an empty id, "1  2", the text must split into three
 # tokens per line.  int() reads each distinct token once; a dict gives repeats.
+# An id too long for int() sends the text to the line loop, which names the
+# first such id in file order.
 _DELETE_DIGITS = str.maketrans("", "", "0123456789")
 
 
@@ -385,7 +392,10 @@ def _plain_rows(text: str) -> list[Edge] | None:
     if len(tokens) != 3 * lines:
         return None
     distinct = set(tokens)
-    value = dict(zip(distinct, map(int, distinct)))
+    try:
+        value = dict(zip(distinct, map(int, distinct)))
+    except ValueError:
+        return None
     it = map(value.__getitem__, tokens)
     # tuple.__new__(Edge, t) builds each row with no Python-level call
     return list(map(tuple.__new__, repeat(Edge), zip(it, it, it)))

@@ -93,25 +93,23 @@ def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> Labell
     carry arcs.  Vertex labels are the matched X-endpoints of each colour,
     with the missing colour labelled "*"; an arc u -> v labelled x records a
     colour-u edge from x in X' to the Y-endpoint of v's matching edge.
-    The missing colour has no Y-endpoint, hence no in-arcs.
+    The missing colour has no Y-endpoint, hence no in-arcs.  Each active
+    colour costs one lookup in the graph's ``x_index`` per X-vertex of X'.
     """
     if ctx.matching.size == 0:
         raise EmptyMatching("switch digraph needs a non-empty matching")
-    c_star = ctx.c_star
-    xset = frozenset(x_prime)
+    label_of = {c: e.x for c, e in ctx.edge_of_colour.items()}
+    label_of[ctx.c_star] = STAR
     graph = ctx.graph
-    labels = tuple(
-        STAR if c == c_star else ctx.x_of_colour(c) for c in range(graph.colour_count)
-    )
+    labels = tuple(map(label_of.get, range(graph.colour_count)))
+    xs = tuple(dict.fromkeys(x_prime))
+    colour_at_y = {y: e.c for y, e in ctx.edge_of_y.items()}
     arcs: list[tuple[int, int, int]] = []
     for u in ctx.active_colours:
-        for e in graph.colour_classes[u]:
-            if e.x not in xset:
-                continue
-            target = ctx.edge_of_y.get(e.y)
-            if target is None or target.c == u:
-                continue
-            arcs.append((u, target.c, e.x))
+        for e in filter(None, map(graph.x_index[u].get, xs)):
+            v = colour_at_y.get(e.y, u)  # an uncovered y, like u's own, gives no arc
+            if v != u:
+                arcs.append((u, v, e.x))
     return LabelledDigraph(graph.colour_count, arcs, vertex_labels=labels)
 
 
@@ -366,6 +364,7 @@ def solve_switching_engine(
 
 
 _YXC = itemgetter(1, 0, 2)
+_X = itemgetter(0)
 
 
 def _swapped(edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -377,19 +376,19 @@ class _YSide:
 
     It stands in for the host in a :class:`MatchingContext`, so the
     calculus, which always switches on the X side, moves host Y-vertices.
+    It indexes its swapped classes once and shares the host's ``has_edge``.
     """
 
-    __slots__ = ("host", "left_size", "right_size", "colour_count", "colour_classes")
+    __slots__ = ("left_size", "right_size", "colour_count", "colour_classes", "x_index")
 
     def __init__(self, host: ColouredBipartiteMultigraph):
-        self.host = host
         self.left_size = host.right_size
         self.right_size = host.left_size
         self.colour_count = host.colour_count
-        self.colour_classes = tuple(_swapped(cl) for cl in host.colour_classes)
+        self.colour_classes = tuple(map(_swapped, host.colour_classes))
+        self.x_index = tuple(dict(zip(map(_X, cl), cl)) for cl in self.colour_classes)
 
-    def has_edge(self, e: Edge) -> bool:
-        return self.host.has_edge(Edge(e.y, e.x, e.c))
+    has_edge = ColouredBipartiteMultigraph.has_edge
 
 
 @dataclass

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from rainbowmatch.digraph import LabelledDigraph
+from rainbowmatch.switching import STAR
 from rainbowmatch.gen import generate_instance, random_latin_square
 from rainbowmatch.latin import square_to_graph
 
@@ -185,3 +186,24 @@ def tight_text(order: int, seed: int) -> str:
     rng.shuffle(edges)
     lines = [f"{order} {order} {order - 1}"] + [f"{x} {y} {c}" for x, y, c in edges]
     return "\n".join(lines) + "\n"
+
+
+def scan_switch_digraph(ctx, x_prime) -> LabelledDigraph:
+    """The switch digraph built by scanning every edge of every active colour
+    and keeping those that start in X' (the library looks X' up instead)."""
+    c_star = ctx.c_star
+    xset = frozenset(x_prime)
+    graph = ctx.graph
+    labels = tuple(
+        STAR if c == c_star else ctx.x_of_colour(c) for c in range(graph.colour_count)
+    )
+    arcs = []
+    for u in ctx.active_colours:
+        for e in graph.colour_classes[u]:
+            if e.x not in xset:
+                continue
+            target = ctx.edge_of_y.get(e.y)
+            if target is None or target.c == u:
+                continue
+            arcs.append((u, target.c, e.x))
+    return LabelledDigraph(graph.colour_count, arcs, vertex_labels=labels)

@@ -133,6 +133,23 @@ NEAR_CANONICAL = [
 FIXED += NEAR_CANONICAL
 
 
+def int_error(token):
+    try:
+        int(token)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Two ids too long for int(), the first in file order the longer: canonical
+# text and its CRLF copy (read in bulk and line by line) must name the first.
+LONG_IDS = {"long-ids": "2 2 1\n" + "1" * 4500 + " " + "1" * 4400 + " 0\n"}
+LONG_IDS["long-ids-crlf"] = LONG_IDS["long-ids"].replace("\n", "\r\n")
+FIXED += [
+    pytest.param(text, (ValueError, int_error("1" * 4500)), id=name)
+    for name, text in LONG_IDS.items()
+]
+
+
 @pytest.mark.parametrize("text,expected", FIXED)
 def test_fixed_texts(text, expected):
     assert outcome(reference_read, text, False) == expected
@@ -324,6 +341,7 @@ def matching_outcome(read, text):
     "# a matching\n0 0 0  # e\r\n1\t1 1\r\n", "+1 1_0 0\n",
     "0 0\n", "0 0 0 0\n", "0 x 0\n", "1.5 0 0\n", *INT_OWN,
     *(text for text, _ in NEAR_CANONICAL),
+    *(pytest.param(text, id=name) for name, text in LONG_IDS.items()),
 ])
 def test_read_matching_fixed_texts(text):
     assert matching_outcome(read_matching_checked, text) == matching_outcome(reference_read_matching, text)
@@ -341,3 +359,11 @@ def test_read_matching_random_texts_agree_with_reference():
         else:
             raised += 1
     assert parsed > 300 and raised > 100
+
+
+def test_an_over_long_id_is_named_in_file_order():
+    assert "4500 digits" in int_error("1" * 4500)
+    assert core._plain_rows(LONG_IDS["long-ids"]) is None  # the bulk path hands it on
+    for read in (read_edge_list, read_matching):
+        canonical, crlf = (matching_outcome(read, text) for text in LONG_IDS.values())
+        assert canonical == crlf and canonical[0] is ValueError
