@@ -26,6 +26,7 @@ from .digraph import (
     check_proper_labelling,
     is_rainbow_arc_path,
     iter_rainbow_paths,
+    iter_shortest_first,
 )
 from .errors import (
     CertificateExhausted,
@@ -68,42 +69,11 @@ def rainbow_distance(
     budget: SearchBudget | None = None,
 ) -> int | float:
     """Length of the shortest rainbow u -> v path, or infinity beyond cap."""
-    path = _first_shortest_path(
-        D, u, v, cap, vertex_scope=_scope(mode), meter=BudgetMeter(budget)
+    paths = iter_shortest_first(
+        D, u, target=v, max_len=cap, vertex_scope=_scope(mode), meter=BudgetMeter(budget)
     )
+    path = next(paths, None)
     return INFINITE if path is None else len(path)
-
-
-def _first_shortest_path(
-    D: LabelledDigraph,
-    u: int,
-    v: int,
-    cap: int,
-    *,
-    vertex_scope: str,
-    forbidden: frozenset = frozenset(),
-    forbidden_vertices: frozenset = frozenset(),
-    meter: BudgetMeter,
-) -> tuple[Arc, ...] | None:
-    """The first shortest rainbow u -> v path in depth-first order, by
-    iterative deepening up to length cap; None when there is none."""
-    for max_len in range(cap + 1):
-        path = next(
-            iter_rainbow_paths(
-                D,
-                u,
-                target=v,
-                max_len=max_len,
-                vertex_scope=vertex_scope,
-                forbidden=forbidden,
-                forbidden_vertices=forbidden_vertices,
-                meter=meter,
-            ),
-            None,
-        )
-        if path is not None:
-            return path
-    return None
 
 
 def rainbow_ball_layers(
@@ -465,16 +435,17 @@ def _shortest_leg(
     forbidden = used - {D.vertex_labels[a]}
     if D.vertex_labels[b] in forbidden:
         return None
-    return _first_shortest_path(
+    paths = iter_shortest_first(
         D,
         a,
-        b,
-        d,
+        target=b,
+        max_len=d,
         vertex_scope="all",
         forbidden=forbidden,
         forbidden_vertices=blocked,
         meter=meter,
     )
+    return next(paths, None)
 
 
 def lift_path_through_two_hops(

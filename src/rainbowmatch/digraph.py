@@ -5,12 +5,14 @@ labelled), the colour digraph used by the golden-ratio solver (edge labels
 only), derived two-hop digraphs (unlabelled), and edge-coloured digraphs in
 general.  "Label" and "colour" are interchangeable here.
 
-A digraph builds its sorted out-arc lists at once and its in-arc and
-per-head indexes on first use: most digraphs built here never read them.
+A digraph builds its sorted out-arc lists at once and its per-head index
+on first use: most digraphs built here never read it.
 
 ``iter_rainbow_paths`` is the one rainbow path search; the switching engine,
 the connectivity toolbox, the oracles and the Menger lab all consume it.
-Rainbow conventions differ per use and are driven by two knobs:
+``iter_shortest_first`` deepens it one length at a time, for the searches
+that want the first shortest path.  Rainbow conventions differ per use and
+are driven by two knobs:
 
 * ``edge_rainbow`` -- edge labels along a path must be pairwise distinct;
 * ``vertex_scope`` -- whether vertex labels join the distinctness set:
@@ -24,7 +26,7 @@ matching the convention used throughout.
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
@@ -64,13 +66,13 @@ class LabelledDigraph:
 
     Parallel arcs (same endpoints, different labels) are allowed; self-loops
     are not.  ``vertex_labels`` is either None (unlabelled vertices) or a
-    tuple of length n.  The in-arc index and the per-head index (for each
-    head v, tail u -> the arcs u -> v in out-arc order) are built on the
-    first call that reads them; the digraph stays immutable in value, and
-    two threads that race on first use build the same index.
+    tuple of length n.  The in-side is one index, built on the first call
+    that reads it: for each head v, tail u -> the arcs u -> v in out-arc
+    order.  The digraph stays immutable in value, and two threads that race
+    on first use build the same index.
     """
 
-    __slots__ = ("vertex_count", "arcs", "vertex_labels", "_out", "_in", "_into")
+    __slots__ = ("vertex_count", "arcs", "vertex_labels", "_out", "_into")
 
     def __init__(
         self,
@@ -100,7 +102,6 @@ class LabelledDigraph:
         plain = any(kinds <= types for types in _PLAIN_LABEL_TYPES)
         key = _HEAD_LABEL if plain else _arc_key
         self._out = tuple(tuple(sorted(lst, key=key)) for lst in out)
-        self._in: tuple[tuple[Arc, ...], ...] | None = None
         self._into: tuple[dict[int, tuple[Arc, ...]], ...] | None = None
 
     def out_arcs(self, v: int) -> tuple[Arc, ...]:
@@ -120,19 +121,11 @@ class LabelledDigraph:
     def arcs_between(self, u: int, v: int) -> tuple[Arc, ...]:
         return self.arcs_into(v).get(u, ())
 
-    def in_arcs(self, v: int) -> tuple[Arc, ...]:
-        if self._in is None:
-            inc: list[list[Arc]] = [[] for _ in range(self.vertex_count)]
-            for a in self.arcs:
-                inc[a.head].append(a)
-            self._in = tuple(map(tuple, inc))
-        return self._in[v]
-
     def out_neighbours(self, v: int) -> frozenset[int]:
         return frozenset(a.head for a in self._out[v])
 
     def in_neighbours(self, v: int) -> frozenset[int]:
-        return frozenset(a.tail for a in self.in_arcs(v))
+        return frozenset(self.arcs_into(v))
 
     def out_degree(self, v: int) -> int:
         return len(self.out_neighbours(v))
@@ -177,8 +170,12 @@ def iter_rainbow_paths(
 
     The search is iterative: a stack holds one out-arc iterator per path
     vertex, so a path of length L costs no chain of L generator frames per
-    yield.  The meter ticks once per out-arc examined.
+    yield.  The meter ticks once per out-arc examined.  A start or target
+    outside the digraph raises ``ValueError`` on the first ``next``.
     """
+    for end in (start, target):
+        if end is not None and not 0 <= end < D.vertex_count:
+            raise ValueError(f"vertex {end} is not among the digraph's {D.vertex_count} vertices")
     if vertex_scope not in ("none", "all"):
         raise ValueError(f"unknown vertex_scope {vertex_scope!r}")
     if vertex_scope != "none" and D.vertex_labels is None:
@@ -235,6 +232,27 @@ def iter_rainbow_paths(
                 used.difference_update(added.pop())
 
 
+def iter_shortest_first(
+    D: LabelledDigraph,
+    start: int,
+    *,
+    max_len: int,
+    meter: BudgetMeter | None = None,
+    **rules,
+) -> Iterator[tuple[Arc, ...]]:
+    """The paths of :func:`iter_rainbow_paths` shortest first, by iterative
+    deepening: for each length L up to ``max_len``, one walk capped at L
+    yields its paths of exactly L arcs, in DFS preorder.  Every walk passes
+    the shorter prefixes again, so the first hit comes cheap and the whole
+    stream dear.  ``rules`` are the kernel's: target, the rainbow knobs and
+    the forbidden sets.
+    """
+    for depth in range(max_len + 1):
+        for path in iter_rainbow_paths(D, start, max_len=depth, meter=meter, **rules):
+            if len(path) == depth:
+                yield path
+
+
 def check_proper_labelling(D: LabelledDigraph) -> Verdict:
     """Proper total labelling check plus pairwise-distinct vertex labels.
 
@@ -250,6 +268,12 @@ def check_proper_labelling(D: LabelledDigraph) -> Verdict:
         if lbl in seen:
             return Verdict(False, f"vertices {seen[lbl]} and {v} share label {lbl!r}")
         seen[lbl] = v
+    in_repeat: dict = {}  # head -> the first label its in-arcs repeat, in D.arcs order
+    in_seen: set = set()
+    for a in D.arcs:
+        if (a.head, a.label) in in_seen:
+            in_repeat.setdefault(a.head, a.label)
+        in_seen.add((a.head, a.label))
     for v in range(D.vertex_count):
         out_seen: dict = {}
         for a in D.out_arcs(v):
@@ -258,13 +282,10 @@ def check_proper_labelling(D: LabelledDigraph) -> Verdict:
                     False, f"two out-arcs at {v} share label {a.label!r}"
                 )
             out_seen[a.label] = a
-        in_seen: dict = {}
-        for a in D.in_arcs(v):
-            if a.label in in_seen:
-                return Verdict(False, f"two in-arcs at {v} share label {a.label!r}")
-            in_seen[a.label] = a
+        if v in in_repeat:
+            return Verdict(False, f"two in-arcs at {v} share label {in_repeat[v]!r}")
         vl = D.vertex_labels[v]
-        for a in D.out_arcs(v) + D.in_arcs(v):
+        for a in chain(D.out_arcs(v), *D.arcs_into(v).values()):
             if a.label == vl:
                 return Verdict(
                     False, f"vertex {v} shares label {vl!r} with incident arc"

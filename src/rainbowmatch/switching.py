@@ -28,7 +28,13 @@ from .core import (
     greedy_rainbow_matching,
     verify_rainbow_matching,
 )
-from .digraph import Arc, LabelledDigraph, is_rainbow_arc_path, iter_rainbow_paths
+from .digraph import (
+    Arc,
+    LabelledDigraph,
+    is_rainbow_arc_path,
+    iter_rainbow_paths,
+    iter_shortest_first,
+)
 from .errors import (
     EmptyMatching,
     ExchangeNotApplicable,
@@ -251,7 +257,7 @@ def augment(
     """Grow a one-colour-short matching by one edge, if a switching allows.
 
     Enumerates rainbow paths from the missing colour in the switch digraph
-    over the uncovered X-vertices, by iterative deepening; for every reached
+    over the uncovered X-vertices, shortest first; for every reached
     colour it scans that colour's edges from the still-uncovered X-side to
     the uncovered Y-side.  A hit yields the exchanged matching plus the new
     edge.  Exhaustion returns a structured report (a legitimate outcome:
@@ -275,26 +281,17 @@ def augment(
     paths_explored = 0
     deepest = 0
     frontier: set[int] = set()
-    for depth in range(1, cap + 1):
-        for path in iter_rainbow_paths(
-            D,
-            c_star,
-            target=None,
-            max_len=depth,
-            edge_rainbow=True,
-            vertex_scope="all",
-            meter=meter,
-        ):
-            if len(path) != depth:
-                continue  # shorter prefixes were handled at earlier depths
-            paths_explored += 1
-            deepest = max(deepest, depth)
-            v = path[-1].head
-            frontier.add(v)
-            sigma = _arcs_to_switching(ctx, path)
-            e = _closing_edge(ctx, v, x0, y0, sigma.x_vertices())
-            if e is not None:
-                return _with_edge(apply_switching(ctx, sigma), e)
+    for path in iter_shortest_first(D, c_star, max_len=cap, vertex_scope="all", meter=meter):
+        if not path:
+            continue  # depth 0 was tried above
+        paths_explored += 1
+        deepest = len(path)
+        v = path[-1].head
+        frontier.add(v)
+        sigma = _arcs_to_switching(ctx, path)
+        e = _closing_edge(ctx, v, x0, y0, sigma.x_vertices())
+        if e is not None:
+            return _with_edge(apply_switching(ctx, sigma), e)
     return AugmentFailure(cap, deepest, paths_explored, tuple(sorted(frontier)), True)
 
 
@@ -435,9 +432,10 @@ class _Engine:
 
         Moves are the same-size matchings one switching away.  Both answers,
         on the host, come from one switch digraph and one walk on ``meter``.
-        The augmentation is :func:`augment`'s, the shortest hit first in
-        preorder: the walk yields each length's paths in the order that a walk
-        capped at that length does.
+        The augmentation is :func:`augment`'s: the first hit in
+        :func:`iter_shortest_first` order.  One full walk finds it, because it
+        yields each length's paths in the order that a walk capped at that
+        length does; the shortest hit that comes first wins.
         """
         ctx = self.context(current, c_star, flip)
         x0 = frozenset(ctx.x0)
@@ -451,15 +449,7 @@ class _Engine:
         cap = self.depth_cap if self.depth_cap is not None else len(ctx.active_colours)
         best: tuple[int, RainbowMatching] | None = None  # (length, augmented)
         moves = []
-        for path in iter_rainbow_paths(
-            D,
-            c_star,
-            target=None,
-            max_len=cap,
-            edge_rainbow=True,
-            vertex_scope="all",
-            meter=meter,
-        ):
+        for path in iter_rainbow_paths(D, c_star, max_len=cap, vertex_scope="all", meter=meter):
             if not path:
                 continue
             sigma = _arcs_to_switching(ctx, path)

@@ -207,3 +207,63 @@ def scan_switch_digraph(ctx, x_prime) -> LabelledDigraph:
                 continue
             arcs.append((u, target.c, e.x))
     return LabelledDigraph(graph.colour_count, arcs, vertex_labels=labels)
+
+
+def clashing_label_digraphs(count: int, seed: str = "proper-labelling"):
+    """Small shuffled digraphs with parallel arcs whose integer labels clash.
+
+    Arc labels come from a palette of 2..n+1 colours, so in-arcs at a head
+    often repeat a label, and out-arcs do when a tail draws its labels with
+    replacement.  Vertex labels mostly lie clear of the arc palette, and
+    sometimes repeat one another.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        palette = rng.randint(2, n + 1)
+        shift = rng.choice((0, palette, palette, palette))
+        if rng.random() < 0.9:
+            labels = tuple(shift + x for x in rng.sample(range(n + palette), n))
+        else:
+            labels = tuple(shift + rng.randrange(n + palette) for _ in range(n))
+        rainbow_out = rng.random() < 0.7
+        arcs: dict = {}  # ordered, without repeats
+        for u in range(n):
+            k = rng.randint(0, palette)
+            if rainbow_out:
+                out_labels = rng.sample(range(palette), k)
+            else:
+                out_labels = [rng.randrange(palette) for _ in range(k)]
+            for label in out_labels:
+                w = rng.randrange(n - 1)
+                arcs[(u, w + (w >= u), label)] = None
+        order = list(arcs)
+        rng.shuffle(order)  # D.arcs order differs from the out-arc sort
+        yield LabelledDigraph(n, order, vertex_labels=labels)
+
+
+def reference_proper_labelling(D: LabelledDigraph) -> str | None:
+    """The first failure ``check_proper_labelling`` should name, from plain
+    scans of ``D.arcs``; None when the labelling is proper.
+
+    Vertex labels are checked first.  Then, vertex by vertex: a repeat among
+    its out-arcs in (head, label) order, a repeat among its in-arcs in
+    ``D.arcs`` order, and an incident arc with the vertex's own label.
+    Integer arc labels only.
+    """
+    labels = D.vertex_labels
+    if labels is None:
+        return "digraph has no vertex labels"
+    for v, label in enumerate(labels):
+        if label in labels[:v]:
+            return f"vertices {labels.index(label)} and {v} share label {label!r}"
+    for v in range(D.vertex_count):
+        outs = sorted((a for a in D.arcs if a.tail == v), key=lambda a: (a.head, a.label))
+        ins = [a for a in D.arcs if a.head == v]
+        for side, arcs in (("out", outs), ("in", ins)):
+            for i, a in enumerate(arcs):
+                if any(b.label == a.label for b in arcs[:i]):
+                    return f"two {side}-arcs at {v} share label {a.label!r}"
+        if any(a.label == labels[v] for a in outs + ins):
+            return f"vertex {v} shares label {labels[v]!r} with incident arc"
+    return None

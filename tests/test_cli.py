@@ -287,6 +287,15 @@ def test_connectivity_ball_subcommand(capsys):
     assert payload["t0"] <= 2
 
 
+@pytest.mark.parametrize("vertex", ["99", "40", "-1"])
+def test_connectivity_ball_names_a_vertex_outside_the_digraph(capsys, vertex):
+    argv = ["connectivity", "--op", "ball", "--vertices", "40", "--vertex", vertex]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: vertex {vertex} is not among the digraph's 40 vertices\n"
+
+
 def test_connectivity_kdset_subcommand(capsys):
     code, out = _capture(
         capsys,

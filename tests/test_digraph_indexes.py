@@ -1,10 +1,10 @@
-"""The in-arc and per-head indexes of ``LabelledDigraph``, built on first use.
+"""The per-head index of ``LabelledDigraph``, built on first use.
 
-On seeded digraphs with parallel arcs, ``in_arcs``, ``in_neighbours`` and
-``arcs_between`` must agree with brute-force scans of ``D.arcs``, whether
-they are first asked before the rainbow-path kernel has run on the digraph
-or after.  The kernel itself reads only the out-arc lists, and the two-hop
-derivation reads the per-head index but not the in-arc index.
+On seeded digraphs with parallel arcs, ``in_neighbours`` and
+``arcs_between``, which both read the per-head index, must agree with
+brute-force scans of ``D.arcs``, whether they are first asked before the
+rainbow-path kernel has run on the digraph or after.  The kernel itself
+reads only the out-arc lists; the two-hop derivation builds the index.
 """
 
 import random
@@ -30,7 +30,7 @@ def palette_digraph(n, out_degree, palette, seed):
             arc = (v, w if w < v else w + 1, rng.randrange(palette))
             if arc not in arcs:
                 arcs.append(arc)
-    rng.shuffle(arcs)  # the in-arc order follows D.arcs, not the out-arc sort
+    rng.shuffle(arcs)  # D.arcs order differs from the out-arc sort
     return LabelledDigraph(n, arcs, vertex_labels=tuple(range(n)))
 
 
@@ -54,7 +54,6 @@ def _check_against_scans(D):
     n = D.vertex_count
     assert any(len(D.arcs_between(a.tail, a.head)) > 1 for a in D.arcs)  # parallel arcs
     for v in range(n):
-        assert D.in_arcs(v) == tuple(a for a in D.arcs if a.head == v)
         assert D.in_neighbours(v) == frozenset(a.tail for a in D.arcs if a.head == v)
     for u in range(n):
         for v in range(n):
@@ -75,14 +74,14 @@ def test_indexes_before_the_kernel(name):
 def test_indexes_after_the_kernel(name):
     D = DIGRAPHS[name]()
     _run_kernel(D)
-    assert D._in is None and D._into is None  # the kernel reads only _out
+    assert D._into is None  # the kernel reads only _out
     _check_against_scans(D)
 
 
 def test_two_hop_derivation_builds_only_the_per_head_index():
     D = generate_proper_digraph(12, 4, seed=1)
     build_two_hop_digraph(D, 2)
-    assert D._into is not None and D._in is None
+    assert D._into is not None
 
 
 def test_threads_racing_on_first_use_see_the_same_indexes():

@@ -3,7 +3,8 @@
 Every simple path of a small digraph is built from ``itertools.permutations``
 of its vertices and one arc per hop; the rainbow rules are then applied as
 written, with no search.  The kernel must yield exactly the surviving paths,
-in lexicographic order of their (head, label) sequences.
+in lexicographic order of their (head, label) sequences, and
+``iter_shortest_first`` must yield them by length, in that order per length.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from rainbowmatch.budget import BudgetMeter
-from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths
+from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths, iter_shortest_first
 
 
 def shared_palette_digraph(n: int, arcs_per_vertex: int, palette: int, seed: int):
@@ -51,8 +52,6 @@ def is_admissible(D, start, path, *, target, max_len, edge_rainbow, vertex_scope
         colours += [a.label for a in path]
     if vertex_scope == "all":
         colours += [D.vertex_labels[v] for v in verts]
-    elif vertex_scope == "internal":
-        colours += [D.vertex_labels[v] for v in internal]
     if len(set(colours)) != len(colours):
         return False
     if edge_rainbow and any(a.label in forbidden for a in path):
@@ -96,3 +95,5 @@ def test_kernel_equals_brute_force(seed):
         )
         got = list(iter_rainbow_paths(D, start, meter=BudgetMeter(None), **rules))
         assert got == expected, rules
+        by_length = sorted(expected, key=lambda p: (len(p), _order(p)))
+        assert list(iter_shortest_first(D, start, **rules)) == by_length, rules

@@ -41,7 +41,13 @@ from rainbowmatch.switching import (
     woolbright_floor,
 )
 
-from helpers import deficient_suite, switching_suite, tight_text
+from helpers import (
+    clashing_label_digraphs,
+    deficient_suite,
+    reference_proper_labelling,
+    switching_suite,
+    tight_text,
+)
 
 LATIN_2x2 = square_to_graph(parse_latin("1 2\n2 1"))
 
@@ -118,6 +124,18 @@ def test_check_proper_labelling_violations():
     assert not verdict.ok and "out-arcs" in verdict.reason
     dup_vertex = LabelledDigraph(2, [], vertex_labels=(5, 5))
     assert not check_proper_labelling(dup_vertex).ok
+
+
+def test_check_proper_labelling_names_the_first_failure_in_arc_order():
+    # Per head, the in-arc repeat named is the first one in D.arcs order;
+    # reading the in-arcs tail by tail names another label on some of these.
+    reasons = set()
+    for D in clashing_label_digraphs(4000):
+        expected = reference_proper_labelling(D)
+        assert check_proper_labelling(D) == (expected is None, expected), D.arcs
+        words = expected.split() if expected else ["proper"]
+        reasons.add(words[1] if words[0] == "two" else words[0])
+    assert reasons == {"proper", "vertices", "out-arcs", "in-arcs", "vertex"}
 
 
 def test_path_to_switching_length1():
@@ -380,7 +398,7 @@ def test_missing_colour_has_no_in_arcs():
         if ctx.matching.size == 0:
             continue
         D = build_switch_digraph(ctx, ctx.x0)
-        assert D.in_arcs(ctx.c_star) == ()
+        assert D.arcs_into(ctx.c_star) == {}
 
 
 def test_path_switching_converse_round_trip():
