@@ -16,9 +16,14 @@ from fractions import Fraction
 from .errors import DomainError
 
 DESK_SCALE_LIMIT = 10**6
+# Diameter bounds of a highly connected set, times eps^2: plain, and rainbow.
+CONNECTED_SET_DIAMETER = 40
+RAINBOW_CONNECTED_SET_DIAMETER = 1280
 
 
-def _frac(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """The exact value; a float goes through its shortest decimal form, so
+    0.3 means 3/10."""
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
@@ -64,7 +69,7 @@ def edge_disjoint_guarantee_threshold(eps) -> Fraction:
 
 
 def edge_disjoint_guarantee_report(eps) -> ThresholdReport:
-    eps = _frac(eps)
+    eps = as_fraction(eps)
     if not (0 < eps <= 1):
         raise DomainError("eps must be in (0, 1]")
     return _power_report(
@@ -78,7 +83,7 @@ def edge_disjoint_guarantee_report(eps) -> ThresholdReport:
 
 def threshold_table(eps, m=None, k=None, k1=None) -> tuple[ThresholdReport, ...]:
     """Every named threshold at the given parameters, with feasibility flags."""
-    eps = _frac(eps)
+    eps = as_fraction(eps)
     if not (0 < eps <= 1):
         raise DomainError("eps must be in (0, 1]")
     reports = [edge_disjoint_guarantee_report(eps)]
@@ -90,8 +95,8 @@ def threshold_table(eps, m=None, k=None, k1=None) -> tuple[ThresholdReport, ...]
             log10 = -math.inf
         return ThresholdReport(name, params, value, log10, True, value <= DESK_SCALE_LIMIT)
 
-    connected_d = 40 / eps**2
-    rainbow_d = 1280 / eps**2
+    connected_d = CONNECTED_SET_DIAMETER / eps**2
+    rainbow_d = RAINBOW_CONNECTED_SET_DIAMETER / eps**2
     reports.append(exact_entry("connected_set_diameter", {"eps": eps}, connected_d))
     reports.append(exact_entry("rainbow_connected_set_diameter", {"eps": eps}, rainbow_d))
     if m is not None:

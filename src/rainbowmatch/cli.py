@@ -53,10 +53,7 @@ def _matching_payload(matching: RainbowMatching) -> list[dict]:
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        node_limit=getattr(args, "node_limit", 10_000_000),
-        time_limit=getattr(args, "time_limit", 30.0),
-    )
+    return SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
 
 
 def _oracle_unproved(result) -> int:
@@ -206,7 +203,12 @@ def _cmd_connectivity(args) -> int:
             "target_size": str(result.target_size),
         }
     elif args.op == "through-path":
-        anchors = [int(t) for t in args.anchors.split(",")]
+        try:
+            anchors = [int(t) for t in args.anchors.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--anchors needs comma-separated vertex ids, got {args.anchors!r}"
+            ) from None
         path = conn_mod.rainbow_path_through(
             D,
             range(D.vertex_count),
@@ -310,11 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    defaults = SearchBudget()
+
     def common(p, fmt=True):
         if fmt:
             p.add_argument("--format", choices=("text", "json"), default="json")
-        p.add_argument("--node-limit", type=int, default=10_000_000, dest="node_limit")
-        p.add_argument("--time-limit", type=float, default=30.0, dest="time_limit")
+        p.add_argument("--node-limit", type=int, default=defaults.node_limit)
+        p.add_argument("--time-limit", type=float, default=defaults.time_limit)
 
     p = sub.add_parser("solve", help="solve an edge-list instance")
     p.add_argument("file")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+from .bounds import CONNECTED_SET_DIAMETER, RAINBOW_CONNECTED_SET_DIAMETER, as_fraction
 from .budget import BudgetMeter, SearchBudget
 from .digraph import (
     Arc,
@@ -39,17 +40,6 @@ from .errors import (
 from .oracle import ConnectivityVerdict, is_kd_connected
 
 INFINITE = math.inf
-
-
-def _as_fraction(eps) -> Fraction:
-    # floats go through their shortest decimal form: 0.3 means 3/10 here
-    if isinstance(eps, float):
-        return Fraction(str(eps))
-    return Fraction(eps)
-
-
-def _ceil(frac: Fraction) -> int:
-    return -((-frac.numerator) // frac.denominator)
 
 
 def _scope(mode: str) -> str:
@@ -114,12 +104,12 @@ def low_expansion_ball(
     Radius t is tried only after every smaller one failed, so the layers
     are computed no further out than t0+1; one meter counts every radius.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if not (0 < eps <= 1):
         raise PreconditionViolated("eps must be in (0, 1]")
     meter = BudgetMeter(budget)
     slack = eps * D.vertex_count
-    for t0 in range(_ceil(1 / eps) + 1):
+    for t0 in range(math.ceil(1 / eps) + 1):
         dist = _layers(D, v, t0 + 1, mode, meter)
         ball = frozenset(x for x, d in dist.items() if d <= t0)
         if len(dist) <= len(ball) + slack:
@@ -139,12 +129,12 @@ def close_high_degree_subgraph(
     Requires a properly totally coloured digraph with pairwise distinct
     vertex colours on at least 2/eps^2 vertices.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if not (0 < eps <= 1):
         raise PreconditionViolated("eps must be in (0, 1]")
-    if D.vertex_count < _ceil(2 / eps**2):
+    if D.vertex_count < math.ceil(2 / eps**2):
         raise PreconditionViolated(
-            f"|D| = {D.vertex_count} below threshold {_ceil(2 / eps ** 2)}"
+            f"|D| = {D.vertex_count} below threshold {math.ceil(2 / eps ** 2)}"
         )
     proper = check_proper_labelling(D)
     if not proper:
@@ -327,10 +317,11 @@ def find_kd_connected_set(
     heuristic.  Degenerate inputs fall back to a singleton with a vacuous
     verdict.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if not (0 < eps <= 1):
         raise PreconditionViolated("eps must be in (0, 1]")
-    d = _ceil(40 / eps**2) if mode == "uncoloured" else _ceil(1280 / eps**2)
+    scale = CONNECTED_SET_DIAMETER if mode == "uncoloured" else RAINBOW_CONNECTED_SET_DIAMETER
+    d = math.ceil(scale / eps**2)
     n = D.vertex_count
     if n == 0:
         raise PreconditionViolated("empty digraph")
@@ -416,7 +407,7 @@ def rainbow_path_through(
             used.add(D.vertex_labels[arc.head])
             visited.add(arc.head)
         out.extend(leg)
-    if not is_rainbow_arc_path(D, tuple(out), edge_rainbow=True, vertex_scope="all"):
+    if not is_rainbow_arc_path(D, tuple(out)):
         raise PathNotRainbow("rainbow_path_through built a path that is not rainbow")
     return tuple(out)
 
@@ -481,6 +472,6 @@ def lift_path_through_two_hops(
             )
         blocked.update(pick.colour_triple())
         out.extend((pick.first, pick.second))
-    if not is_rainbow_arc_path(D, tuple(out), edge_rainbow=True, vertex_scope="all"):
+    if not is_rainbow_arc_path(D, tuple(out)):
         raise PathNotRainbow("lift_path_through_two_hops built a path that is not rainbow")
     return tuple(out)

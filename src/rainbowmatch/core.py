@@ -1,12 +1,13 @@
-"""Graph and matching data model, validation, accessor context, greedy solver.
+"""Graph and matching data model, validation, matching context, greedy solver.
 
 The universe every solver operates on is a bipartite multigraph whose colour
 classes are matchings.  Vertices and colours are dense 0-based integer ids
 (original labels, when any, live in side tables owned by the I/O layer).
 Graphs and contexts are immutable after construction and safe to share
 across concurrent workers; everything in this module is a pure function of
-its inputs.  A graph's ``x_index`` (per colour, X-vertex -> edge) is the
-graph's own index: read it, never change it.
+its inputs.  A graph's ``x_index`` (per colour, X-vertex -> edge) and a
+context's maps (vertex or colour -> matching edge) are their owners' own
+indexes: read them, never change them.
 """
 
 from __future__ import annotations
@@ -233,14 +234,15 @@ def greedy_rainbow_matching(graph: ColouredBipartiteMultigraph) -> RainbowMatchi
 
 
 class MatchingContext:
-    """Accessor maps tying a rainbow matching to its host graph.
+    """The maps that tie a rainbow matching to its host graph.
 
-    Exposes the finite maps from vertices and colours to matching edges and
-    their lifted set forms.  Accessors are undefined (return ``None`` /
-    are skipped in set lifts) exactly on uncovered vertices and missing
-    colours.  ``active`` limits the colours in play (default: all); a
-    colour outside it is neither missing nor searched, so a probe for one
-    missing colour passes the matched colours plus that colour.
+    ``edge_of_x``, ``edge_of_y`` and ``edge_of_colour`` map each covered
+    X-vertex, covered Y-vertex and matched colour to its matching edge;
+    uncovered vertices and missing colours are not keys.  ``x0`` and ``y0``
+    list the uncovered vertices.  ``active`` limits the colours in play
+    (default: all); a colour outside it is neither missing nor searched, so
+    a probe for one missing colour passes the matched colours plus that
+    colour.
     """
 
     __slots__ = (
@@ -285,42 +287,6 @@ class MatchingContext:
                 f"{len(self.missing_colours)} colours missing, need exactly 1"
             )
         return self.missing_colours[0]
-
-    # singular accessors; None on uncovered vertices / missing colours
-    def colour_at_x(self, x: int) -> int | None:
-        e = self.edge_of_x.get(x)
-        return None if e is None else e.c
-
-    def colour_at_y(self, y: int) -> int | None:
-        e = self.edge_of_y.get(y)
-        return None if e is None else e.c
-
-    def x_of_colour(self, c: int) -> int | None:
-        e = self.edge_of_colour.get(c)
-        return None if e is None else e.x
-
-    def y_of_colour(self, c: int) -> int | None:
-        e = self.edge_of_colour.get(c)
-        return None if e is None else e.y
-
-    # set-lifted accessors; undefined elements are skipped
-    def xs_of_edges(self, edges: Iterable[Edge]) -> frozenset[int]:
-        return frozenset(e.x for e in edges)
-
-    def colours_of_xs(self, xs: Iterable[int]) -> frozenset[int]:
-        return frozenset(
-            e.c for e in (self.edge_of_x.get(x) for x in xs) if e is not None
-        )
-
-    def edges_of_colours(self, cs: Iterable[int]) -> frozenset[Edge]:
-        return frozenset(
-            e for e in (self.edge_of_colour.get(c) for c in cs) if e is not None
-        )
-
-    def edges_of_xs(self, xs: Iterable[int]) -> frozenset[Edge]:
-        return frozenset(
-            e for e in (self.edge_of_x.get(x) for x in xs) if e is not None
-        )
 
 
 def make_context(

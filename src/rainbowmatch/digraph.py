@@ -293,14 +293,10 @@ def check_proper_labelling(D: LabelledDigraph) -> Verdict:
     return Verdict(True, None)
 
 
-def is_rainbow_arc_path(
-    D: LabelledDigraph,
-    path: tuple[Arc, ...],
-    *,
-    edge_rainbow: bool = True,
-    vertex_scope: str = "none",
-) -> bool:
-    """Validate an explicit arc sequence as a rainbow path of D."""
+def is_rainbow_arc_path(D: LabelledDigraph, path: tuple[Arc, ...]) -> bool:
+    """Validate an explicit arc sequence as a totally rainbow path of D: a
+    path of D whose arc labels and vertex labels, endpoints included, are
+    pairwise distinct together.  D must be vertex-labelled."""
     verts: list[int] = []
     for i, a in enumerate(path):
         if a not in D.arcs_between(a.tail, a.head):
@@ -312,9 +308,6 @@ def is_rainbow_arc_path(
         verts.append(a.head)
     if len(set(verts)) != len(verts):
         return False
-    labels: list = []
-    if edge_rainbow:
-        labels.extend(a.label for a in path)
-    if vertex_scope == "all":
-        labels.extend(D.vertex_labels[v] for v in verts)
+    labels = [a.label for a in path]
+    labels.extend(D.vertex_labels[v] for v in verts)
     return len(set(labels)) == len(labels)

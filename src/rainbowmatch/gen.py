@@ -91,6 +91,8 @@ def generate_proper_digraph(
     are chosen greedily so out-arcs per tail and in-arcs per head stay
     distinct.  Every output satisfies the proper-labelling check.
     """
+    if out_degree < 0:
+        raise InfeasibleParameters(f"out-degree must be non-negative, got {out_degree}")
     if out_degree >= vertex_count:
         raise InfeasibleParameters("out-degree must be below the vertex count")
     rng = SplitMix64(seed)

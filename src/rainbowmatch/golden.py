@@ -56,10 +56,6 @@ class GoldenTrace:
     levels: list[GoldenLevel] = field(default_factory=list)
 
     @property
-    def assembled(self) -> bool:
-        return bool(self.levels) and self.levels[0].method == "assembly"
-
-    @property
     def proved(self) -> bool:
         """No level, child traces included, holds an unproved oracle result."""
         return all(
@@ -90,12 +86,12 @@ def build_colour_digraph(ctx: MatchingContext) -> LabelledDigraph:
             if x_free == y_free:
                 continue  # both free or both covered: no matching edge touched
             if x_free:
-                d = ctx.colour_at_y(e.y)
+                d = ctx.edge_of_y[e.y].c
                 label = ("x", e.x)
             else:
-                d = ctx.colour_at_x(e.x)
+                d = ctx.edge_of_x[e.x].c
                 label = ("y", e.y)
-            if d is not None and d != c:
+            if d != c:
                 arcs.append((c, d, label))
     return LabelledDigraph(graph.colour_count, arcs)
 
@@ -220,8 +216,8 @@ def _try_assembly(
     ball_list = sorted(ball)
 
     m_prime = tuple(e for e in matching if e.c not in ball)
-    ball_x = {ctx.x_of_colour(c) for c in ball if c != c_star}
-    ball_y = {ctx.y_of_colour(c) for c in ball if c != c_star}
+    ball_x = {ctx.edge_of_colour[c].x for c in ball if c != c_star}
+    ball_y = {ctx.edge_of_colour[c].y for c in ball if c != c_star}
     x0 = frozenset(ctx.x0)
     y0 = frozenset(ctx.y0)
 

@@ -444,12 +444,12 @@ def free_set_check(
     tset = frozenset(T)
     if xp & tset:
         return False
-    if c in ctx.colours_of_xs(xp | tset):
+    c_edge = ctx.edge_of_colour.get(c)
+    if c_edge is not None and c_edge.x in xp | tset:
         return False
 
     n = ctx.matching.size
-    pinned = ctx.edges_of_xs(tset)
-    c_edge = ctx.edge_of_colour.get(c)
+    pinned = frozenset(ctx.edge_of_x[x] for x in tset if x in ctx.edge_of_x)
     a_pool = sorted(
         (e for e in ctx.matching if e not in pinned and e != c_edge),
         key=lambda e: e.c,

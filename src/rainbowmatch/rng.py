@@ -38,6 +38,8 @@ class SplitMix64:
 
     def sample_ids(self, n: int, k: int) -> list[int]:
         """k distinct ids drawn from range(n), in draw order."""
+        if k < 0:
+            raise ValueError(f"cannot sample a negative number of ids ({k})")
         if k > n:
             raise ValueError("cannot sample more ids than available")
         pool = list(range(n))

@@ -41,7 +41,6 @@ from .errors import (
     FloorNotCertified,
     PathNotInDigraph,
     PathNotRainbow,
-    PreconditionViolated,
 )
 from .oracle import exact_max_rainbow_matching
 
@@ -141,7 +140,7 @@ def path_to_switching(
         if not hits:
             raise PathNotInDigraph(f"no arc {a} -> {b} in the switch digraph")
         arcs.append(hits[0])  # label unique: colour classes are matchings
-    if not is_rainbow_arc_path(D, tuple(arcs), edge_rainbow=True, vertex_scope="all"):
+    if not is_rainbow_arc_path(D, tuple(arcs)):
         raise PathNotRainbow(f"colour path {verts} is not rainbow")
     return _arcs_to_switching(ctx, arcs)
 
@@ -197,45 +196,24 @@ def validate_switching(
     return Verdict(True, None)
 
 
-def apply_switching(
-    ctx: MatchingContext,
-    sigma: Switching,
-    pinned: Iterable[Edge] = (),
-    avoid_x: Iterable[int] = (),
-    base: RainbowMatching | None = None,
-) -> RainbowMatching:
+def apply_switching(ctx: MatchingContext, sigma: Switching) -> RainbowMatching:
     """Exchange along a switching: drop its matched edges, add its free ones.
 
-    Preserves size and Y-cover; the result misses the switching's end colour,
-    agrees with the base matching on the pinned edges, and avoids both the
-    freed X-vertices and ``avoid_x``.  Disjointness preconditions are named
-    on failure.
+    Preserves size and Y-cover; the result misses the switching's end
+    colour.  A switching whose matched edges are not all in the matching,
+    or whose free edges collide with the kept edges, raises
+    :class:`ExchangeNotApplicable`.
     """
-    base = base if base is not None else ctx.matching
     if sigma.is_empty():
-        return base
-    pinned = tuple(pinned)
-    avoid = frozenset(avoid_x)
-    sx = sigma.x_vertices()
-    px = {p.x for p in pinned}
-    if sx & px:
-        raise PreconditionViolated("switching X-vertices intersect the pinned edges")
-    if sx & avoid:
-        raise PreconditionViolated("switching X-vertices intersect the avoid set")
-    if px & avoid:
-        raise PreconditionViolated("pinned edges intersect the avoid set")
-    base_set = base.edge_set()
+        return ctx.matching
+    current = ctx.matching.edge_set()
     m_set = frozenset(sigma.matched_edges)
-    if not m_set <= base_set:
-        raise ExchangeNotApplicable("switching matched edges not all in base matching")
-    kept = base_set - m_set
+    if not m_set <= current:
+        raise ExchangeNotApplicable("switching matched edges not all in the matching")
+    kept = current - m_set
     kept_x = {e.x for e in kept}
     kept_y = {e.y for e in kept}
     kept_c = {e.c for e in kept}
-    if kept_x & avoid:
-        raise ExchangeNotApplicable(
-            "base matching touches the avoid set outside the exchanged edges"
-        )
     for ei in sigma.free_edges:
         if ei.x in kept_x or ei.y in kept_y:
             raise ExchangeNotApplicable(
@@ -321,7 +299,8 @@ def _arcs_to_switching(ctx: MatchingContext, arcs: Sequence[Arc]) -> Switching:
 
 @dataclass
 class EngineTrace:
-    augmentations: list[tuple[int, int]] = field(default_factory=list)  # (c*, depth)
+    # (c*, 1) for a direct augmentation, (c*, 0) for one found after rotation
+    augmentations: list[tuple[int, int]] = field(default_factory=list)
     rotations: int = 0
     # "complete", "stalled" (no reachable matching augments) or "rotation_limit"
     stop: str = "complete"
@@ -420,7 +399,7 @@ class _Engine:
             for c_star in missing:
                 result = augment(self.context(matching, c_star, flip), self.depth_cap, self.budget)
                 if isinstance(result, RainbowMatching):
-                    self.trace.augmentations.append((c_star, result.size - matching.size))
+                    self.trace.augmentations.append((c_star, 1))
                     return self.to_host(result, flip)
         # Pass 2: rotate through switch-reachable matchings of the same size.
         return self.rotation_search(matching)

@@ -194,9 +194,14 @@ def scan_switch_digraph(ctx, x_prime) -> LabelledDigraph:
     c_star = ctx.c_star
     xset = frozenset(x_prime)
     graph = ctx.graph
-    labels = tuple(
-        STAR if c == c_star else ctx.x_of_colour(c) for c in range(graph.colour_count)
-    )
+
+    def label(c):
+        if c == c_star:
+            return STAR
+        e = ctx.edge_of_colour.get(c)  # a colour neither matched nor c* has none
+        return None if e is None else e.x
+
+    labels = tuple(map(label, range(graph.colour_count)))
     arcs = []
     for u in ctx.active_colours:
         for e in graph.colour_classes[u]:

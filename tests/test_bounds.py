@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from rainbowmatch.bounds import (
     edge_disjoint_guarantee_threshold,
     threshold_table,
 )
+from rainbowmatch.connectivity import find_kd_connected_set
+from rainbowmatch.digraph import LabelledDigraph
 from rainbowmatch.errors import DomainError
 
 
@@ -72,6 +75,18 @@ def test_table_connected_set_formulas():
     assert _by_name(reports, "rainbow_connected_set_diameter").value == 5120
     assert _by_name(reports, "rainbow_connected_set_min_order").value == 4 * 1800 * 16
     assert _by_name(reports, "midpoint_bundle_size").value == 9 * 5120 + 12
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.7, Fraction(2, 7), 1])
+@pytest.mark.parametrize(
+    "mode, name",
+    [("uncoloured", "connected_set_diameter"), ("total", "rainbow_connected_set_diameter")],
+)
+def test_kd_set_diameter_bound_is_the_tables_ceiling(eps, mode, name):
+    # no arcs: the peel keeps no vertex, so the set falls back to a singleton
+    D = LabelledDigraph(3, [], vertex_labels=(0, 1, 2))
+    result = find_kd_connected_set(D, 1, eps, mode=mode)
+    assert result.diameter_bound == math.ceil(_by_name(threshold_table(eps), name).value)
 
 
 def test_table_pin_budget_growth():

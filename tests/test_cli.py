@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmatch import menger, switching
+from rainbowmatch import cli, menger, switching
+from rainbowmatch.budget import SearchBudget
 from rainbowmatch.cli import run
 from rainbowmatch.core import read_edge_list, write_edge_list
 from rainbowmatch.errors import InfeasibleParameters
 from rainbowmatch.gen import generate_instance, generate_proper_digraph, random_latin_square
 from rainbowmatch.latin import write_latin
+from rainbowmatch.rng import SplitMix64
 
 
 def _capture(capsys, argv):
@@ -49,6 +51,18 @@ def test_proper_digraph_generator_deterministic():
     a = generate_proper_digraph(20, 4, seed=5)
     b = generate_proper_digraph(20, 4, seed=5)
     assert a.arcs == b.arcs
+
+
+def test_negative_sample_sizes_are_rejected():
+    rng = SplitMix64(7)
+    with pytest.raises(ValueError, match="negative"):
+        rng.sample_ids(4, -1)
+    # draws for valid sizes are pinned
+    assert rng.sample_ids(10, 4) == [7, 0, 4, 6]
+    assert rng.sample_ids(5, 0) == []
+    assert rng.sample_ids(5, 5) == [4, 2, 3, 1, 0]
+    with pytest.raises(InfeasibleParameters, match="-1"):
+        generate_proper_digraph(5, -1)
 
 
 def test_solve_greedy_guarantee_regime(tmp_path, capsys):
@@ -305,6 +319,42 @@ def test_connectivity_kdset_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["connected"] in (True, False)
+
+
+@pytest.mark.parametrize("anchors", ["0,x", ""])
+def test_connectivity_through_path_names_bad_anchors(capsys, anchors):
+    argv = ["connectivity", "--op", "through-path", "--vertices", "10", "--anchors", anchors]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --anchors needs comma-separated vertex ids, got {anchors!r}\n"
+    )
+
+
+def test_connectivity_names_a_negative_out_degree(capsys):
+    argv = ["connectivity", "--op", "twohop", "--vertices", "5", "--out-degree", "-1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out-degree must be non-negative, got -1\n"
+
+
+def test_every_subcommand_defaults_to_the_default_budget():
+    minimal = {
+        "solve": ["g.txt"],
+        "transversal": ["sq.txt"],
+        "verify": ["g.txt", "m.txt"],
+        "oracle-max": ["g.txt"],
+        "connectivity": ["--op", "ball"],
+        "menger": ["--k", "1", "--m", "2"],
+        "bounds": ["--epsilon", "1"],
+        "gen": ["--n", "1"],
+    }
+    assert set(minimal) == set(cli._HANDLERS)
+    for name, rest in minimal.items():
+        args = cli.build_parser().parse_args([name, *rest])
+        assert cli._budget(args) == SearchBudget()
 
 
 def test_unknown_file_exit_2(capsys):

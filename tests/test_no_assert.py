@@ -17,3 +17,41 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a module's imports bind, with the line that binds it."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_has_no_unused_import():
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(files) >= 10
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = _exported_names(tree)
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in used and name not in exported
+        ]
+    assert unused == []

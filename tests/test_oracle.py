@@ -258,6 +258,14 @@ def test_free_set_rejects_overlap_with_T():
     assert not free_set_check(ctx, {x}, T={x}, c=ctx.c_star, k=0)
 
 
+def test_free_set_rejects_a_set_covering_colour_c():
+    g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))
+    ctx = make_context(g, exact_max_rainbow_matching(g, forbidden_colours=[2]).matching)
+    for e in ctx.matching:
+        assert not free_set_check(ctx, {e.x}, T=(), c=e.c, k=0)
+        assert not free_set_check(ctx, (), T={e.x}, c=e.c, k=0)
+
+
 def test_free_set_counterexample_with_k1():
     # 3 colours; removing the pinned structure admits no replacement for X'={covered x}
     g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))

@@ -23,7 +23,6 @@ from rainbowmatch.errors import (
     MultipleMissingColours,
     PathNotInDigraph,
     PathNotRainbow,
-    PreconditionViolated,
 )
 from rainbowmatch.gen import generate_instance
 from rainbowmatch.latin import parse_latin, square_to_graph
@@ -269,12 +268,13 @@ def test_apply_switching_length1():
 def test_apply_switching_preconditions_named():
     ctx = make_context(DEPTH2, DEPTH2_M)
     sigma = path_to_switching(ctx, ctx.x0, [0, 1])
-    with pytest.raises(PreconditionViolated) as exc:
-        apply_switching(ctx, sigma, avoid_x=sigma.x_vertices())
-    assert "avoid set" in str(exc.value)
-    bad_base = RainbowMatching((Edge(1, 1, 2),))
+    outside = Switching(sigma.free_edges, (Edge(1, 1, 1),))  # not in ctx.matching
     with pytest.raises(ExchangeNotApplicable):
-        apply_switching(ctx, sigma, base=bad_base)
+        apply_switching(ctx, outside)
+    # the kept matching is {(1, 1, 2)}: a free edge may share none of x, y or c
+    for free, reason in ((Edge(1, 0, 0), "collides"), (Edge(2, 0, 2), "already present")):
+        with pytest.raises(ExchangeNotApplicable, match=reason):
+            apply_switching(ctx, Switching((free,), sigma.matched_edges))
 
 
 def test_apply_switching_seeded_property():
