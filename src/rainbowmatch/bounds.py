@@ -22,9 +22,12 @@ RAINBOW_CONNECTED_SET_DIAMETER = 1280
 
 
 def as_fraction(value) -> Fraction:
-    """The exact value; a float goes through its shortest decimal form, so
-    0.3 means 3/10."""
+    """The exact value of an epsilon; a float goes through its shortest
+    decimal form, so 0.3 means 3/10.  A float nan or infinity raises
+    ValueError."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"epsilon must be finite, got {value}")
         return Fraction(str(value))
     return Fraction(value)
 

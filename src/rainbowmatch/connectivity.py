@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import CONNECTED_SET_DIAMETER, RAINBOW_CONNECTED_SET_DIAMETER, as_fraction
@@ -201,9 +202,12 @@ def build_two_hop_digraph(
     every emitted certificate re-validates against its invariants.
 
     Per pair, the midpoints are x's out-head bits AND y's in-tail bits,
-    read lowest first: the order of x's out-arcs.  The greedy pass ticks
-    the meter once per pair; only when it falls short are the candidates
-    collected, the second pass charged and 24 or fewer searched exactly.
+    read lowest first: the order of x's out-arcs.  The greedy pass counts
+    one node per (first arc, second arc) pair it reads; only when it falls
+    short are the candidates collected, the second pass charged and 24 or
+    fewer searched exactly.  The meter ticks once per x with its row's
+    count, so a budget stops a derivation at the end of a row.  Each x's
+    arcs, in y order, are handed to the digraph as its out-list.
     """
     if m < 1:
         raise ValueError("bundle size m must be >= 1")
@@ -215,11 +219,14 @@ def build_two_hop_digraph(
     n = D.vertex_count
     into = [D.arcs_into(v) for v in range(n)]
     in_bits = [sum(map((1).__lshift__, tails)) for tails in into]
-    new = tuple.__new__  # builds a TwoHopEntry without its Python-level __new__
+    new = tuple.__new__  # builds a TwoHopEntry or an Arc without its Python-level __new__
     bundles: dict[tuple[int, int], tuple[TwoHopEntry, ...]] = {}
+    heads_of: list[list[int]] = []  # per x, the heads of its derived arcs
     for x in range(n):
         lx = labels[x]
         out_bits = sum({1 << a.head for a in D.out_arcs(x)})  # parallel arcs: a set
+        row_pairs = 0
+        heads: list[int] = []
         for y in range(n):
             ly = labels[y]
             mids = out_bits & in_bits[y]
@@ -256,10 +263,11 @@ def build_two_hop_digraph(
                     if not need:
                         break
             if not need:
-                tick(pairs)
+                row_pairs += pairs
                 bundles[x, y] = chosen
+                heads.append(y)
                 continue
-            tick(2 * pairs)  # the greedy pass, then the fallback's second pass
+            row_pairs += 2 * pairs  # the greedy pass, then the fallback's second pass
             if chosen:  # else there is no candidate at all
                 candidates = [
                     TwoHopEntry(a1, a1.head, labels[a1.head], a2)
@@ -271,7 +279,17 @@ def build_two_hop_digraph(
                     chosen = _exhaustive_bundle(candidates, m, meter)
                     if chosen is not None:
                         bundles[x, y] = chosen
-    derived = LabelledDigraph(n, ((x, y, None) for x, y in bundles))
+                        heads.append(y)
+        tick(row_pairs)
+        heads_of.append(heads)
+    # The arcs are built after the pair loop, in one run of allocations: built
+    # row by row inside it, they raised the toolbox benchmark's peak RSS by
+    # about 0.9 MB.
+    rows = (
+        tuple(map(new, repeat(Arc), zip(repeat(x), heads, repeat(None))))
+        for x, heads in enumerate(heads_of)
+    )
+    derived = LabelledDigraph._from_out_lists(n, rows)
     return derived, TwoHopCertificate(m, bundles)
 
 
@@ -315,8 +333,10 @@ def find_kd_connected_set(
     is then checked by the exhaustive/sampled connectivity oracle at the
     mode's diameter bound; correctness rests on the verifier, never the
     heuristic.  Degenerate inputs fall back to a singleton with a vacuous
-    verdict.
+    verdict; an unknown mode raises ``ValueError`` before that.
     """
+    if mode not in ("uncoloured", "edge", "vertex", "total"):
+        raise ValueError(f"unknown mode {mode!r}")
     eps = as_fraction(eps)
     if not (0 < eps <= 1):
         raise PreconditionViolated("eps must be in (0, 1]")

@@ -70,6 +70,13 @@ class LabelledDigraph:
     that reads it: for each head v, tail u -> the arcs u -> v in out-arc
     order.  The digraph stays immutable in value, and two threads that race
     on first use build the same index.
+
+    There are two ways in and one assembly.  The constructor takes arcs in
+    any order, checks them, groups them by tail and sorts each group by
+    (head, label); ``arcs`` keeps the order given.  ``_from_out_lists``
+    takes out-lists a producer has already built in that order and checks
+    nothing; ``arcs`` is then the out-lists read tail by tail.  Only the
+    two-hop and switch digraphs use it.
     """
 
     __slots__ = ("vertex_count", "arcs", "vertex_labels", "_out", "_into")
@@ -80,28 +87,51 @@ class LabelledDigraph:
         arcs: Iterable[tuple[int, int, Hashable]],
         vertex_labels: tuple | None = None,
     ):
-        self.vertex_count = vertex_count
         # tuple.__new__(Arc, a) builds each arc with no Python-level call; an
         # arc of the wrong size is rebuilt by Arc(*a), which raises its error.
         arcs = tuple(map(tuple.__new__, repeat(Arc), arcs))
         if not set(map(len, arcs)) <= {3}:
             arcs = tuple(Arc(*a) for a in arcs)
-        self.arcs = arcs
         if vertex_labels is not None and len(vertex_labels) != vertex_count:
             raise ValueError("vertex_labels length must equal vertex_count")
-        self.vertex_labels = vertex_labels
         out: list[list[Arc]] = [[] for _ in range(vertex_count)]
-        for a in self.arcs:
+        for a in arcs:
             if not (0 <= a.tail < vertex_count and 0 <= a.head < vertex_count):
                 raise ValueError(f"arc {a} endpoint out of range")
             if a.tail == a.head:
                 raise ValueError(f"self-loop {a} not allowed")
             out[a.tail].append(a)
         # sorted adjacency gives lexicographic path enumeration for free
-        kinds = set(map(type, map(_LABEL, self.arcs)))
+        kinds = set(map(type, map(_LABEL, arcs)))
         plain = any(kinds <= types for types in _PLAIN_LABEL_TYPES)
         key = _HEAD_LABEL if plain else _arc_key
-        self._out = tuple(tuple(sorted(lst, key=key)) for lst in out)
+        sorted_out = tuple(tuple(sorted(lst, key=key)) for lst in out)
+        self._assemble(vertex_count, sorted_out, arcs, vertex_labels)
+
+    @classmethod
+    def _from_out_lists(
+        cls,
+        vertex_count: int,
+        out: Iterable[Iterable[Arc]],
+        vertex_labels: tuple | None = None,
+    ) -> LabelledDigraph:
+        """The digraph whose out-arcs at v are ``out[v]``, taken as given.
+
+        The caller vouches for what the constructor would check: one list
+        per vertex, each of ``Arc``s leaving v in (head, label) order, with
+        no self-loop and no endpoint out of range, and labels of length
+        ``vertex_count`` when given.
+        """
+        D = cls.__new__(cls)
+        out = tuple(map(tuple, out))
+        D._assemble(vertex_count, out, tuple(chain.from_iterable(out)), vertex_labels)
+        return D
+
+    def _assemble(self, vertex_count, out, arcs, vertex_labels) -> None:
+        self.vertex_count = vertex_count
+        self.arcs = arcs
+        self.vertex_labels = vertex_labels
+        self._out = out
         self._into: tuple[dict[int, tuple[Arc, ...]], ...] | None = None
 
     def out_arcs(self, v: int) -> tuple[Arc, ...]:

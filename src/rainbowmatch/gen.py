@@ -36,12 +36,14 @@ def generate_instance(
         raise InfeasibleParameters(f"unknown instance kind {kind!r}")
     left = left_size if left_size is not None else class_size
     right = right_size if right_size is not None else class_size
+    sizes = (("n", n), ("class size", class_size), ("left size", left), ("right size", right))
+    for name, value in sizes:
+        if value < 0:
+            raise InfeasibleParameters(f"{name} must be non-negative, got {value}")
     if class_size > min(left, right):
         raise InfeasibleParameters(
             f"class size {class_size} exceeds side capacity {min(left, right)}"
         )
-    if n < 0 or class_size < 0:
-        raise InfeasibleParameters("negative parameters")
     rng = SplitMix64(seed)
     used_pairs: set[tuple[int, int]] = set()
     edges: list[Edge] = []

@@ -45,6 +45,7 @@ from .errors import (
 from .oracle import exact_max_rainbow_matching
 
 STAR = "*"  # vertex label of the missing colour in the switch digraph
+_HEAD = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,8 @@ def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> Labell
     colour-u edge from x in X' to the Y-endpoint of v's matching edge.
     The missing colour has no Y-endpoint, hence no in-arcs.  Each active
     colour costs one lookup in the graph's ``x_index`` per X-vertex of X'.
+    Its arcs, sorted by head, are its out-list as built: heads are distinct
+    because a colour class is a matching, and ``arcs`` reads tail by tail.
     """
     if ctx.matching.size == 0:
         raise EmptyMatching("switch digraph needs a non-empty matching")
@@ -109,13 +112,16 @@ def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> Labell
     labels = tuple(map(label_of.get, range(graph.colour_count)))
     xs = tuple(dict.fromkeys(x_prime))
     colour_at_y = {y: e.c for y, e in ctx.edge_of_y.items()}
-    arcs: list[tuple[int, int, int]] = []
+    new = tuple.__new__  # builds an Arc without its Python-level __new__
+    out: list[list[Arc]] = [[] for _ in range(graph.colour_count)]
     for u in ctx.active_colours:
+        row = out[u]
         for e in filter(None, map(graph.x_index[u].get, xs)):
             v = colour_at_y.get(e.y, u)  # an uncovered y, like u's own, gives no arc
             if v != u:
-                arcs.append((u, v, e.x))
-    return LabelledDigraph(graph.colour_count, arcs, vertex_labels=labels)
+                row.append(new(Arc, (u, v, e.x)))
+        row.sort(key=_HEAD)
+    return LabelledDigraph._from_out_lists(graph.colour_count, out, vertex_labels=labels)
 
 
 def path_to_switching(

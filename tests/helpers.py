@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from rainbowmatch.digraph import LabelledDigraph
+from rainbowmatch.digraph import Arc, LabelledDigraph
 from rainbowmatch.switching import STAR
 from rainbowmatch.gen import generate_instance, random_latin_square
 from rainbowmatch.latin import square_to_graph
@@ -272,3 +272,17 @@ def reference_proper_labelling(D: LabelledDigraph) -> str | None:
         if any(a.label == labels[v] for a in outs + ins):
             return f"vertex {v} shares label {labels[v]!r} with incident arc"
     return None
+
+
+def assert_built_as_by_constructor(D: LabelledDigraph) -> None:
+    """D, assembled from its producer's out-lists, equals the digraph the
+    public constructor builds from D's arcs and labels: in out-lists, in the
+    per-head index and in vertex labels.  Its ``arcs`` are ``Arc``s read
+    tail by tail, so they hold the constructor's out-arcs, sorted."""
+    want = LabelledDigraph(D.vertex_count, D.arcs, D.vertex_labels)
+    assert D._out == want._out
+    for v in range(D.vertex_count):
+        assert D.arcs_into(v) == want.arcs_into(v)
+    assert D.vertex_labels == want.vertex_labels
+    assert D.arcs == tuple(itertools.chain.from_iterable(want._out))
+    assert all(type(a) is Arc for a in D.arcs)

@@ -340,6 +340,44 @@ def test_connectivity_names_a_negative_out_degree(capsys):
     assert captured.err == "error: out-degree must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("shape", [("3", "0"), ("12", "8")], ids=["degenerate", "peeled"])
+def test_connectivity_kdset_names_an_unknown_mode_at_every_size(capsys, shape):
+    # three vertices of out-degree 0 take the vacuous fallback, twelve reach
+    # the verifier: both must refuse the mode before either
+    vertices, degree = shape
+    argv = ["connectivity", "--op", "kdset", "--vertices", vertices, "--out-degree", degree,
+            "--mode", "foo"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown mode 'foo'\n"
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_connectivity_ball_names_a_non_finite_epsilon(capsys, epsilon):
+    assert run(["connectivity", "--op", "ball", f"--epsilon={epsilon}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: epsilon must be finite, got {float(epsilon)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "2", "--class-size", "-1"], "class size must be non-negative, got -1"),
+        (["--n", "-2", "--class-size", "1"], "n must be non-negative, got -2"),
+        (["--n", "2", "--class-size", "1", "--left", "-1"], "left size must be non-negative, got -1"),
+        (["--n", "2", "--class-size", "1", "--right", "-3"], "right size must be non-negative, got -3"),
+        (["--n", "2", "--class-size", "3", "--left", "2"], "class size 3 exceeds side capacity 2"),
+    ],
+)
+def test_gen_names_the_parameter_that_failed(capsys, argv, message):
+    assert run(["gen", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_every_subcommand_defaults_to_the_default_budget():
     minimal = {
         "solve": ["g.txt"],

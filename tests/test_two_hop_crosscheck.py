@@ -21,6 +21,8 @@ from rainbowmatch.digraph import LabelledDigraph
 from rainbowmatch.errors import BudgetExceeded
 from rainbowmatch.gen import generate_proper_digraph
 
+from helpers import assert_built_as_by_constructor
+
 
 def _candidates(D, x, y, meter):
     endpoint_labels = {D.vertex_labels[x], D.vertex_labels[y]}
@@ -136,6 +138,16 @@ def test_two_hop_matches_reference(monkeypatch, name, m):
     assert cert.bundles == bundles
     assert derived_nodes == nodes
     assert cert.validate(D)
+
+
+@pytest.mark.parametrize("name", sorted(DIGRAPHS))
+def test_two_hop_digraph_equals_the_constructor(name):
+    # the derivation hands its rows over as out-lists, unchecked
+    D = DIGRAPHS[name]()
+    for m in (1, 2, 3, 4):
+        derived, _ = build_two_hop_digraph(D, m)
+        assert derived.arcs or m > 1
+        assert_built_as_by_constructor(derived)
 
 
 def test_exhaustive_fallback_is_exercised():
