@@ -85,17 +85,24 @@ def edge_disjoint_guarantee_report(eps) -> ThresholdReport:
 
 
 def threshold_table(eps, m=None, k=None, k1=None) -> tuple[ThresholdReport, ...]:
-    """Every named threshold at the given parameters, with feasibility flags."""
+    """Every named threshold at the given parameters, with feasibility flags.
+
+    The parameters given must lie in the formulas' domains: 0 < eps <= 1,
+    m >= 1, k >= 1 and k1 > 0; a parameter outside raises DomainError
+    naming it.  Every value is then positive, so every log10 is finite.
+    """
     eps = as_fraction(eps)
     if not (0 < eps <= 1):
         raise DomainError("eps must be in (0, 1]")
+    for name, value in (("m", m), ("k", k)):
+        if value is not None and value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
+    if k1 is not None and k1 <= 0:
+        raise DomainError(f"k1 must be positive, got {k1}")
     reports = [edge_disjoint_guarantee_report(eps)]
 
     def exact_entry(name: str, params: dict, value: Fraction) -> ThresholdReport:
-        if value > 0:
-            log10 = math.log10(value.numerator) - math.log10(value.denominator)
-        else:
-            log10 = -math.inf
+        log10 = math.log10(value.numerator) - math.log10(value.denominator)
         return ThresholdReport(name, params, value, log10, True, value <= DESK_SCALE_LIMIT)
 
     connected_d = CONNECTED_SET_DIAMETER / eps**2

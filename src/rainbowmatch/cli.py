@@ -42,7 +42,10 @@ EXIT_BUDGET = 3
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        # allow_nan=False: a non-finite number raises rather than print as
+        # NaN or Infinity, which strict JSON parsers reject
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        sys.stdout.write(text + "\n")
     else:
         for key in sorted(payload):
             sys.stdout.write(f"{key}: {payload[key]}\n")
@@ -253,13 +256,24 @@ def _cmd_menger(args) -> int:
     return EXIT_OK
 
 
+def _fraction_option(option: str, text: str) -> Fraction:
+    """The exact value of a rational option such as 1/2 or 0.25; a value
+    that names no finite rational raises ValueError naming the option."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"{option} must be a finite rational such as 1/2 or 0.25, got {text!r}"
+        ) from None
+
+
 def _cmd_bounds(args) -> int:
-    eps = Fraction(args.epsilon)
+    eps = _fraction_option("--epsilon", args.epsilon)
     reports = bounds_mod.threshold_table(
         eps,
         m=args.m,
         k=args.k,
-        k1=Fraction(args.k1) if args.k1 is not None else None,
+        k1=None if args.k1 is None else _fraction_option("--k1", args.k1),
     )
     payload = {
         "epsilon": str(eps),

@@ -285,7 +285,7 @@ def build_two_hop_digraph(
     # The arcs are built after the pair loop, in one run of allocations: built
     # row by row inside it, they raised the toolbox benchmark's peak RSS by
     # about 0.9 MB.
-    rows = (
+    rows = tuple(
         tuple(map(new, repeat(Arc), zip(repeat(x), heads, repeat(None))))
         for x, heads in enumerate(heads_of)
     )

@@ -5,8 +5,10 @@ labelled), the colour digraph used by the golden-ratio solver (edge labels
 only), derived two-hop digraphs (unlabelled), and edge-coloured digraphs in
 general.  "Label" and "colour" are interchangeable here.
 
-A digraph builds its sorted out-arc lists at once and its per-head index
-on first use: most digraphs built here never read it.
+A digraph keeps one sorted out-arc list per vertex and builds its per-head
+index on first use: most digraphs built here never read it.  The switch
+digraph goes further and builds each out-list the first time a walk reads
+it, since most of its walks end within a few arcs of the missing colour.
 
 ``iter_rainbow_paths`` is the one rainbow path search; the switching engine,
 the connectivity toolbox, the oracles and the Menger lab all consume it.
@@ -61,6 +63,32 @@ _HEAD_LABEL = itemgetter(1, 2)
 _LABEL = itemgetter(2)
 
 
+class _LazyOutLists:
+    """Out-lists built on first read: ``out[v]`` is ``build_row(v)``, kept
+    as built.  Iterating it builds every row.  ``build_row`` must return
+    the same tuple of ``Arc``s for a vertex whenever it is called, so two
+    threads that race on one row build equal rows."""
+
+    __slots__ = ("_rows", "_build_row")
+
+    def __init__(self, vertex_count: int, build_row) -> None:
+        self._rows: list[tuple[Arc, ...] | None] = [None] * vertex_count
+        self._build_row = build_row
+
+    def __getitem__(self, v: int) -> tuple[Arc, ...]:
+        row = self._rows[v]
+        if row is None:
+            v = range(len(self._rows))[v]  # a negative v names the row it indexes
+            row = self._rows[v] = self._build_row(v)
+        return row
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[tuple[Arc, ...]]:
+        return map(self.__getitem__, range(len(self._rows)))
+
+
 class LabelledDigraph:
     """Immutable digraph on vertices 0..n-1 with optional labels.
 
@@ -68,18 +96,23 @@ class LabelledDigraph:
     are not.  ``vertex_labels`` is either None (unlabelled vertices) or a
     tuple of length n.  The in-side is one index, built on the first call
     that reads it: for each head v, tail u -> the arcs u -> v in out-arc
-    order.  The digraph stays immutable in value, and two threads that race
-    on first use build the same index.
+    order.
 
     There are two ways in and one assembly.  The constructor takes arcs in
     any order, checks them, groups them by tail and sorts each group by
     (head, label); ``arcs`` keeps the order given.  ``_from_out_lists``
     takes out-lists a producer has already built in that order and checks
-    nothing; ``arcs`` is then the out-lists read tail by tail.  Only the
-    two-hop and switch digraphs use it.
+    nothing; ``arcs`` is then the out-lists read tail by tail, assembled on
+    its first read.  Only the two-hop and switch digraphs use it, and the
+    switch digraph hands over lazy out-lists, whose rows are built when a
+    walk or a reader first reads them.  Every public reader answers as the
+    constructor's digraph would, whichever rows are built so far.
+
+    The digraph stays immutable in value.  Two threads that race on a first
+    read build the same index, the same ``arcs`` and equal rows.
     """
 
-    __slots__ = ("vertex_count", "arcs", "vertex_labels", "_out", "_into")
+    __slots__ = ("vertex_count", "vertex_labels", "_arcs", "_out", "_into")
 
     def __init__(
         self,
@@ -112,27 +145,35 @@ class LabelledDigraph:
     def _from_out_lists(
         cls,
         vertex_count: int,
-        out: Iterable[Iterable[Arc]],
+        out: tuple[tuple[Arc, ...], ...] | _LazyOutLists,
         vertex_labels: tuple | None = None,
     ) -> LabelledDigraph:
         """The digraph whose out-arcs at v are ``out[v]``, taken as given.
 
-        The caller vouches for what the constructor would check: one list
-        per vertex, each of ``Arc``s leaving v in (head, label) order, with
-        no self-loop and no endpoint out of range, and labels of length
+        ``out`` is a tuple of built rows or a ``_LazyOutLists``.  The caller
+        vouches for what the constructor would check: one row per vertex,
+        each a tuple of ``Arc``s leaving v in (head, label) order, with no
+        self-loop and no endpoint out of range, and labels of length
         ``vertex_count`` when given.
         """
         D = cls.__new__(cls)
-        out = tuple(map(tuple, out))
-        D._assemble(vertex_count, out, tuple(chain.from_iterable(out)), vertex_labels)
+        D._assemble(vertex_count, out, None, vertex_labels)
         return D
 
     def _assemble(self, vertex_count, out, arcs, vertex_labels) -> None:
         self.vertex_count = vertex_count
-        self.arcs = arcs
         self.vertex_labels = vertex_labels
+        self._arcs: tuple[Arc, ...] | None = arcs
         self._out = out
         self._into: tuple[dict[int, tuple[Arc, ...]], ...] | None = None
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc: in the order given to the constructor, or else the
+        out-lists read tail by tail, assembled on first read."""
+        if self._arcs is None:
+            self._arcs = tuple(chain.from_iterable(self._out))
+        return self._arcs
 
     def out_arcs(self, v: int) -> tuple[Arc, ...]:
         return self._out[v]
@@ -141,7 +182,7 @@ class LabelledDigraph:
         """Tail u -> the arcs u -> v in out-arc order, tails ascending.
         The dict is the digraph's own index: read it, never change it."""
         if self._into is None:
-            into: list[dict[int, tuple[Arc, ...]]] = [{} for _ in self._out]
+            into: list[dict[int, tuple[Arc, ...]]] = [{} for _ in range(self.vertex_count)]
             for u, lst in enumerate(self._out):
                 for head, arcs in groupby(lst, _HEAD):  # out-arcs sort by head
                     into[head][u] = tuple(arcs)

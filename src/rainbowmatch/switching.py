@@ -99,11 +99,17 @@ def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> Labell
     carry arcs.  Vertex labels are the matched X-endpoints of each colour,
     with the missing colour labelled "*"; an arc u -> v labelled x records a
     colour-u edge from x in X' to the Y-endpoint of v's matching edge.
-    The missing colour has no Y-endpoint, hence no in-arcs.  Each active
-    colour costs one lookup in the graph's ``x_index`` per X-vertex of X'.
-    Its arcs, sorted by head, are its out-list as built: heads are distinct
-    because a colour class is a matching, and ``arcs`` reads tail by tail.
+    The missing colour has no Y-endpoint, hence no in-arcs.
+
+    The labels and the Y-cover are read once per digraph; each out-list is
+    built the first time it is read.  Most walks from the missing colour
+    end within a few arcs, so most colours' out-lists are never built.  An
+    active colour's out-list costs one lookup in the graph's ``x_index`` per
+    X-vertex of X'.  Its arcs, sorted by head, are its out-list as built:
+    heads are distinct because a colour class is a matching.
     """
+    from .digraph import _LazyOutLists  # the one producer of lazy out-lists
+
     if ctx.matching.size == 0:
         raise EmptyMatching("switch digraph needs a non-empty matching")
     label_of = {c: e.x for c, e in ctx.edge_of_colour.items()}
@@ -112,15 +118,22 @@ def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> Labell
     labels = tuple(map(label_of.get, range(graph.colour_count)))
     xs = tuple(dict.fromkeys(x_prime))
     colour_at_y = {y: e.c for y, e in ctx.edge_of_y.items()}
+    active = frozenset(ctx.active_colours)
+    x_index = graph.x_index
     new = tuple.__new__  # builds an Arc without its Python-level __new__
-    out: list[list[Arc]] = [[] for _ in range(graph.colour_count)]
-    for u in ctx.active_colours:
-        row = out[u]
-        for e in filter(None, map(graph.x_index[u].get, xs)):
+
+    def out_list(u: int) -> tuple[Arc, ...]:
+        if u not in active:
+            return ()
+        row = []
+        for e in filter(None, map(x_index[u].get, xs)):
             v = colour_at_y.get(e.y, u)  # an uncovered y, like u's own, gives no arc
             if v != u:
                 row.append(new(Arc, (u, v, e.x)))
         row.sort(key=_HEAD)
+        return tuple(row)
+
+    out = _LazyOutLists(graph.colour_count, out_list)
     return LabelledDigraph._from_out_lists(graph.colour_count, out, vertex_labels=labels)
 
 

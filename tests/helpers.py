@@ -277,10 +277,14 @@ def reference_proper_labelling(D: LabelledDigraph) -> str | None:
 def assert_built_as_by_constructor(D: LabelledDigraph) -> None:
     """D, assembled from its producer's out-lists, equals the digraph the
     public constructor builds from D's arcs and labels: in out-lists, in the
-    per-head index and in vertex labels.  Its ``arcs`` are ``Arc``s read
-    tail by tail, so they hold the constructor's out-arcs, sorted."""
+    per-head index and in vertex labels.  Each out-list is a tuple, read
+    through ``out_arcs``, which builds it if D builds its rows lazily.  Its
+    ``arcs`` are ``Arc``s read tail by tail, so they hold the constructor's
+    out-arcs, sorted."""
     want = LabelledDigraph(D.vertex_count, D.arcs, D.vertex_labels)
-    assert D._out == want._out
+    for v in range(D.vertex_count):
+        assert type(D.out_arcs(v)) is tuple
+        assert D.out_arcs(v) == want.out_arcs(v)
     for v in range(D.vertex_count):
         assert D.arcs_into(v) == want.arcs_into(v)
     assert D.vertex_labels == want.vertex_labels

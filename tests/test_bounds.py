@@ -123,3 +123,25 @@ def test_feasibility_flag_boundary():
     assert rep.value == 900
     assert rep.feasible_at_desk_scale
     assert DESK_SCALE_LIMIT == 10**6
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"m": 0}, "m must be at least 1, got 0"),
+        ({"m": -3}, "m must be at least 1, got -3"),
+        ({"k": 0}, "k must be at least 1, got 0"),
+        ({"k1": 0}, "k1 must be positive, got 0"),
+        ({"k1": Fraction(-1, 2)}, "k1 must be positive, got -1/2"),
+    ],
+)
+def test_table_names_a_parameter_outside_its_domain(params, message):
+    with pytest.raises(DomainError) as info:
+        threshold_table(Fraction(1, 2), **params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), 1])
+def test_table_logs_are_finite_at_the_domains_edges(eps):
+    for rep in threshold_table(eps, m=1, k=1, k1=Fraction(1, 10**9)):
+        assert math.isfinite(rep.log10), rep.name

@@ -259,6 +259,42 @@ def test_bounds_subcommand(capsys):
     assert names["edge_disjoint_guarantee_threshold"]["feasible_at_desk_scale"] is False
 
 
+
+@pytest.mark.parametrize("option", ["--epsilon", "--k1"])
+@pytest.mark.parametrize("value", ["1/0", "nan", "inf", "abc"])
+def test_bounds_names_an_option_that_is_no_finite_rational(capsys, option, value):
+    given = {"--epsilon": "1/2", "--k1": "1"}
+    given[option] = value
+    assert run(["bounds", *(f"{o}={v}" for o, v in given.items())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {option} must be a finite rational such as 1/2 or 0.25, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m=-3"], "m must be at least 1, got -3"),
+        (["--k=0"], "k must be at least 1, got 0"),
+        (["--k1=0"], "k1 must be positive, got 0"),
+        (["--k1=-1/2"], "k1 must be positive, got -1/2"),
+    ],
+)
+def test_bounds_names_a_parameter_outside_its_domain(capsys, argv, message):
+    assert run(["bounds", "--epsilon", "1/2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf")])
+def test_json_output_refuses_a_non_finite_number(capsys, number):
+    with pytest.raises(ValueError):
+        cli._emit({"log10": number}, "json")
+    assert capsys.readouterr().out == ""
+
 def test_menger_subcommand(capsys):
     code, out = _capture(capsys, ["menger", "--k", "1", "--m", "4", "--lp"])
     assert code == 0

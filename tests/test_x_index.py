@@ -92,7 +92,7 @@ def test_switch_digraph_equals_the_scan_on_every_engine_context(monkeypatch):
         for x_prime in subsets:
             got = build_switch_digraph(ctx, x_prime)
             want = scan_switch_digraph(ctx, x_prime)
-            assert got._out == want._out
+            assert list(map(got.out_arcs, range(got.vertex_count))) == list(want._out)
             assert got.vertex_labels == want.vertex_labels
             assert sorted(got.arcs) == sorted(want.arcs)
         checked[isinstance(ctx.graph, _YSide)] += 1
