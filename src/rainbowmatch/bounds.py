@@ -2,9 +2,10 @@
 
 These constants say where the asymptotic arguments switch on.  They are
 evaluated exactly (arbitrary-precision rationals) whenever the exponents
-work out to integers, and via logarithms otherwise; the feasibility flag
-records whether a value is desk-scale (at most 10^6).  Surfacing them keeps
-the test suite honest about which regimes are and are not reproducible.
+work out to integers and the value fits ``EXACT_DIGITS``, and via
+logarithms otherwise; the feasibility flag records whether a value is
+desk-scale (at most 10^6).  Surfacing them keeps the test suite honest
+about which regimes are and are not reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from fractions import Fraction
 from .errors import DomainError
 
 DESK_SCALE_LIMIT = 10**6
+# Digits (numerator and denominator together) above which a power is
+# reported by its log10 alone: an exact value would be slow to build and
+# too long to print.
+EXACT_DIGITS = 1000
 # Diameter bounds of a highly connected set, times eps^2: plain, and rainbow.
 CONNECTED_SET_DIAMETER = 40
 RAINBOW_CONNECTED_SET_DIAMETER = 1280
@@ -36,21 +41,22 @@ def as_fraction(value) -> Fraction:
 class ThresholdReport:
     name: str
     parameters: dict
-    value: Fraction | None  # exact value when the exponent is integral
+    value: Fraction | None  # the exact value, when `exact`
     log10: float
     exact: bool
     feasible_at_desk_scale: bool
 
 
 def _power_report(name: str, params: dict, base: Fraction, exponent: Fraction, scale: Fraction) -> ThresholdReport:
-    """scale * base**exponent, exact when the exponent is an integer."""
+    """scale * base**exponent, exact when the exponent is an integer and the
+    value has at most ``EXACT_DIGITS`` digits."""
     if base <= 0:
         raise DomainError(f"{name}: base must be positive")
-    log10 = float(
-        math.log10(scale.numerator) - math.log10(scale.denominator)
-        + float(exponent) * (math.log10(base.numerator) - math.log10(base.denominator))
-    )
-    if exponent.denominator == 1:
+    scale_n, scale_d = math.log10(scale.numerator), math.log10(scale.denominator)
+    base_n, base_d = math.log10(base.numerator), math.log10(base.denominator)
+    log10 = scale_n - scale_d + float(exponent) * (base_n - base_d)
+    digits = scale_n + scale_d + abs(float(exponent)) * (base_n + base_d)
+    if exponent.denominator == 1 and digits <= EXACT_DIGITS:
         value = scale * base ** int(exponent)
         feasible = value <= DESK_SCALE_LIMIT
         return ThresholdReport(name, params, value, log10, True, feasible)
@@ -60,12 +66,17 @@ def _power_report(name: str, params: dict, base: Fraction, exponent: Fraction, s
 def edge_disjoint_guarantee_threshold(eps) -> Fraction:
     """Smallest colour count at which the edge-disjoint (1+eps) guarantee is
     in force: 10^20 * eps^(-16/eps).  Exact rational arithmetic; raises on
-    non-integral exponents (use the report form for those).
+    non-integral exponents and on values over ``EXACT_DIGITS`` digits (use
+    the report form for those).
     """
     report = edge_disjoint_guarantee_report(eps)
     if report.value is None:
+        if (16 / report.parameters["eps"]).denominator != 1:
+            why = "16/eps is not an integer"
+        else:
+            why = f"the value is about 10^{report.log10:.0f}, over {EXACT_DIGITS} digits"
         raise DomainError(
-            "16/eps is not an integer; exact evaluation impossible "
+            f"{why}; exact evaluation impossible "
             "(threshold_table reports the magnitude instead)"
         )
     return report.value

@@ -25,8 +25,10 @@ class SearchBudget:
     time_limit: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.node_limit <= 0 or self.time_limit <= 0:
-            raise ValueError("budget fields must be positive")
+        for name in ("node_limit", "time_limit"):
+            value = getattr(self, name)
+            if not value > 0:  # a NaN time limit would never expire
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 class BudgetMeter:

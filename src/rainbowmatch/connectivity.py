@@ -1,9 +1,9 @@
 """Connectivity toolbox for coloured digraphs.
 
-Rainbow distances, low-expansion balls, close high-minimum-degree subgraphs,
-the derived two-hop digraph (an arc wherever enough internally disjoint
-rainbow length-2 paths exist, certified per arc), extraction of highly
-connected vertex sets, and rainbow paths through prescribed anchors.
+Rainbow distances, low-expansion balls, the derived two-hop digraph (an arc
+wherever enough internally disjoint rainbow length-2 paths exist, certified
+per arc), extraction of highly connected vertex sets, and rainbow paths
+through prescribed anchors.
 
 Distances follow the total-colouring convention by default (vertex and edge
 colours all pairwise distinct along a path); an edge-colour-only mode is
@@ -25,19 +25,11 @@ from .budget import BudgetMeter, SearchBudget
 from .digraph import (
     Arc,
     LabelledDigraph,
-    check_proper_labelling,
     is_rainbow_arc_path,
     iter_rainbow_paths,
     iter_shortest_first,
 )
-from .errors import (
-    CertificateExhausted,
-    NoVerifiedSetFound,
-    PathNotInDigraph,
-    PathNotRainbow,
-    PreconditionViolated,
-    SegmentNotFound,
-)
+from .errors import NoVerifiedSetFound, PathNotRainbow, PreconditionViolated, SegmentNotFound
 from .oracle import ConnectivityVerdict, is_kd_connected
 
 INFINITE = math.inf
@@ -116,32 +108,6 @@ def low_expansion_ball(
         if len(dist) <= len(ball) + slack:
             return t0, ball
     raise AssertionError("no low-expansion radius found; impossible by counting")
-
-
-def close_high_degree_subgraph(
-    D: LabelledDigraph,
-    v: int,
-    eps,
-    budget: SearchBudget | None = None,
-) -> frozenset[int]:
-    """Vertex set near v whose induced minimum out-degree is nearly the
-    minimum out-degree over the rainbow ball of radius ceil(1/eps).
-
-    Requires a properly totally coloured digraph with pairwise distinct
-    vertex colours on at least 2/eps^2 vertices.
-    """
-    eps = as_fraction(eps)
-    if not (0 < eps <= 1):
-        raise PreconditionViolated("eps must be in (0, 1]")
-    if D.vertex_count < math.ceil(2 / eps**2):
-        raise PreconditionViolated(
-            f"|D| = {D.vertex_count} below threshold {math.ceil(2 / eps ** 2)}"
-        )
-    proper = check_proper_labelling(D)
-    if not proper:
-        raise PreconditionViolated(f"colouring not proper: {proper.reason}")
-    _, ball = low_expansion_ball(D, v, eps, mode="total", budget=budget)
-    return ball
 
 
 class TwoHopEntry(NamedTuple):
@@ -333,10 +299,12 @@ def find_kd_connected_set(
     is then checked by the exhaustive/sampled connectivity oracle at the
     mode's diameter bound; correctness rests on the verifier, never the
     heuristic.  Degenerate inputs fall back to a singleton with a vacuous
-    verdict; an unknown mode raises ``ValueError`` before that.
+    verdict; an unknown mode or k < 1 raises ``ValueError`` before that.
     """
     if mode not in ("uncoloured", "edge", "vertex", "total"):
         raise ValueError(f"unknown mode {mode!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     eps = as_fraction(eps)
     if not (0 < eps <= 1):
         raise PreconditionViolated("eps must be in (0, 1]")
@@ -458,40 +426,3 @@ def _shortest_leg(
     )
     return next(paths, None)
 
-
-def lift_path_through_two_hops(
-    D: LabelledDigraph,
-    certificate: TwoHopCertificate,
-    path_vertices: Sequence[int],
-    S: Iterable,
-) -> tuple[Arc, ...]:
-    """Expand a derived-digraph path into a rainbow path of D, twice as long.
-
-    For every derived arc a midpoint entry is chosen whose colour triple is
-    disjoint from the triples already chosen, from S, and from the colours
-    of the path's vertices.  Runs out of entries -> CertificateExhausted
-    (the bundle size was too small for this request).
-    """
-    S = frozenset(S)
-    verts = list(path_vertices)
-    if len(verts) < 2:
-        return ()
-    path_labels = {D.vertex_labels[v] for v in verts}
-    if any(D.vertex_labels[v] in S for v in verts[1:-1]):
-        raise PreconditionViolated("an internal path vertex carries a forbidden colour")
-    blocked = set(S) | path_labels  # grows by each chosen triple
-    out: list[Arc] = []
-    for a, b in zip(verts, verts[1:]):
-        entries = certificate.bundles.get((a, b))
-        if entries is None:
-            raise PathNotInDigraph(f"derived arc {a} -> {b} has no certificate")
-        pick = next((e for e in entries if blocked.isdisjoint(e.colour_triple())), None)
-        if pick is None:
-            raise CertificateExhausted(
-                f"no admissible midpoint left for derived arc {a} -> {b}"
-            )
-        blocked.update(pick.colour_triple())
-        out.extend((pick.first, pick.second))
-    if not is_rainbow_arc_path(D, tuple(out)):
-        raise PathNotRainbow("lift_path_through_two_hops built a path that is not rainbow")
-    return tuple(out)

@@ -69,10 +69,6 @@ class RecursionBudgetExceeded(BudgetExceeded):
 
 # --- solver / machinery preconditions ---------------------------------------
 
-class InfeasibleConstraints(RainbowError):
-    pass
-
-
 class InfeasibleParameters(RainbowError):
     pass
 
@@ -126,8 +122,4 @@ class NoVerifiedSetFound(RainbowError):
 
 
 class SegmentNotFound(RainbowError):
-    pass
-
-
-class CertificateExhausted(RainbowError):
     pass

@@ -16,14 +16,8 @@ from time import monotonic
 from typing import Iterable, Sequence
 
 from .budget import CLOCK_STRIDE, BudgetMeter, SearchBudget
-from .core import (
-    ColouredBipartiteMultigraph,
-    Edge,
-    MatchingContext,
-    RainbowMatching,
-)
+from .core import ColouredBipartiteMultigraph, Edge, RainbowMatching
 from .digraph import LabelledDigraph, iter_rainbow_paths
-from .errors import BudgetExceeded, InfeasibleConstraints
 from .rng import SplitMix64
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "exact_max_rainbow_matching",
     "is_rainbow_k_edge_connected",
     "is_kd_connected",
-    "free_set_check",
     "ConnectivityVerdict",
 ]
 
@@ -97,13 +90,9 @@ def _class_layout(widths: Sequence[int]) -> tuple[list[int], list[int], int]:
 
 
 def exact_max_rainbow_matching(
-    graph: ColouredBipartiteMultigraph,
-    required: Iterable[Edge] = (),
-    forbidden_x: Iterable[int] = (),
-    forbidden_colours: Iterable[int] = (),
-    budget: SearchBudget | None = None,
+    graph: ColouredBipartiteMultigraph, budget: SearchBudget | None = None
 ) -> OracleResult:
-    """Maximum-size rainbow matching under constraints, by branch and bound.
+    """Maximum-size rainbow matching, by branch and bound.
 
     Branches per colour on "use edge e" / "leave the colour unused", with
     colours ordered by ascending class size (fail-first).  The state is one
@@ -131,42 +120,16 @@ def exact_max_rainbow_matching(
     ``_DEAD_BITS`` bits of masks.  Both the table and the kill-mask cache
     are freed when the call returns.
 
-    ``required`` edges are forced into the output, ``forbidden_x``
-    vertices and ``forbidden_colours`` are never touched.  On budget
-    exhaustion, or when the search recurses past the interpreter's
-    recursion limit (about 990 colours at the default limit), the best
-    matching found so far is returned with ``optimal=False``, and ``stop``
-    says which limit ended the search.
+    On budget exhaustion, or when the search recurses past the
+    interpreter's recursion limit (about 990 colours at the default limit),
+    the best matching found so far is returned with ``optimal=False``, and
+    ``stop`` says which limit ended the search.
     """
-    required = tuple(Edge(*e) for e in required)
-    forb_x = frozenset(forbidden_x)
-    forb_c = frozenset(forbidden_colours)
-
-    used_x: set[int] = set()
-    used_y: set[int] = set()
-    used_c: set[int] = set()
-    for e in required:
-        if not graph.has_edge(e):
-            raise InfeasibleConstraints(f"required edge {tuple(e)} not in graph")
-        if e.c in forb_c:
-            raise InfeasibleConstraints(f"required edge {tuple(e)} has forbidden colour")
-        if e.x in forb_x:
-            raise InfeasibleConstraints(f"required edge {tuple(e)} touches forbidden X")
-        if e.x in used_x or e.y in used_y or e.c in used_c:
-            raise InfeasibleConstraints("required edges are not pairwise compatible")
-        used_x.add(e.x)
-        used_y.add(e.y)
-        used_c.add(e.c)
-
     order = sorted(
-        (
-            c
-            for c in range(graph.colour_count)
-            if c not in used_c and c not in forb_c and graph.colour_classes[c]
-        ),
+        (c for c in range(graph.colour_count) if graph.colour_classes[c]),
         key=lambda c: (len(graph.colour_classes[c]), c),
     )
-    upper = len(required) + len(order)
+    upper = len(order)
 
     # Edge k is bit k, numbered in class-scan order: colours in `order`,
     # each class's edges as stored.
@@ -180,19 +143,14 @@ def exact_max_rainbow_matching(
         bit <<= 1
     class_mask, tops, rest = _class_layout([len(graph.colour_classes[c]) for c in order])
     live = (1 << len(edges)) - 1
-    for x in forb_x | used_x:
-        if 0 <= x < graph.left_size:
-            live &= ~x_mask[x]
-    for y in used_y:
-        live &= ~y_mask[y]
 
     meter = BudgetMeter(budget)
     node_limit, deadline = meter.node_limit, meter.deadline
     nodes = 1  # the root
     last = len(order) - 1
-    best: list[Edge] = list(required)
-    best_len = len(required)
-    current: list[Edge] = list(required)
+    best: list[Edge] = []
+    best_len = 0
+    current: list[Edge] = []
     dead: set[int] = set()  # live masks with no full completion, found at slack 0
     dead_cap = _DEAD_BITS // max(len(edges), 1)
     kills: list[int | None] = [None] * len(edges)  # ~(class | x | y) of each edge used
@@ -250,7 +208,7 @@ def exact_max_rainbow_matching(
     stop = "complete"
     try:
         if order:
-            search(0, live, len(required))
+            search(0, live, 0)
     except _Stop as halt:
         stop = halt.args[0]
     except RecursionError:
@@ -343,6 +301,8 @@ def is_rainbow_k_edge_connected(
     Exhaustive over removal sets when their count fits the node budget,
     otherwise uniformly sampled with the sample count reported.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if samples < 1:
         raise ValueError("samples must be positive")
     budget = budget or SearchBudget()
@@ -374,6 +334,8 @@ def is_kd_connected(
     S, under the matching convention.  Exhaustive when the quantifier space
     fits the budget, otherwise sampled; the verdict says which.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if samples < 1:
         raise ValueError("samples must be positive")
     budget = budget or SearchBudget()
@@ -421,68 +383,6 @@ def is_kd_connected(
     return _coloured_verdict(
         D, sorted(universe, key=repr), k, pairs, d, mode, budget, samples, seed
     )
-
-
-def free_set_check(
-    ctx: MatchingContext,
-    x_prime: Iterable[int],
-    T: Iterable[int],
-    c: int,
-    k: int,
-    budget: SearchBudget | None = None,
-) -> bool:
-    """Decide the k-fold pin/avoid freeness of a vertex set, exhaustively.
-
-    A set X' passes when it is disjoint from T, neither X' nor T covers an
-    edge of colour c, and for every choice of k matching edges A (outside
-    the T-pinned and colour-c edges) and k vertices B in X' clear of A there
-    is a full-size rainbow matching that keeps A, avoids B, and misses
-    colour c.  Each (A, B) pair is decided by the exact solver.
-    """
-    budget = budget or SearchBudget()
-    xp = frozenset(x_prime)
-    tset = frozenset(T)
-    if xp & tset:
-        return False
-    c_edge = ctx.edge_of_colour.get(c)
-    if c_edge is not None and c_edge.x in xp | tset:
-        return False
-
-    n = ctx.matching.size
-    pinned = frozenset(ctx.edge_of_x[x] for x in tset if x in ctx.edge_of_x)
-    a_pool = sorted(
-        (e for e in ctx.matching if e not in pinned and e != c_edge),
-        key=lambda e: e.c,
-    )
-    b_pool = sorted(xp)
-    if k > len(a_pool) or k > len(b_pool):
-        return True  # no admissible (A, B) pair: vacuous
-
-    n_a = math.comb(len(a_pool), k)
-    n_b = math.comb(len(b_pool), k)
-    if n_a * n_b > budget.node_limit:
-        raise BudgetExceeded(
-            f"{n_a * n_b} (A, B) pairs exceed node limit {budget.node_limit}"
-        )
-
-    for A in itertools.combinations(a_pool, k):
-        ax = {e.x for e in A}
-        b_candidates = [b for b in b_pool if b not in ax]
-        if len(b_candidates) < k:
-            continue
-        for B in itertools.combinations(b_candidates, k):
-            result = exact_max_rainbow_matching(
-                ctx.graph,
-                required=A,
-                forbidden_x=B,
-                forbidden_colours=(c,),
-                budget=budget,
-            )
-            if not result.optimal:
-                raise BudgetExceeded("inner oracle call ran out of budget")
-            if result.size < n:
-                return False
-    return True
 
 
 def _bfs_avoiding(

@@ -5,6 +5,7 @@ import pytest
 
 from rainbowmatch.bounds import (
     DESK_SCALE_LIMIT,
+    EXACT_DIGITS,
     edge_disjoint_guarantee_report,
     edge_disjoint_guarantee_threshold,
     threshold_table,
@@ -31,6 +32,22 @@ def test_guarantee_threshold_domain():
         edge_disjoint_guarantee_threshold(0)
     with pytest.raises(DomainError):
         edge_disjoint_guarantee_threshold(2)
+
+
+def test_guarantee_threshold_names_why_it_cannot_be_exact():
+    with pytest.raises(DomainError, match="^16/eps is not an integer;"):
+        edge_disjoint_guarantee_threshold(Fraction(3, 10))
+    with pytest.raises(DomainError, match=r"^the value is about 10\^48020, over 1000 digits;"):
+        edge_disjoint_guarantee_threshold(Fraction(1, 1000))
+
+
+def test_exact_values_stop_at_the_digit_cap():
+    # 10^20 * 25^400 has 580 digits; 10^20 * 50^800 has 1,380
+    assert edge_disjoint_guarantee_threshold(Fraction(1, 25)) == 10**20 * 25**400
+    report = edge_disjoint_guarantee_report(Fraction(1, 50))
+    assert report.value is None and not report.exact
+    assert report.log10 == pytest.approx(20 + 800 * math.log10(50))
+    assert EXACT_DIGITS == 1000
 
 
 def test_guarantee_nonintegral_exponent_reports_magnitude():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -289,6 +290,26 @@ def test_bounds_names_a_parameter_outside_its_domain(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "epsilon, by_magnitude",
+    [
+        ("1/1000", {"edge_disjoint_guarantee_threshold"}),
+        # initial_pin_budget is near 1 here, but its terms have 12,000 digits
+        ("1/999", {"edge_disjoint_guarantee_threshold", "initial_pin_budget"}),
+        ("1/10000", {"edge_disjoint_guarantee_threshold", "initial_pin_budget"}),
+    ],
+)
+def test_bounds_reports_a_threshold_too_large_to_print_by_its_magnitude(
+    capsys, epsilon, by_magnitude
+):
+    code, out = _capture(capsys, ["bounds", "--epsilon", epsilon])
+    assert code == 0
+    thresholds = json.loads(out)["thresholds"]
+    assert all(math.isfinite(t["log10"]) for t in thresholds)
+    assert {t["name"] for t in thresholds if not t["exact"]} == by_magnitude
+    assert all(t["value"] is None for t in thresholds if not t["exact"])
+
+
 @pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf")])
 def test_json_output_refuses_a_non_finite_number(capsys, number):
     with pytest.raises(ValueError):
@@ -387,6 +408,37 @@ def test_connectivity_kdset_names_an_unknown_mode_at_every_size(capsys, shape):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown mode 'foo'\n"
+
+
+@pytest.mark.parametrize("shape", [("3", "0"), ("12", "8")], ids=["degenerate", "peeled"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_connectivity_kdset_refuses_k_below_one(capsys, shape, k):
+    vertices, degree = shape
+    argv = ["connectivity", "--op", "kdset", "--vertices", vertices, "--out-degree", degree,
+            "--k", k]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k must be at least 1, got {k}\n"
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        ("solve", ["--depth-cap", "-1"], "--depth-cap must be non-negative, got -1"),
+        ("solve", ["--algorithm", "greedy", "--depth-cap", "-1"],
+         "--depth-cap must be non-negative, got -1"),
+        ("solve", ["--time-limit", "nan"], "time_limit must be positive, got nan"),
+        ("oracle-max", ["--time-limit", "nan"], "time_limit must be positive, got nan"),
+    ],
+)
+def test_solvers_name_a_limit_that_would_not_bound_them(capsys, tmp_path, command, options, message):
+    f = tmp_path / "g.txt"
+    f.write_text(write_edge_list(generate_instance("random", 3, 4, True, seed=1, left_size=5, right_size=5)))
+    assert run([command, str(f), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])

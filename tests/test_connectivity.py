@@ -6,16 +6,13 @@ import pytest
 from rainbowmatch import connectivity
 from rainbowmatch.connectivity import (
     build_two_hop_digraph,
-    close_high_degree_subgraph,
     find_kd_connected_set,
-    lift_path_through_two_hops,
     low_expansion_ball,
     rainbow_distance,
     rainbow_path_through,
 )
 from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths
 from rainbowmatch.errors import (
-    CertificateExhausted,
     PathNotRainbow,
     PreconditionViolated,
     SegmentNotFound,
@@ -94,39 +91,6 @@ def test_ball_nontrivial_growth_exists():
     t0, ball = low_expansion_ball(D, 0, 0.25)
     assert t0 >= 1
     assert len(ball) > 13
-
-
-def test_close_subgraph_precondition():
-    D = complete_biorientation(4)
-    with pytest.raises(PreconditionViolated):
-        close_high_degree_subgraph(D, 0, 0.3)  # needs >= 23 vertices
-
-
-def test_close_subgraph_complete_biorientation_nonvacuous():
-    q, eps = 13, 0.4
-    D = complete_biorientation(q)
-    N = close_high_degree_subgraph(D, 0, eps)
-    assert N == frozenset(range(q))
-    radius = math.ceil(1 / eps)
-    delta = min(
-        D.out_degree(x)
-        for x in range(q)
-        if _min_total_rainbow_distance(D, 0, x, radius) <= radius
-    )
-    bound = delta - 2 * eps * q
-    assert bound > 0  # the check below is not vacuous
-    for x in N:
-        assert len(D.out_neighbours(x) & N) >= bound
-
-
-def test_close_subgraph_random_instance_postcondition():
-    D = generate_proper_digraph(100, 8, seed=3)
-    eps = 0.3
-    N = close_high_degree_subgraph(D, 0, eps)
-    bound_floor = -2 * eps * 100
-    for x in N:
-        induced = len(D.out_neighbours(x) & N)
-        assert induced >= min(D.out_degree(x), 8) + bound_floor
 
 
 def test_two_hop_single_edge_is_edgeless():
@@ -275,46 +239,16 @@ def test_anchored_path_precondition_and_failure():
     assert "leg 0" in str(exc.value)
 
 
-def test_lift_single_edge_path():
-    D = generate_proper_digraph(30, 10, seed=2)
-    derived, cert = build_two_hop_digraph(D, 3)
-    arc = derived.arcs[0]
-    lifted = lift_path_through_two_hops(D, cert, [arc.tail, arc.head], frozenset())
-    assert len(lifted) == 2
-
-
-def test_lift_three_edge_path():
-    D = generate_proper_digraph(30, 12, seed=9)
-    derived, cert = build_two_hop_digraph(D, 6)
-    found = None
-    for p in iter_rainbow_paths(
-        derived, 0, target=None, max_len=3, edge_rainbow=False, vertex_scope="none"
-    ):
-        if len(p) == 3:
-            found = [p[0].tail, p[0].head, p[1].head, p[2].head]
-            break
-    assert found is not None
-    lifted = lift_path_through_two_hops(D, cert, found, frozenset())
-    assert len(lifted) == 6
-
-
-def test_lift_exhausted_by_forbidding_certificate_colours():
-    D = generate_proper_digraph(25, 8, seed=4)
-    derived, cert = build_two_hop_digraph(D, 1)
-    arc = derived.arcs[0]
-    entry = cert.bundles[(arc.tail, arc.head)][0]
-    colours = frozenset(entry.colour_triple())
-    with pytest.raises(CertificateExhausted):
-        lift_path_through_two_hops(D, cert, [arc.tail, arc.head], colours)
-
-
 def test_returned_paths_are_reverified(monkeypatch):
     # the re-verification is an explicit check, so it holds under python -O
-    D = generate_proper_digraph(30, 10, seed=2)
-    derived, cert = build_two_hop_digraph(D, 3)
-    arc = derived.arcs[0]
     monkeypatch.setattr(connectivity, "is_rainbow_arc_path", lambda *args, **kwargs: False)
     with pytest.raises(PathNotRainbow, match="rainbow_path_through"):
         rainbow_path_through(complete_biorientation(6), range(6), [0, 2, 4], frozenset(), 2)
-    with pytest.raises(PathNotRainbow, match="lift_path_through_two_hops"):
-        lift_path_through_two_hops(D, cert, [arc.tail, arc.head], frozenset())
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("vertices, degree", [(3, 0), (12, 8)], ids=["degenerate", "peeled"])
+def test_kd_set_refuses_k_below_one(k, vertices, degree):
+    D = generate_proper_digraph(vertices, degree, seed=0)
+    with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+        find_kd_connected_set(D, k, 0.5)

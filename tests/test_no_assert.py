@@ -1,10 +1,21 @@
 """The package checks its results with explicit raises, never with ``assert``,
-which ``python -O`` strips: a re-verification must run in every mode."""
+which ``python -O`` strips: a re-verification must run in every mode.  It
+also carries no unused import and no public function that only tests reach."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rainbowmatch"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rainbowmatch"
+
+# Public functions that only tests call, each kept for a reason of its own.
+REACHED_BY_TESTS_ONLY = {
+    "check_proper_labelling": "the checker the generator tests rely on",
+    "check_uncovered_edge_bound": "acceptance criterion 7",
+    "edge_disjoint_guarantee_threshold": "the acceptance check of the paper's threshold",
+    "is_rainbow_k_edge_connected": "the paper's notion, pinned by the kernel and verdict snapshots",
+}
 
 
 def test_package_has_no_assert_statement():
@@ -55,3 +66,43 @@ def test_package_has_no_unused_import():
             if name not in used and name not in exported
         ]
     assert unused == []
+
+
+def _names(tree: ast.AST, strings: bool = False) -> Counter:
+    """Each name a tree refers to, by a name, an attribute or an import, and
+    with ``strings`` by a string constant too, counted."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def test_every_public_function_is_reached_outside_the_tests():
+    # A package module, the package's __all__ or the benchmark must name each
+    # one outside its own definition; bench/tracer.py wraps functions by name.
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    in_package = sum(map(_names, trees), Counter())
+    elsewhere = _exported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        elsewhere |= set(_names(ast.parse(path.read_text(), str(path)), strings=True))
+    public = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(public) >= 50
+    unreached = [
+        fn.name
+        for fn in public
+        if fn.name not in elsewhere and not in_package[fn.name] - _names(fn)[fn.name]
+    ]
+    assert sorted(set(unreached) - set(REACHED_BY_TESTS_ONLY)) == []
+    assert set(REACHED_BY_TESTS_ONLY) <= set(unreached)

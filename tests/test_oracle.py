@@ -3,15 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch.budget import SearchBudget
-from rainbowmatch.core import Edge, make_context
-from rainbowmatch.errors import BudgetExceeded, InfeasibleConstraints
 from rainbowmatch.gen import generate_instance
 from rainbowmatch.latin import LatinRectangle, parse_latin, square_to_graph
 from rainbowmatch.menger import build_counterexample
 from rainbowmatch.oracle import (
     _class_layout,
     exact_max_rainbow_matching,
-    free_set_check,
     is_kd_connected,
     is_rainbow_k_edge_connected,
 )
@@ -39,37 +36,6 @@ def test_oracle_cyclic3():
     assert res.optimal
 
 
-def test_oracle_forced_by_required():
-    g = generate_instance("random", 3, 4, True, seed=9, left_size=5, right_size=5)
-    free = exact_max_rainbow_matching(g)
-    required = free.matching.edges
-    assert len(required) == g.colour_count  # one edge per colour: fully forced
-    res = exact_max_rainbow_matching(g, required=required)
-    assert res.matching.edge_set() == set(required)
-    one_per_colour = exact_max_rainbow_matching(g, required=required[:1])
-    assert required[0] in one_per_colour.matching.edge_set()
-
-
-def test_oracle_infeasible_required():
-    with pytest.raises(InfeasibleConstraints):
-        exact_max_rainbow_matching(
-            LATIN_2x2, required=[Edge(0, 0, 0)], forbidden_colours=[0]
-        )
-    with pytest.raises(InfeasibleConstraints):
-        exact_max_rainbow_matching(
-            LATIN_2x2, required=[Edge(0, 0, 0), Edge(0, 1, 1)]
-        )
-
-
-def test_oracle_respects_forbidden():
-    res = exact_max_rainbow_matching(CYCLIC_3, forbidden_colours=[0])
-    assert res.size == 2
-    assert 0 not in res.matching.colours()
-    res2 = exact_max_rainbow_matching(CYCLIC_3, forbidden_x=[0, 1])
-    assert res2.size == 1
-    assert all(e.x == 2 for e in res2.matching)
-
-
 def test_oracle_monotone_under_edge_addition():
     base = generate_instance("random", 4, 3, False, seed=21, left_size=6, right_size=6)
     prev = 0
@@ -88,6 +54,26 @@ def test_oracle_budget_returns_flagged_best():
     assert not res.optimal
     assert res.stop == "node_limit"
     assert res.nodes >= 3
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"time_limit": float("nan")}, "time_limit must be positive, got nan"),
+        ({"time_limit": 0}, "time_limit must be positive, got 0"),
+        ({"time_limit": -float("inf")}, "time_limit must be positive, got -inf"),
+        ({"node_limit": 0}, "node_limit must be positive, got 0"),
+    ],
+)
+def test_budget_names_a_field_that_would_not_bound_a_search(fields, message):
+    with pytest.raises(ValueError) as info:
+        SearchBudget(**fields)
+    assert str(info.value) == message
+
+
+def test_an_infinite_time_limit_is_explicit_and_allowed():
+    res = exact_max_rainbow_matching(CYCLIC_3, budget=SearchBudget(time_limit=float("inf")))
+    assert res.optimal and res.size == 3
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,48 +224,15 @@ def test_sampled_verdicts_need_a_positive_sample_count():
             is_rainbow_k_edge_connected(D, 2, budget=tight, samples=samples)
 
 
-# --- free sets -----------------------------------------------------------------
-
-
-def _context_with_missing(graph):
-    full = exact_max_rainbow_matching(graph)
-    assert full.size == graph.colour_count - 1
-    return make_context(graph, full.matching)
-
-
-def test_x0_is_free():
-    ctx = _context_with_missing(LATIN_2x2)
-    assert free_set_check(ctx, ctx.x0, T=(), c=ctx.c_star, k=1)
-
-
-def test_free_set_rejects_overlap_with_T():
-    ctx = _context_with_missing(LATIN_2x2)
-    x = ctx.matching.edges[0].x
-    assert not free_set_check(ctx, {x}, T={x}, c=ctx.c_star, k=0)
-
-
-def test_free_set_rejects_a_set_covering_colour_c():
-    g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))
-    ctx = make_context(g, exact_max_rainbow_matching(g, forbidden_colours=[2]).matching)
-    for e in ctx.matching:
-        assert not free_set_check(ctx, {e.x}, T=(), c=e.c, k=0)
-        assert not free_set_check(ctx, (), T={e.x}, c=e.c, k=0)
-
-
-def test_free_set_counterexample_with_k1():
-    # 3 colours; removing the pinned structure admits no replacement for X'={covered x}
-    g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))
-    res = exact_max_rainbow_matching(g, forbidden_colours=[2])
-    ctx = make_context(g, res.matching)
-    covered = ctx.matching.edges[0].x
-    assert not free_set_check(ctx, {covered}, T=(), c=ctx.c_star, k=1)
-
-
-def test_free_set_budget():
-    g = generate_instance("random", 5, 6, True, seed=3, left_size=7, right_size=7)
-    res = exact_max_rainbow_matching(g, forbidden_colours=[4])
-    ctx = make_context(g, res.matching)
-    with pytest.raises(BudgetExceeded):
-        free_set_check(
-            ctx, ctx.x0, T=(), c=ctx.c_star, k=2, budget=SearchBudget(node_limit=2)
-        )
+@pytest.mark.parametrize("k", [0, -1])
+def test_connectivity_predicates_refuse_k_below_one(k):
+    # vertex 2 is unreachable, so no k could make this digraph connected
+    D = LabelledDigraph(3, [(0, 1, "a")])
+    with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+        is_kd_connected(D, [0, 1, 2], k, 2)
+    for mode in ("edge", "vertex", "total"):
+        with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+            is_kd_connected(D, [0, 1, 2], k, 2, mode=mode)
+    with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+        is_rainbow_k_edge_connected(D, k)
+    assert not is_kd_connected(D, [0, 1, 2], 1, 2).connected
