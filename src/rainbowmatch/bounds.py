@@ -49,13 +49,19 @@ class ThresholdReport:
 
 def _power_report(name: str, params: dict, base: Fraction, exponent: Fraction, scale: Fraction) -> ThresholdReport:
     """scale * base**exponent, exact when the exponent is an integer and the
-    value has at most ``EXACT_DIGITS`` digits."""
+    value has at most ``EXACT_DIGITS`` digits.  A value whose log10 or digit
+    count passes a float's range raises DomainError naming eps."""
     if base <= 0:
         raise DomainError(f"{name}: base must be positive")
     scale_n, scale_d = math.log10(scale.numerator), math.log10(scale.denominator)
     base_n, base_d = math.log10(base.numerator), math.log10(base.denominator)
-    log10 = scale_n - scale_d + float(exponent) * (base_n - base_d)
-    digits = scale_n + scale_d + abs(float(exponent)) * (base_n + base_d)
+    try:
+        log10 = scale_n - scale_d + float(exponent) * (base_n - base_d)
+        digits = scale_n + scale_d + abs(float(exponent)) * (base_n + base_d)
+    except OverflowError:  # the exponent itself passes a float's range
+        log10 = digits = math.inf
+    if not (math.isfinite(log10) and math.isfinite(digits)):
+        raise DomainError(f"eps is too small: the log10 of {name} passes a float's range")
     if exponent.denominator == 1 and digits <= EXACT_DIGITS:
         value = scale * base ** int(exponent)
         feasible = value <= DESK_SCALE_LIMIT
@@ -100,7 +106,10 @@ def threshold_table(eps, m=None, k=None, k1=None) -> tuple[ThresholdReport, ...]
 
     The parameters given must lie in the formulas' domains: 0 < eps <= 1,
     m >= 1, k >= 1 and k1 > 0; a parameter outside raises DomainError
-    naming it.  Every value is then positive, so every log10 is finite.
+    naming it.  Every value is then positive; an eps so small that a log10
+    passes a float's range raises DomainError too, so every log10 reported
+    is finite.  A value over ``EXACT_DIGITS`` digits is reported by its
+    log10 alone.
     """
     eps = as_fraction(eps)
     if not (0 < eps <= 1):
@@ -113,8 +122,10 @@ def threshold_table(eps, m=None, k=None, k1=None) -> tuple[ThresholdReport, ...]
     reports = [edge_disjoint_guarantee_report(eps)]
 
     def exact_entry(name: str, params: dict, value: Fraction) -> ThresholdReport:
-        log10 = math.log10(value.numerator) - math.log10(value.denominator)
-        return ThresholdReport(name, params, value, log10, True, value <= DESK_SCALE_LIMIT)
+        num, den = math.log10(value.numerator), math.log10(value.denominator)
+        if num + den > EXACT_DIGITS:
+            return ThresholdReport(name, params, None, num - den, False, num - den <= 6)
+        return ThresholdReport(name, params, value, num - den, True, value <= DESK_SCALE_LIMIT)
 
     connected_d = CONNECTED_SET_DIAMETER / eps**2
     rainbow_d = RAINBOW_CONNECTED_SET_DIAMETER / eps**2

@@ -176,11 +176,10 @@ def _cmd_oracle_max(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
+    eps = _fraction_option("--epsilon", args.epsilon)
     D = gen_mod.generate_proper_digraph(args.vertices, args.out_degree, args.seed)
     if args.op == "ball":
-        t0, ball = conn_mod.low_expansion_ball(
-            D, args.vertex, args.epsilon, budget=_budget(args)
-        )
+        t0, ball = conn_mod.low_expansion_ball(D, args.vertex, eps, budget=_budget(args))
         payload = {"op": "ball", "t0": t0, "ball": sorted(ball)}
     elif args.op == "twohop":
         derived, cert = conn_mod.build_two_hop_digraph(D, args.m, budget=_budget(args))
@@ -194,7 +193,7 @@ def _cmd_connectivity(args) -> int:
     elif args.op == "kdset":
         try:
             result = conn_mod.find_kd_connected_set(
-                D, args.k, args.epsilon, mode=args.mode, budget=_budget(args)
+                D, args.k, eps, mode=args.mode, budget=_budget(args)
             )
         except NoVerifiedSetFound as exc:
             _emit({"op": "kdset", "connected": False, "reason": str(exc)}, args.format)
@@ -366,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-degree", type=int, default=6, dest="out_degree")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vertex", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", default="1/2")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--d", type=int, default=4)

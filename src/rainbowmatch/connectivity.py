@@ -5,10 +5,10 @@ wherever enough internally disjoint rainbow length-2 paths exist, certified
 per arc), extraction of highly connected vertex sets, and rainbow paths
 through prescribed anchors.
 
-Distances follow the total-colouring convention by default (vertex and edge
-colours all pairwise distinct along a path); an edge-colour-only mode is
-available where callers need it.  All radius parameters derived from a real
-epsilon are ceiling-rounded, explicitly, to avoid off-by-one drift.
+Distances and balls take any of the kernel's ``MODES`` and follow the
+total-colouring convention by default (vertex and edge colours all pairwise
+distinct along a path).  All radius parameters derived from a real epsilon
+are ceiling-rounded, explicitly, to avoid off-by-one drift.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .bounds import CONNECTED_SET_DIAMETER, RAINBOW_CONNECTED_SET_DIAMETER, as_fraction
 from .budget import BudgetMeter, SearchBudget
 from .digraph import (
+    MODES,
     Arc,
     LabelledDigraph,
     is_rainbow_arc_path,
@@ -35,14 +36,6 @@ from .oracle import ConnectivityVerdict, is_kd_connected
 INFINITE = math.inf
 
 
-def _scope(mode: str) -> str:
-    if mode == "total":
-        return "all"
-    if mode == "edge":
-        return "none"
-    raise ValueError(f"unknown colour mode {mode!r}")
-
-
 def rainbow_distance(
     D: LabelledDigraph,
     u: int,
@@ -52,9 +45,7 @@ def rainbow_distance(
     budget: SearchBudget | None = None,
 ) -> int | float:
     """Length of the shortest rainbow u -> v path, or infinity beyond cap."""
-    paths = iter_shortest_first(
-        D, u, target=v, max_len=cap, vertex_scope=_scope(mode), meter=BudgetMeter(budget)
-    )
+    paths = iter_shortest_first(D, u, target=v, max_len=cap, mode=mode, meter=BudgetMeter(budget))
     path = next(paths, None)
     return INFINITE if path is None else len(path)
 
@@ -74,9 +65,7 @@ def _layers(
     D: LabelledDigraph, v: int, cap: int, mode: str, meter: BudgetMeter
 ) -> dict[int, int]:
     dist: dict[int, int] = {}
-    for path in iter_rainbow_paths(
-        D, v, max_len=cap, vertex_scope=_scope(mode), meter=meter
-    ):
+    for path in iter_rainbow_paths(D, v, max_len=cap, mode=mode, meter=meter):
         w = path[-1].head if path else v
         if len(path) < dist.get(w, INFINITE):
             dist[w] = len(path)
@@ -301,7 +290,7 @@ def find_kd_connected_set(
     heuristic.  Degenerate inputs fall back to a singleton with a vacuous
     verdict; an unknown mode or k < 1 raises ``ValueError`` before that.
     """
-    if mode not in ("uncoloured", "edge", "vertex", "total"):
+    if mode not in ("uncoloured",) + MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -419,7 +408,7 @@ def _shortest_leg(
         a,
         target=b,
         max_len=d,
-        vertex_scope="all",
+        mode="total",
         forbidden=forbidden,
         forbidden_vertices=blocked,
         meter=meter,

@@ -271,8 +271,8 @@ class MatchingContext:
         self.edge_of_x = {e.x: e for e in matching}
         self.edge_of_y = {e.y: e for e in matching}
         self.edge_of_colour = {e.c: e for e in matching}
-        self.x0 = tuple(x for x in range(graph.left_size) if x not in self.edge_of_x)
-        self.y0 = tuple(y for y in range(graph.right_size) if y not in self.edge_of_y)
+        self.x0 = frozenset(range(graph.left_size)).difference(self.edge_of_x)
+        self.y0 = frozenset(range(graph.right_size)).difference(self.edge_of_y)
         self.active_colours = tuple(
             range(graph.colour_count) if active is None else sorted(active)
         )

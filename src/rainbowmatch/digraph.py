@@ -13,17 +13,15 @@ it, since most of its walks end within a few arcs of the missing colour.
 ``iter_rainbow_paths`` is the one rainbow path search; the switching engine,
 the connectivity toolbox, the oracles and the Menger lab all consume it.
 ``iter_shortest_first`` deepens it one length at a time, for the searches
-that want the first shortest path.  Rainbow conventions differ per use and
-are driven by two knobs:
+that want the first shortest path.  The rainbow rule is one of three
+``MODES``, named after the labels that must be pairwise distinct along a
+path: ``"edge"`` (arc labels), ``"vertex"`` (vertex labels, endpoints
+included) or ``"total"`` (arc and vertex labels together).
 
-* ``edge_rainbow`` -- edge labels along a path must be pairwise distinct;
-* ``vertex_scope`` -- whether vertex labels join the distinctness set:
-  ``"none"`` (ignored) or ``"all"`` (every path vertex, endpoints included).
-
-A single ``forbidden`` label set constrains whatever the knobs put in play:
-edge labels when ``edge_rainbow`` is set, and the labels of *internal*
-vertices when ``vertex_scope`` is ``"all"``.  Endpoints are exempt,
-matching the convention used throughout.
+A single ``forbidden`` label set constrains the labels the mode puts in
+play: arc labels in ``edge`` and ``total`` mode, and the labels of
+*internal* vertices in ``vertex`` and ``total`` mode.  Endpoints are
+exempt, matching the convention used throughout.
 """
 
 from __future__ import annotations
@@ -34,6 +32,8 @@ from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .budget import BudgetMeter
 from .core import Verdict
+
+MODES = ("edge", "vertex", "total")
 
 
 class Arc(NamedTuple):
@@ -219,8 +219,7 @@ def iter_rainbow_paths(
     *,
     target: int | None = None,
     max_len: int,
-    edge_rainbow: bool = True,
-    vertex_scope: str = "none",
+    mode: str = "edge",
     forbidden: frozenset = frozenset(),
     forbidden_vertices: frozenset = frozenset(),
     meter: BudgetMeter | None = None,
@@ -234,23 +233,25 @@ def iter_rainbow_paths(
     is never passed through.  Vertices are never revisited, nor are those in
     ``forbidden_vertices``.
 
-    ``forbidden`` is one set of colours a path must avoid: arc labels when
-    ``edge_rainbow`` is set, and the labels of internal vertices when
-    ``vertex_scope`` is ``"all"``.  The endpoints are exempt; without a
-    target every vertex after the start counts as internal.
+    ``forbidden`` is one set of colours a path must avoid: arc labels unless
+    ``mode`` is ``"vertex"``, and the labels of internal vertices unless it
+    is ``"edge"``.  The endpoints are exempt; without a target every vertex
+    after the start counts as internal.
 
     The search is iterative: a stack holds one out-arc iterator per path
     vertex, so a path of length L costs no chain of L generator frames per
-    yield.  The meter ticks once per out-arc examined.  A start or target
-    outside the digraph raises ``ValueError`` on the first ``next``.
+    yield.  The meter ticks once per out-arc examined.  ``ValueError`` is
+    raised on the first ``next`` by a start or target outside the digraph, a
+    mode not in ``MODES``, or a mode other than ``"edge"`` without vertex
+    labels.
     """
     for end in (start, target):
         if end is not None and not 0 <= end < D.vertex_count:
             raise ValueError(f"vertex {end} is not among the digraph's {D.vertex_count} vertices")
-    if vertex_scope not in ("none", "all"):
-        raise ValueError(f"unknown vertex_scope {vertex_scope!r}")
-    if vertex_scope != "none" and D.vertex_labels is None:
-        raise ValueError("vertex_scope needs a vertex-labelled digraph")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "edge" and D.vertex_labels is None:
+        raise ValueError(f"mode {mode!r} needs a vertex-labelled digraph")
     if start in forbidden_vertices:
         return
     if target is None or start == target:
@@ -259,7 +260,8 @@ def iter_rainbow_paths(
         return
 
     out_arcs = D._out
-    labels = D.vertex_labels if vertex_scope == "all" else None
+    edge_rainbow = mode != "vertex"
+    labels = None if mode == "edge" else D.vertex_labels
     tick = meter.tick if meter is not None else None
     used: set = {labels[start]} if labels is not None else set()
     blocked = set(forbidden_vertices)  # plus the vertices on the path
@@ -315,8 +317,8 @@ def iter_shortest_first(
     deepening: for each length L up to ``max_len``, one walk capped at L
     yields its paths of exactly L arcs, in DFS preorder.  Every walk passes
     the shorter prefixes again, so the first hit comes cheap and the whole
-    stream dear.  ``rules`` are the kernel's: target, the rainbow knobs and
-    the forbidden sets.
+    stream dear.  ``rules`` are the kernel's: target, mode and the forbidden
+    sets.
     """
     for depth in range(max_len + 1):
         for path in iter_rainbow_paths(D, start, max_len=depth, meter=meter, **rules):

@@ -77,8 +77,7 @@ def build_colour_digraph(ctx: MatchingContext) -> LabelledDigraph:
             f"matching of size {ctx.matching.size} with {graph.colour_count} colours; "
             "need size exactly one below the colour count (and non-empty)"
         )
-    x0 = frozenset(ctx.x0)
-    y0 = frozenset(ctx.y0)
+    x0, y0 = ctx.x0, ctx.y0
     arcs: list[tuple[int, int, tuple]] = []
     for c in range(graph.colour_count):
         for e in graph.colour_classes[c]:
@@ -120,9 +119,7 @@ def check_uncovered_edge_bound(
     through the exact solver unless disabled.
     """
     graph = ctx.graph
-    x0 = frozenset(ctx.x0)
-    y0 = frozenset(ctx.y0)
-    count = sum(1 for e in graph.colour_classes[c] if e.x in x0 and e.y in y0)
+    count = sum(1 for e in graph.colour_classes[c] if e.x in ctx.x0 and e.y in ctx.y0)
     D = build_colour_digraph(ctx)
     distance = rainbow_distance(
         D, ctx.c_star, c, cap=graph.colour_count, mode="edge", budget=budget
@@ -218,11 +215,9 @@ def _try_assembly(
     m_prime = tuple(e for e in matching if e.c not in ball)
     ball_x = {ctx.edge_of_colour[c].x for c in ball if c != c_star}
     ball_y = {ctx.edge_of_colour[c].y for c in ball if c != c_star}
-    x0 = frozenset(ctx.x0)
-    y0 = frozenset(ctx.y0)
 
     # leg 0: ball colours between uncovered X and the ball's Y-cover
-    sub0, cmap0 = restrict(graph, xs=x0, ys=ball_y, colours=ball_list)
+    sub0, cmap0 = restrict(graph, xs=ctx.x0, ys=ball_y, colours=ball_list)
     try:
         m0_local = woolbright_floor(sub0, budget=budget)
     except RainbowError:
@@ -240,7 +235,7 @@ def _try_assembly(
     # leg 1: remaining ball colours between uncovered Y and the ball's X-cover
     child_trace: GoldenTrace | None = None
     if a1:
-        sub1, cmap1 = restrict(graph, xs=ball_x, ys=y0, colours=a1)
+        sub1, cmap1 = restrict(graph, xs=ball_x, ys=ctx.y0, colours=a1)
         m1_local, child_trace = _solve_level(sub1, budget, fuel - 1)
         m1 = relabel_matching(m1_local, cmap1)
     else:

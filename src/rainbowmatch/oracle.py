@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .budget import CLOCK_STRIDE, BudgetMeter, SearchBudget
 from .core import ColouredBipartiteMultigraph, Edge, RainbowMatching
-from .digraph import LabelledDigraph, iter_rainbow_paths
+from .digraph import MODES, LabelledDigraph, iter_rainbow_paths
 from .rng import SplitMix64
 
 __all__ = [
@@ -255,8 +255,6 @@ def _coloured_verdict(D, colours, k, pairs, max_len, mode, budget, samples, seed
     (x, y) in ``pairs``, a rainbow x -> y path of length <= max_len avoiding
     them under ``mode`` (edge / vertex / total)."""
     meter = _work_meter(budget)
-    edge_rainbow = mode in ("edge", "total")
-    vertex_scope = "none" if mode == "edge" else "all"
     r = min(k - 1, len(colours))
     rng = SplitMix64(seed)
 
@@ -268,8 +266,7 @@ def _coloured_verdict(D, colours, k, pairs, max_len, mode, budget, samples, seed
                 x,
                 target=y,
                 max_len=max_len,
-                edge_rainbow=edge_rainbow,
-                vertex_scope=vertex_scope,
+                mode=mode,
                 forbidden=S,
                 meter=meter,
             )
@@ -370,7 +367,7 @@ def is_kd_connected(
             samples,
         )
 
-    if mode not in ("edge", "vertex", "total"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     universe: set = set()
     if mode in ("edge", "total"):

@@ -261,24 +261,22 @@ def augment(
     the matching may simply be maximum).
     """
     c_star = ctx.c_star
-    x0 = frozenset(ctx.x0)
-    y0 = frozenset(ctx.y0)
     cap = depth_cap if depth_cap is not None else len(ctx.active_colours)
     meter = BudgetMeter(budget)
 
     # depth 0: a missing-colour edge between uncovered sides extends directly
-    e = _closing_edge(ctx, c_star, x0, y0, frozenset())
+    e = _closing_edge(ctx, c_star, frozenset())
     if e is not None:
         return _with_edge(ctx.matching, e)
 
     if ctx.matching.size == 0:
         return AugmentFailure(cap, 0, 0, (), False)
 
-    D = build_switch_digraph(ctx, x0)
+    D = build_switch_digraph(ctx, ctx.x0)
     paths_explored = 0
     deepest = 0
     frontier: set[int] = set()
-    for path in iter_shortest_first(D, c_star, max_len=cap, vertex_scope="all", meter=meter):
+    for path in iter_shortest_first(D, c_star, max_len=cap, mode="total", meter=meter):
         if not path:
             continue  # depth 0 was tried above
         paths_explored += 1
@@ -286,16 +284,15 @@ def augment(
         v = path[-1].head
         frontier.add(v)
         sigma = _arcs_to_switching(ctx, path)
-        e = _closing_edge(ctx, v, x0, y0, sigma.x_vertices())
+        e = _closing_edge(ctx, v, sigma.x_vertices())
         if e is not None:
             return _with_edge(apply_switching(ctx, sigma), e)
     return AugmentFailure(cap, deepest, paths_explored, tuple(sorted(frontier)), True)
 
 
-def _closing_edge(
-    ctx: MatchingContext, c: int, x0: frozenset[int], y0: frozenset[int], sx: frozenset[int]
-) -> Edge | None:
+def _closing_edge(ctx: MatchingContext, c: int, sx: frozenset[int]) -> Edge | None:
     """First colour-c edge from uncovered X outside ``sx`` to uncovered Y."""
+    x0, y0 = ctx.x0, ctx.y0
     for e in ctx.graph.colour_classes[c]:
         if e.x in x0 and e.x not in sx and e.y in y0:
             return e
@@ -436,24 +433,22 @@ class _Engine:
         length does; the shortest hit that comes first wins.
         """
         ctx = self.context(current, c_star, flip)
-        x0 = frozenset(ctx.x0)
-        y0 = frozenset(ctx.y0)
-        e = _closing_edge(ctx, c_star, x0, y0, frozenset())
+        e = _closing_edge(ctx, c_star, frozenset())
         if e is not None:
             return self.to_host(_with_edge(ctx.matching, e), flip), []
         if current.size == 0:
             return None, []
-        D = build_switch_digraph(ctx, x0)
+        D = build_switch_digraph(ctx, ctx.x0)
         cap = self.depth_cap if self.depth_cap is not None else len(ctx.active_colours)
         best: tuple[int, RainbowMatching] | None = None  # (length, augmented)
         moves = []
-        for path in iter_rainbow_paths(D, c_star, max_len=cap, vertex_scope="all", meter=meter):
+        for path in iter_rainbow_paths(D, c_star, max_len=cap, mode="total", meter=meter):
             if not path:
                 continue
             sigma = _arcs_to_switching(ctx, path)
             rotated = apply_switching(ctx, sigma)
             if best is None or len(path) < best[0]:
-                e = _closing_edge(ctx, path[-1].head, x0, y0, sigma.x_vertices())
+                e = _closing_edge(ctx, path[-1].head, sigma.x_vertices())
                 if e is not None:
                     best = (len(path), _with_edge(rotated, e))
             moves.append(self.to_host(rotated, flip))

@@ -110,8 +110,7 @@ def test_criterion_3_switching_soundness():
             ctx.c_star,
             target=None,
             max_len=sub.colour_count,
-            edge_rainbow=True,
-            vertex_scope="all",
+            mode="total",
         ):
             if not path:
                 continue

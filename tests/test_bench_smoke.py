@@ -5,9 +5,12 @@ each output with the benchmark's own checkers: two-hop certificates, Menger
 LP values, balls and anchored paths among them.  It takes about a second.
 With ``--trace 1`` the benchmark's tracer wraps the package's layers, the
 oracle's binding in ``switching`` among them, and the same checks must hold.
+A traced run's work counters must also repeat under another hash seed:
+a counter that moved with set or dict order would not measure the code.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,18 +19,49 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+pytestmark = pytest.mark.skipif(
+    not (ROOT / "bench" / "run.py").exists(), reason="no bench/ directory"
+)
 
-@pytest.mark.skipif(not (ROOT / "bench" / "run.py").exists(), reason="no bench/ directory")
+
+@pytest.fixture(scope="module")
+def short_run():
+    """The stdout of ``bench/run.py --short`` per (trace, PYTHONHASHSEED),
+    each run once per module."""
+    runs: dict[tuple[str, str], str] = {}
+
+    def run(trace: str, hash_seed: str) -> str:
+        if (trace, hash_seed) not in runs:
+            proc = subprocess.run(
+                [sys.executable, "bench/run.py", "--short", "--trace", trace],
+                cwd=ROOT,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[trace, hash_seed] = proc.stdout
+        return runs[trace, hash_seed]
+
+    return run
+
+
 @pytest.mark.parametrize("trace", ["0", "1"])
-def test_bench_short_run_is_correct(trace):
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--short", "--trace", trace],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
+def test_bench_short_run_is_correct(short_run, trace):
+    stdout = short_run(trace, "1")
+    result = json.loads(stdout.splitlines()[-1])
+    assert result["correct"] is True, stdout
+    assert result["failed"] == 0, stdout
+
+
+def test_bench_traced_counters_repeat_across_hash_seeds(short_run):
+    first, second = (
+        json.loads(short_run("1", seed).splitlines()[-1])["metrics"] for seed in ("1", "2")
     )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["correct"] is True, proc.stdout
-    assert result["failed"] == 0, proc.stdout
+    counts = {name for name, metric in first.items() if metric["unit"] == "count"}
+    assert counts
+    assert {name for name, metric in second.items() if metric["unit"] == "count"} == counts
+    assert {name: first[name]["value"] for name in counts} == {
+        name: second[name]["value"] for name in counts
+    }

@@ -310,6 +310,38 @@ def test_bounds_reports_a_threshold_too_large_to_print_by_its_magnitude(
     assert all(t["value"] is None for t in thresholds if not t["exact"])
 
 
+# at 1e-320 the exponent 16/eps is itself past a float's range
+@pytest.mark.parametrize("epsilon", [f"1/{10**306}", "1e-320"], ids=["1/10^306", "1e-320"])
+def test_bounds_names_eps_when_a_log10_passes_a_float(capsys, epsilon):
+    assert run(["bounds", "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: eps is too small: the log10 of edge_disjoint_guarantee_threshold "
+        "passes a float's range\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "epsilon, argv, exact",
+    [
+        # 40/eps^2 has 602 digits, 1800k/eps^4 has 1,204
+        (f"1/{10**300}", ["--k", "1"], {"connected_set_diameter", "rainbow_connected_set_diameter",
+                                        "connected_set_min_order", "midpoint_bundle_size"}),
+        # near 1, but every rational threshold has over 4,000 digits
+        (f"{10**1100 - 1}/{10**1100}", ["--k", "1"], set()),
+    ],
+    ids=["1/10^300", "1-1/10^1100"],
+)
+def test_bounds_reports_a_long_rational_threshold_by_its_magnitude(capsys, epsilon, argv, exact):
+    code, out = _capture(capsys, ["bounds", "--epsilon", epsilon, *argv])
+    assert code == 0
+    thresholds = json.loads(out)["thresholds"]
+    assert all(math.isfinite(t["log10"]) for t in thresholds)
+    assert {t["name"] for t in thresholds if t["exact"]} == exact
+    assert all((t["value"] is None) != t["exact"] for t in thresholds)
+
+
 @pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf")])
 def test_json_output_refuses_a_non_finite_number(capsys, number):
     with pytest.raises(ValueError):
@@ -441,12 +473,31 @@ def test_solvers_name_a_limit_that_would_not_bound_them(capsys, tmp_path, comman
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "1/0"])
 def test_connectivity_ball_names_a_non_finite_epsilon(capsys, epsilon):
     assert run(["connectivity", "--op", "ball", f"--epsilon={epsilon}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: epsilon must be finite, got {float(epsilon)}\n"
+    assert captured.err == (
+        f"error: --epsilon must be a finite rational such as 1/2 or 0.25, got {epsilon!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--op", "ball", "--vertices", "30", "--out-degree", "5", "--seed", "2"],
+        ["--op", "kdset", "--vertices", "12", "--out-degree", "8", "--seed", "2"],
+    ],
+    ids=["ball", "kdset"],
+)
+def test_connectivity_epsilon_takes_a_fraction_or_a_decimal(capsys, argv):
+    outs = []
+    for epsilon in ("1/4", "0.25"):
+        code, out = _capture(capsys, ["connectivity", *argv, "--epsilon", epsilon])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(

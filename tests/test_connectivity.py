@@ -79,7 +79,7 @@ def _min_total_rainbow_distance(D, u, v, cap):
     # independent recomputation: enumerate and minimise, endpoints counted
     best = INF
     for p in iter_rainbow_paths(
-        D, u, target=v, max_len=cap, edge_rainbow=True, vertex_scope="all"
+        D, u, target=v, max_len=cap, mode="total"
     ):
         best = min(best, len(p))
     return best
@@ -112,7 +112,7 @@ def test_two_hop_m1_matches_direct_enumeration():
             exists = any(
                 len(p) == 2
                 for p in iter_rainbow_paths(
-                    D, x, target=y, max_len=2, edge_rainbow=True, vertex_scope="all"
+                    D, x, target=y, max_len=2, mode="total"
                 )
             )
             assert ((x, y) in derived_pairs) == exists

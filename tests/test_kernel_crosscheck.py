@@ -5,15 +5,20 @@ of its vertices and one arc per hop; the rainbow rules are then applied as
 written, with no search.  The kernel must yield exactly the surviving paths,
 in lexicographic order of their (head, label) sequences, and
 ``iter_shortest_first`` must yield them by length, in that order per length.
+The toolbox's distances, distance layers and low-expansion balls are checked
+against the same paths, in every mode.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from rainbowmatch.budget import BudgetMeter
-from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths, iter_shortest_first
+from rainbowmatch.connectivity import low_expansion_ball, rainbow_ball_layers, rainbow_distance
+from rainbowmatch.digraph import MODES, LabelledDigraph, iter_rainbow_paths, iter_shortest_first
 
 
 def shared_palette_digraph(n: int, arcs_per_vertex: int, palette: int, seed: int):
@@ -38,8 +43,8 @@ def all_simple_paths(D: LabelledDigraph, start: int):
             yield from itertools.product(*hops)
 
 
-def is_admissible(D, start, path, *, target, max_len, edge_rainbow, vertex_scope,
-                  forbidden, forbidden_vertices) -> bool:
+def is_admissible(D, start, path, *, target, max_len, mode, forbidden,
+                  forbidden_vertices) -> bool:
     verts = [start] + [a.head for a in path]
     if len(path) > max_len or any(v in forbidden_vertices for v in verts):
         return False
@@ -47,16 +52,18 @@ def is_admissible(D, start, path, *, target, max_len, edge_rainbow, vertex_scope
         return False
     # without a target every vertex after the start counts as internal
     internal = verts[1:-1] if target is not None else verts[1:]
+    edge_labels = mode in ("edge", "total")
+    vertex_labels = mode in ("vertex", "total")
     colours = []
-    if edge_rainbow:
+    if edge_labels:
         colours += [a.label for a in path]
-    if vertex_scope == "all":
+    if vertex_labels:
         colours += [D.vertex_labels[v] for v in verts]
     if len(set(colours)) != len(colours):
         return False
-    if edge_rainbow and any(a.label in forbidden for a in path):
+    if edge_labels and any(a.label in forbidden for a in path):
         return False
-    if vertex_scope != "none" and any(D.vertex_labels[v] in forbidden for v in internal):
+    if vertex_labels and any(D.vertex_labels[v] in forbidden for v in internal):
         return False
     return True
 
@@ -74,9 +81,8 @@ def test_kernel_equals_brute_force(seed):
     candidates = list(all_simple_paths(D, start))
     others = [v for v in range(n) if v != start]
     two_colours = rng.sample(range(n + 2), 2)
-    for edge_rainbow, vertex_scope, forbidden, forbidden_vertices, target, max_len in itertools.product(
-        (True, False),
-        ("none", "all"),
+    for mode, forbidden, forbidden_vertices, target, max_len in itertools.product(
+        MODES,
         (frozenset(), frozenset(two_colours[:1]), frozenset(two_colours)),
         (frozenset(), frozenset({others[0]}), frozenset({start})),
         (None, start, others[-1], others[0]),
@@ -85,8 +91,7 @@ def test_kernel_equals_brute_force(seed):
         rules = dict(
             target=target,
             max_len=max_len,
-            edge_rainbow=edge_rainbow,
-            vertex_scope=vertex_scope,
+            mode=mode,
             forbidden=forbidden,
             forbidden_vertices=forbidden_vertices,
         )
@@ -97,3 +102,57 @@ def test_kernel_equals_brute_force(seed):
         assert got == expected, rules
         by_length = sorted(expected, key=lambda p: (len(p), _order(p)))
         assert list(iter_shortest_first(D, start, **rules)) == by_length, rules
+
+
+def brute_lengths(D, start, paths, mode, target):
+    """The lengths of the admissible paths among ``paths``, by end vertex."""
+    rules = dict(target=target, max_len=len(D.arcs), mode=mode, forbidden=frozenset(),
+                 forbidden_vertices=frozenset())
+    lengths = {}
+    for p in paths:
+        if is_admissible(D, start, p, **rules):
+            lengths.setdefault(p[-1].head if p else start, []).append(len(p))
+    return lengths
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_toolbox_equals_brute_force_in_every_mode(seed):
+    n = 5 + seed
+    D = shared_palette_digraph(n, 3, n + 2, 100 + seed)
+    for mode, v in itertools.product(MODES, range(n)):
+        paths = list(all_simple_paths(D, v))
+        reached = brute_lengths(D, v, paths, mode, None)
+        full = {w: min(lengths) for w, lengths in reached.items()}
+        for cap in (0, 1, 2, n - 1):
+            capped = {w: d for w, d in full.items() if d <= cap}
+            assert rainbow_ball_layers(D, v, cap, mode=mode) == capped, (mode, v, cap)
+        for w in range(n):
+            lengths = brute_lengths(D, v, paths, mode, w).get(w, [])
+            for cap in (0, 1, 2, n - 1):
+                expected = min((d for d in lengths if d <= cap), default=math.inf)
+                assert rainbow_distance(D, v, w, cap, mode=mode) == expected, (mode, v, w, cap)
+        for eps in (1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
+            t0, ball = low_expansion_ball(D, v, eps, mode=mode)
+            assert 0 <= t0 <= math.ceil(1 / eps)
+            assert ball == {w for w, d in full.items() if d <= t0}
+            for t in range(t0 + 1):  # t0 is the first radius whose next layer is small
+                inner = sum(d <= t for d in full.values())
+                small = sum(d <= t + 1 for d in full.values()) <= inner + eps * n
+                assert small == (t == t0), (mode, v, eps, t)
+
+
+def test_unknown_mode_is_named_by_every_entry_point():
+    D = shared_palette_digraph(5, 3, 7, 0)
+    entry_points = (
+        lambda mode: next(iter_rainbow_paths(D, 0, max_len=2, mode=mode)),
+        lambda mode: rainbow_distance(D, 0, 1, 2, mode=mode),
+        lambda mode: rainbow_ball_layers(D, 0, 2, mode=mode),
+        lambda mode: low_expansion_ball(D, 0, Fraction(1, 2), mode=mode),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match="'bogus'"):
+            call("bogus")
+    unlabelled = LabelledDigraph(3, [(0, 1, "a"), (1, 2, "b")])
+    for mode in ("vertex", "total"):
+        with pytest.raises(ValueError, match=repr(mode)):
+            next(iter_rainbow_paths(unlabelled, 0, max_len=2, mode=mode))

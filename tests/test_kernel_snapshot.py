@@ -4,10 +4,15 @@ The stream below was first recorded before ``iter_rainbow_paths`` was
 rewritten as an explicit-stack search with a single forbidden-colour set.
 Its digest was re-recorded, on the code it then pinned, without the lines of
 the ``"internal"`` vertex scope and of ``enumerate_rainbow_paths``' ``total``
-mode, when both were deleted.  It pins, over seeded digraphs:
+mode, when both were deleted.  It was re-recorded again when the kernel's two
+knobs (``edge_rainbow`` and ``vertex_scope``) became one ``mode``: the old
+stream, less its 384 plain-path kernel lines (``False none``) and with the
+pairs ``True none``, ``True all`` and ``False all`` renamed ``edge``,
+``total`` and ``vertex``, equals the new one line by line, 2,504 lines.
+It pins, over seeded digraphs:
 
-* ``iter_rainbow_paths`` -- the path sequence and ``meter.nodes`` for every
-  combination of the knobs it keeps;
+* ``iter_rainbow_paths`` -- the path sequence and ``meter.nodes`` in every
+  mode the digraph admits, in the order edge, total, vertex;
 * u -> v paths with forbidden colours (the ``enumerate`` lines);
 * ``is_kd_connected`` (edge/vertex/total) and ``is_rainbow_k_edge_connected``,
   exhaustive and sampled;
@@ -37,7 +42,7 @@ from rainbowmatch.gen import generate_proper_digraph
 from rainbowmatch.menger import build_counterexample
 from rainbowmatch.oracle import is_kd_connected, is_rainbow_k_edge_connected
 
-SNAPSHOT_SHA256 = "8391f47412ae52d5c1cde7187647f599dd9a32cc10209d9bbdd92e60a0adef01"
+SNAPSHOT_SHA256 = "a6686f878375800c5a20f37e0be8cbb8c498c9e0535821c4824742480d134f3a"
 
 
 def palette_digraph(n: int, out_degree: int, palette: int, seed: int) -> LabelledDigraph:
@@ -80,33 +85,31 @@ def _verdict(v) -> str:
 
 def _kernel_lines(name, D):
     n = D.vertex_count
-    scopes = ("none",) if D.vertex_labels is None else ("none", "all")
+    modes = ("edge",) if D.vertex_labels is None else ("edge", "total", "vertex")
     for start in (0, n // 2):
         for target in (None, start, n - 1, 1):
-            for edge_rainbow in (True, False):
-                for scope in scopes:
-                    for max_len in (0, 2, 4):
-                        for blocked in (frozenset(), frozenset({2, n - 2})):
-                            meter = BudgetMeter(None)
-                            paths = iter_rainbow_paths(
-                                D,
-                                start,
-                                target=target,
-                                max_len=max_len,
-                                edge_rainbow=edge_rainbow,
-                                vertex_scope=scope,
-                                forbidden_vertices=blocked,
-                                meter=meter,
-                            )
-                            first = next(paths, None)
-                            first_nodes = meter.nodes
-                            rest = list(paths)
-                            yield (
-                                f"{name} kernel {start} {target} {edge_rainbow} {scope} "
-                                f"{max_len} {_set(blocked)} first {first_nodes} "
-                                f"all {meter.nodes} | "
-                                + (" ; ".join(_path(p) for p in [first] + rest) if first is not None else "-")
-                            )
+            for mode in modes:
+                for max_len in (0, 2, 4):
+                    for blocked in (frozenset(), frozenset({2, n - 2})):
+                        meter = BudgetMeter(None)
+                        paths = iter_rainbow_paths(
+                            D,
+                            start,
+                            target=target,
+                            max_len=max_len,
+                            mode=mode,
+                            forbidden_vertices=blocked,
+                            meter=meter,
+                        )
+                        first = next(paths, None)
+                        first_nodes = meter.nodes
+                        rest = list(paths)
+                        yield (
+                            f"{name} kernel {start} {target} {mode} "
+                            f"{max_len} {_set(blocked)} first {first_nodes} "
+                            f"all {meter.nodes} | "
+                            + (" ; ".join(_path(p) for p in [first] + rest) if first is not None else "-")
+                        )
 
 
 def _enumerate_lines(name, D, palette):

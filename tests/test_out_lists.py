@@ -160,7 +160,7 @@ def test_a_walk_of_one_arc_builds_only_the_missing_colours_row():
         D = fresh()
         c_star = D.vertex_labels.index("*")
         assert _built_rows(D) == set()
-        paths = list(iter_shortest_first(D, c_star, max_len=1, vertex_scope="all"))
+        paths = list(iter_shortest_first(D, c_star, max_len=1, mode="total"))
         assert _built_rows(D) == {c_star}
         assert [p for p in paths if p] == [(a,) for a in D.out_arcs(c_star)]
         walked += len(paths) > 1

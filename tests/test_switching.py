@@ -82,7 +82,7 @@ def test_switch_digraph_empty_xprime_is_edgeless():
 def test_switch_digraph_2x2_example():
     ctx = make_context(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
     D = build_switch_digraph(ctx, ctx.x0)
-    assert ctx.x0 == (1,)
+    assert ctx.x0 == frozenset({1})
     assert len(D.arcs) == 1
     arc = D.arcs[0]
     assert (arc.tail, arc.head, arc.label) == (1, 0, 1)
@@ -174,7 +174,7 @@ def test_all_short_paths_give_valid_switchings():
             continue
         D = build_switch_digraph(ctx, ctx.x0)
         for path in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=3, edge_rainbow=True, vertex_scope="all"
+            D, ctx.c_star, target=None, max_len=3, mode="total"
         ):
             if not path:
                 continue
@@ -205,7 +205,7 @@ def test_length4_switching_full_exchange():
     long_path = next(
         p
         for p in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=4, edge_rainbow=True, vertex_scope="all"
+            D, ctx.c_star, target=None, max_len=4, mode="total"
         )
         if len(p) == 4
     )
@@ -290,7 +290,7 @@ def test_apply_switching_seeded_property():
             continue
         D = build_switch_digraph(ctx, ctx.x0)
         for path in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=3, edge_rainbow=True, vertex_scope="all"
+            D, ctx.c_star, target=None, max_len=3, mode="total"
         ):
             if not path:
                 continue
@@ -414,7 +414,7 @@ def test_path_switching_converse_round_trip():
             continue
         D = build_switch_digraph(ctx, ctx.x0)
         for path in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=3, edge_rainbow=True, vertex_scope="all"
+            D, ctx.c_star, target=None, max_len=3, mode="total"
         ):
             if not path:
                 continue
@@ -437,7 +437,7 @@ def test_out_degree_witness_on_certified_maxima():
         x0, left = len(ctx.x0), g.left_size
         best_len: dict[int, int] = {ctx.c_star: 0}
         for path in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=4, edge_rainbow=True, vertex_scope="all"
+            D, ctx.c_star, target=None, max_len=4, mode="total"
         ):
             if path:
                 v = path[-1].head
@@ -523,7 +523,7 @@ def _reference_moves(engine, ctx, c_star, flip):
     D = build_switch_digraph(ctx, ctx.x0)
     cap = engine.depth_cap if engine.depth_cap is not None else len(ctx.active_colours)
     moves = []
-    for path in iter_rainbow_paths(D, c_star, max_len=cap, vertex_scope="all"):
+    for path in iter_rainbow_paths(D, c_star, max_len=cap, mode="total"):
         if path:
             sigma = path_to_switching(ctx, ctx.x0, [c_star] + [a.head for a in path], D)
             moves.append(engine.to_host(apply_switching(ctx, sigma), flip))
