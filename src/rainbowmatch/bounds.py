@@ -47,26 +47,34 @@ class ThresholdReport:
     feasible_at_desk_scale: bool
 
 
+def _report(name: str, params: dict, log10: float, digits: float, value) -> ThresholdReport:
+    """The report of a positive value with the given log10 and digit count.
+    ``value()`` builds it exactly, or ``value`` is None when the value is not
+    rational; over ``EXACT_DIGITS`` digits it is never built."""
+    if value is None or digits > EXACT_DIGITS:
+        return ThresholdReport(name, params, None, log10, False, log10 <= math.log10(DESK_SCALE_LIMIT))
+    exact = value()
+    return ThresholdReport(name, params, exact, log10, True, exact <= DESK_SCALE_LIMIT)
+
+
 def _power_report(name: str, params: dict, base: Fraction, exponent: Fraction, scale: Fraction) -> ThresholdReport:
     """scale * base**exponent, exact when the exponent is an integer and the
     value has at most ``EXACT_DIGITS`` digits.  A value whose log10 or digit
     count passes a float's range raises DomainError naming eps."""
     if base <= 0:
         raise DomainError(f"{name}: base must be positive")
+    too_small = DomainError(f"eps is too small: the log10 of {name} passes a float's range")
     scale_n, scale_d = math.log10(scale.numerator), math.log10(scale.denominator)
     base_n, base_d = math.log10(base.numerator), math.log10(base.denominator)
     try:
         log10 = scale_n - scale_d + float(exponent) * (base_n - base_d)
         digits = scale_n + scale_d + abs(float(exponent)) * (base_n + base_d)
-    except OverflowError:  # the exponent itself passes a float's range
-        log10 = digits = math.inf
+    except OverflowError as exc:  # the exponent itself passes a float's range
+        raise too_small from exc
     if not (math.isfinite(log10) and math.isfinite(digits)):
-        raise DomainError(f"eps is too small: the log10 of {name} passes a float's range")
-    if exponent.denominator == 1 and digits <= EXACT_DIGITS:
-        value = scale * base ** int(exponent)
-        feasible = value <= DESK_SCALE_LIMIT
-        return ThresholdReport(name, params, value, log10, True, feasible)
-    return ThresholdReport(name, params, None, log10, False, log10 <= 6)
+        raise too_small
+    value = (lambda: scale * base ** int(exponent)) if exponent.denominator == 1 else None
+    return _report(name, params, log10, digits, value)
 
 
 def edge_disjoint_guarantee_threshold(eps) -> Fraction:
@@ -123,9 +131,7 @@ def threshold_table(eps, m=None, k=None, k1=None) -> tuple[ThresholdReport, ...]
 
     def exact_entry(name: str, params: dict, value: Fraction) -> ThresholdReport:
         num, den = math.log10(value.numerator), math.log10(value.denominator)
-        if num + den > EXACT_DIGITS:
-            return ThresholdReport(name, params, None, num - den, False, num - den <= 6)
-        return ThresholdReport(name, params, value, num - den, True, value <= DESK_SCALE_LIMIT)
+        return _report(name, params, num - den, num + den, lambda: value)
 
     connected_d = CONNECTED_SET_DIAMETER / eps**2
     rainbow_d = RAINBOW_CONNECTED_SET_DIAMETER / eps**2

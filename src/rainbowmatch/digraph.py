@@ -213,6 +213,17 @@ class LabelledDigraph:
         return f"LabelledDigraph(|V|={self.vertex_count}, |A|={len(self.arcs)})"
 
 
+def mode_labels(D: LabelledDigraph, mode: str) -> tuple[bool, list | None]:
+    """Whether arc labels count under ``mode``, and the vertex labels that do
+    (None in ``"edge"`` mode).  ``ValueError`` for a mode not in ``MODES``,
+    or for a mode other than ``"edge"`` on a digraph without vertex labels."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "edge" and D.vertex_labels is None:
+        raise ValueError(f"mode {mode!r} needs a vertex-labelled digraph")
+    return mode != "vertex", None if mode == "edge" else D.vertex_labels
+
+
 def iter_rainbow_paths(
     D: LabelledDigraph,
     start: int,
@@ -241,17 +252,13 @@ def iter_rainbow_paths(
     The search is iterative: a stack holds one out-arc iterator per path
     vertex, so a path of length L costs no chain of L generator frames per
     yield.  The meter ticks once per out-arc examined.  ``ValueError`` is
-    raised on the first ``next`` by a start or target outside the digraph, a
-    mode not in ``MODES``, or a mode other than ``"edge"`` without vertex
-    labels.
+    raised on the first ``next`` by a start or target outside the digraph, or
+    by a mode that ``mode_labels`` rejects.
     """
     for end in (start, target):
         if end is not None and not 0 <= end < D.vertex_count:
             raise ValueError(f"vertex {end} is not among the digraph's {D.vertex_count} vertices")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "edge" and D.vertex_labels is None:
-        raise ValueError(f"mode {mode!r} needs a vertex-labelled digraph")
+    edge_rainbow, labels = mode_labels(D, mode)
     if start in forbidden_vertices:
         return
     if target is None or start == target:
@@ -260,8 +267,6 @@ def iter_rainbow_paths(
         return
 
     out_arcs = D._out
-    edge_rainbow = mode != "vertex"
-    labels = None if mode == "edge" else D.vertex_labels
     tick = meter.tick if meter is not None else None
     used: set = {labels[start]} if labels is not None else set()
     blocked = set(forbidden_vertices)  # plus the vertices on the path

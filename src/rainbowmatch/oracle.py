@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .budget import CLOCK_STRIDE, BudgetMeter, SearchBudget
 from .core import ColouredBipartiteMultigraph, Edge, RainbowMatching
-from .digraph import MODES, LabelledDigraph, iter_rainbow_paths
+from .digraph import LabelledDigraph, iter_rainbow_paths, mode_labels
 from .rng import SplitMix64
 
 __all__ = [
@@ -367,15 +367,9 @@ def is_kd_connected(
             samples,
         )
 
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    universe: set = set()
-    if mode in ("edge", "total"):
-        universe |= set(D.edge_labels())
-    if mode in ("vertex", "total"):
-        if D.vertex_labels is None:
-            raise ValueError("vertex/total mode needs vertex labels")
-        universe |= set(D.vertex_labels)
+    arc_labels, vertex_labels = mode_labels(D, mode)
+    universe = set(D.edge_labels()) if arc_labels else set()
+    universe.update(vertex_labels or ())
     pairs = [(x, y) for x in A for y in A if x != y]
     return _coloured_verdict(
         D, sorted(universe, key=repr), k, pairs, d, mode, budget, samples, seed

@@ -24,40 +24,36 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(scope="module")
-def short_run():
-    """The stdout of ``bench/run.py --short`` per (trace, PYTHONHASHSEED),
-    each run once per module."""
-    runs: dict[tuple[str, str], str] = {}
-
-    def run(trace: str, hash_seed: str) -> str:
-        if (trace, hash_seed) not in runs:
-            proc = subprocess.run(
-                [sys.executable, "bench/run.py", "--short", "--trace", trace],
-                cwd=ROOT,
-                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            runs[trace, hash_seed] = proc.stdout
-        return runs[trace, hash_seed]
-
-    return run
+def _short_run(trace: str, env=None) -> str:
+    """The stdout of ``bench/run.py --short --trace TRACE``, checked to exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--short", "--trace", trace],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_bench_short_run_is_correct(short_run, trace):
-    stdout = short_run(trace, "1")
+def _checked_result(stdout: str) -> dict:
     result = json.loads(stdout.splitlines()[-1])
     assert result["correct"] is True, stdout
     assert result["failed"] == 0, stdout
+    return result
 
 
-def test_bench_traced_counters_repeat_across_hash_seeds(short_run):
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_short_run_is_correct(trace):
+    _checked_result(_short_run(trace))
+
+
+def test_bench_traced_counters_repeat_across_hash_seeds():
     first, second = (
-        json.loads(short_run("1", seed).splitlines()[-1])["metrics"] for seed in ("1", "2")
+        _checked_result(_short_run("1", dict(os.environ, PYTHONHASHSEED=seed)))["metrics"]
+        for seed in ("1", "2")
     )
     counts = {name for name, metric in first.items() if metric["unit"] == "count"}
     assert counts

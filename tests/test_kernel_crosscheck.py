@@ -19,6 +19,7 @@ import pytest
 from rainbowmatch.budget import BudgetMeter
 from rainbowmatch.connectivity import low_expansion_ball, rainbow_ball_layers, rainbow_distance
 from rainbowmatch.digraph import MODES, LabelledDigraph, iter_rainbow_paths, iter_shortest_first
+from rainbowmatch.oracle import is_kd_connected
 
 
 def shared_palette_digraph(n: int, arcs_per_vertex: int, palette: int, seed: int):
@@ -148,6 +149,7 @@ def test_unknown_mode_is_named_by_every_entry_point():
         lambda mode: rainbow_distance(D, 0, 1, 2, mode=mode),
         lambda mode: rainbow_ball_layers(D, 0, 2, mode=mode),
         lambda mode: low_expansion_ball(D, 0, Fraction(1, 2), mode=mode),
+        lambda mode: is_kd_connected(D, [0, 1], 1, 2, mode=mode),
     )
     for call in entry_points:
         with pytest.raises(ValueError, match="'bogus'"):
@@ -156,3 +158,5 @@ def test_unknown_mode_is_named_by_every_entry_point():
     for mode in ("vertex", "total"):
         with pytest.raises(ValueError, match=repr(mode)):
             next(iter_rainbow_paths(unlabelled, 0, max_len=2, mode=mode))
+        with pytest.raises(ValueError, match=repr(mode)):
+            is_kd_connected(unlabelled, [0, 2], 1, 2, mode=mode)
