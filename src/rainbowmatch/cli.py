@@ -70,6 +70,8 @@ def _oracle_unproved(result) -> int:
 def _cmd_solve(args) -> int:
     if args.depth_cap is not None and args.depth_cap < 0:
         raise ValueError(f"--depth-cap must be non-negative, got {args.depth_cap}")
+    if args.depth_cap is not None and args.algorithm != "switching":
+        raise ValueError("--depth-cap applies only to --algorithm switching")
     graph = read_edge_list(_read(args.file))
     target = graph.colour_count
     trace_payload = None

@@ -348,10 +348,11 @@ def rainbow_path_through(
 ) -> tuple[Arc, ...]:
     """Rainbow path visiting the anchors in order, avoiding the colours S.
 
-    Built by greedy segment concatenation: each leg is the shortest rainbow
-    path of length <= d that avoids S plus every colour already on the
-    accumulated path, and keeps clear of the anchors still to come.  Legs
-    that cannot be completed name themselves in the raised error.
+    Built by greedy segment concatenation: each leg is the first shortest
+    rainbow path of length <= d that avoids S, every colour already on the
+    accumulated path and the colours of the anchors still to come.  Every
+    vertex on the path has its colour in that set, so no leg revisits one.
+    Legs that cannot be completed name themselves in the raised error.
     """
     if D.vertex_labels is None:
         raise PreconditionViolated("anchored paths need a totally coloured digraph")
@@ -371,47 +372,20 @@ def rainbow_path_through(
 
     meter = BudgetMeter(budget)
     used: set = set(S)
-    used.add(D.vertex_labels[anchors[0]])
-    visited: set[int] = {anchors[0]}
+    used.add(labels[0])
     out: list[Arc] = []
     for i, (a, b) in enumerate(zip(anchors, anchors[1:])):
-        blocked = (visited - {a}).union(anchors[i + 2 :])
-        leg = _shortest_leg(D, a, b, d, frozenset(used), frozenset(blocked), meter)
+        forbidden = used.union(labels[i + 2 :])
+        paths = iter_shortest_first(
+            D, a, target=b, max_len=d, mode="total", forbidden=forbidden, meter=meter
+        )
+        leg = None if labels[i + 1] in forbidden else next(paths, None)
         if leg is None:
             raise SegmentNotFound(f"no rainbow leg {i} from {a} to {b} within {d}")
         for arc in leg:
             used.add(arc.label)
             used.add(D.vertex_labels[arc.head])
-            visited.add(arc.head)
         out.extend(leg)
     if not is_rainbow_arc_path(D, tuple(out)):
         raise PathNotRainbow("rainbow_path_through built a path that is not rainbow")
     return tuple(out)
-
-
-def _shortest_leg(
-    D: LabelledDigraph,
-    a: int,
-    b: int,
-    d: int,
-    used: frozenset,
-    blocked: frozenset[int],
-    meter: BudgetMeter,
-) -> tuple[Arc, ...] | None:
-    """The first shortest leg in depth-first order, avoiding every colour in
-    used except a's own; None when b's colour is among them."""
-    forbidden = used - {D.vertex_labels[a]}
-    if D.vertex_labels[b] in forbidden:
-        return None
-    paths = iter_shortest_first(
-        D,
-        a,
-        target=b,
-        max_len=d,
-        mode="total",
-        forbidden=forbidden,
-        forbidden_vertices=blocked,
-        meter=meter,
-    )
-    return next(paths, None)
-

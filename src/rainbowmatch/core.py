@@ -389,14 +389,12 @@ def read_edge_list(text: str, edge_disjoint: bool = False) -> ColouredBipartiteM
 
 
 def read_matching(text: str) -> RainbowMatching:
-    rows = _plain_rows(text)
-    if rows is None:
-        rows = []
-        for ln in _content_lines(text):
-            try:
-                rows.append(Edge(*map(int, ln.split())))
-            except (TypeError, ValueError):
-                raise ValueError(f"matching line must be 'x y c', got {ln!r}") from None
+    rows = []
+    for ln in _content_lines(text):
+        try:
+            rows.append(Edge(*map(int, ln.split())))
+        except (TypeError, ValueError):
+            raise ValueError(f"matching line must be 'x y c', got {ln!r}") from None
     return RainbowMatching(tuple(rows))
 
 

@@ -18,10 +18,12 @@ that want the first shortest path.  The rainbow rule is one of three
 path: ``"edge"`` (arc labels), ``"vertex"`` (vertex labels, endpoints
 included) or ``"total"`` (arc and vertex labels together).
 
-A single ``forbidden`` label set constrains the labels the mode puts in
-play: arc labels in ``edge`` and ``total`` mode, and the labels of
-*internal* vertices in ``vertex`` and ``total`` mode.  Endpoints are
-exempt, matching the convention used throughout.
+The mode and a single ``forbidden`` label set are the kernel's only rules.
+The set constrains the labels the mode puts in play: arc labels in
+``edge`` and ``total`` mode, and the labels of *internal* vertices in
+``vertex`` and ``total`` mode.  Endpoints are exempt, matching the
+convention used throughout.  Every walk runs on a ``BudgetMeter``: with
+none given, one on the default ``SearchBudget``.
 """
 
 from __future__ import annotations
@@ -232,7 +234,6 @@ def iter_rainbow_paths(
     max_len: int,
     mode: str = "edge",
     forbidden: frozenset = frozenset(),
-    forbidden_vertices: frozenset = frozenset(),
     meter: BudgetMeter | None = None,
 ) -> Iterator[tuple[Arc, ...]]:
     """Enumerate rainbow paths from ``start`` as arc tuples, DFS preorder.
@@ -241,8 +242,7 @@ def iter_rainbow_paths(
     lexicographic order by vertex sequence with label as tiebreak; a path is
     always yielded before its extensions.  With a target, only paths ending
     there are yielded (the empty path when start == target), and the target
-    is never passed through.  Vertices are never revisited, nor are those in
-    ``forbidden_vertices``.
+    is never passed through.  Vertices are never revisited.
 
     ``forbidden`` is one set of colours a path must avoid: arc labels unless
     ``mode`` is ``"vertex"``, and the labels of internal vertices unless it
@@ -251,7 +251,8 @@ def iter_rainbow_paths(
 
     The search is iterative: a stack holds one out-arc iterator per path
     vertex, so a path of length L costs no chain of L generator frames per
-    yield.  The meter ticks once per out-arc examined.  ``ValueError`` is
+    yield.  The meter ticks once per out-arc examined; with none given the
+    walk makes one on the default ``SearchBudget``.  ``ValueError`` is
     raised on the first ``next`` by a start or target outside the digraph, or
     by a mode that ``mode_labels`` rejects.
     """
@@ -259,25 +260,21 @@ def iter_rainbow_paths(
         if end is not None and not 0 <= end < D.vertex_count:
             raise ValueError(f"vertex {end} is not among the digraph's {D.vertex_count} vertices")
     edge_rainbow, labels = mode_labels(D, mode)
-    if start in forbidden_vertices:
-        return
     if target is None or start == target:
         yield ()
     if start == target or max_len <= 0:
         return
 
     out_arcs = D._out
-    tick = meter.tick if meter is not None else None
+    tick = (meter or BudgetMeter(None)).tick
     used: set = {labels[start]} if labels is not None else set()
-    blocked = set(forbidden_vertices)  # plus the vertices on the path
-    blocked.add(start)
+    blocked = {start}  # the vertices on the path
     path: list[Arc] = []
     added: list[tuple] = []  # per path arc: the labels it put into used
     stack = [iter(out_arcs[start])]
     while stack:
         for arc in stack[-1]:
-            if tick is not None:
-                tick()
+            tick()
             w = arc.head
             if w in blocked:
                 continue
@@ -322,9 +319,10 @@ def iter_shortest_first(
     deepening: for each length L up to ``max_len``, one walk capped at L
     yields its paths of exactly L arcs, in DFS preorder.  Every walk passes
     the shorter prefixes again, so the first hit comes cheap and the whole
-    stream dear.  ``rules`` are the kernel's: target, mode and the forbidden
-    sets.
+    stream dear.  ``rules`` are the kernel's: target, mode and ``forbidden``.
+    One meter, the default one when none is given, counts every depth.
     """
+    meter = meter or BudgetMeter(None)
     for depth in range(max_len + 1):
         for path in iter_rainbow_paths(D, start, max_len=depth, meter=meter, **rules):
             if len(path) == depth:

@@ -473,6 +473,19 @@ def test_solvers_name_a_limit_that_would_not_bound_them(capsys, tmp_path, comman
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("algorithm", ["greedy", "golden", "oracle"])
+@pytest.mark.parametrize("cap", ["0", "3"])
+def test_solve_refuses_a_depth_cap_its_algorithm_ignores(capsys, tmp_path, algorithm, cap):
+    f = tmp_path / "g.txt"
+    f.write_text(write_edge_list(generate_instance("random", 3, 4, True, seed=1, left_size=5, right_size=5)))
+    assert run(["solve", str(f), "--algorithm", algorithm, "--depth-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --depth-cap applies only to --algorithm switching\n"
+    assert run(["solve", str(f), "--algorithm", "switching", "--depth-cap", cap]) in (0, 1)
+
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "1/0"])
 def test_connectivity_ball_names_a_non_finite_epsilon(capsys, epsilon):
     assert run(["connectivity", "--op", "ball", f"--epsilon={epsilon}"]) == 2

@@ -11,7 +11,7 @@ from rainbowmatch.connectivity import (
     rainbow_distance,
     rainbow_path_through,
 )
-from rainbowmatch.digraph import LabelledDigraph, iter_rainbow_paths
+from rainbowmatch.digraph import Arc, LabelledDigraph, iter_rainbow_paths
 from rainbowmatch.errors import (
     PathNotRainbow,
     PreconditionViolated,
@@ -227,6 +227,13 @@ def test_anchored_path_earlier_leg_avoids_later_anchors(seed, anchors):
     assert visited[0] == anchors[0] and visited[-1] == anchors[-1]
     labels = [a.label for a in path] + [D.vertex_labels[v] for v in visited]
     assert len(set(labels)) == len(labels)
+
+
+def test_anchored_path_earlier_leg_avoids_later_anchor_colours():
+    # leg 0 once took the arc coloured 12, vertex 2's colour, and leg 1 failed
+    D = LabelledDigraph(3, [(0, 1, 12), (0, 1, 20), (1, 2, 21)], vertex_labels=(10, 11, 12))
+    path = rainbow_path_through(D, range(3), [0, 1, 2], frozenset(), 4)
+    assert path == (Arc(0, 1, 20), Arc(1, 2, 21))
 
 
 def test_anchored_path_precondition_and_failure():

@@ -44,10 +44,9 @@ def all_simple_paths(D: LabelledDigraph, start: int):
             yield from itertools.product(*hops)
 
 
-def is_admissible(D, start, path, *, target, max_len, mode, forbidden,
-                  forbidden_vertices) -> bool:
+def is_admissible(D, start, path, *, target, max_len, mode, forbidden) -> bool:
     verts = [start] + [a.head for a in path]
-    if len(path) > max_len or any(v in forbidden_vertices for v in verts):
+    if len(path) > max_len:
         return False
     if target is not None and verts[-1] != target:
         return False
@@ -82,20 +81,13 @@ def test_kernel_equals_brute_force(seed):
     candidates = list(all_simple_paths(D, start))
     others = [v for v in range(n) if v != start]
     two_colours = rng.sample(range(n + 2), 2)
-    for mode, forbidden, forbidden_vertices, target, max_len in itertools.product(
+    for mode, forbidden, target, max_len in itertools.product(
         MODES,
         (frozenset(), frozenset(two_colours[:1]), frozenset(two_colours)),
-        (frozenset(), frozenset({others[0]}), frozenset({start})),
         (None, start, others[-1], others[0]),
         (2, n - 1),
     ):
-        rules = dict(
-            target=target,
-            max_len=max_len,
-            mode=mode,
-            forbidden=forbidden,
-            forbidden_vertices=forbidden_vertices,
-        )
+        rules = dict(target=target, max_len=max_len, mode=mode, forbidden=forbidden)
         expected = sorted(
             (p for p in candidates if is_admissible(D, start, p, **rules)), key=_order
         )
@@ -107,8 +99,7 @@ def test_kernel_equals_brute_force(seed):
 
 def brute_lengths(D, start, paths, mode, target):
     """The lengths of the admissible paths among ``paths``, by end vertex."""
-    rules = dict(target=target, max_len=len(D.arcs), mode=mode, forbidden=frozenset(),
-                 forbidden_vertices=frozenset())
+    rules = dict(target=target, max_len=len(D.arcs), mode=mode, forbidden=frozenset())
     lengths = {}
     for p in paths:
         if is_admissible(D, start, p, **rules):
@@ -160,3 +151,29 @@ def test_unknown_mode_is_named_by_every_entry_point():
             next(iter_rainbow_paths(unlabelled, 0, max_len=2, mode=mode))
         with pytest.raises(ValueError, match=repr(mode)):
             is_kd_connected(unlabelled, [0, 2], 1, 2, mode=mode)
+
+
+@pytest.fixture
+def meters_built(monkeypatch):
+    """The number of ``BudgetMeter``s constructed so far, as a one-item list."""
+    built = [0]
+    init = BudgetMeter.__init__
+
+    def counting_init(meter, *args, **kwargs):
+        built[0] += 1
+        init(meter, *args, **kwargs)
+
+    monkeypatch.setattr(BudgetMeter, "__init__", counting_init)
+    return built
+
+
+def test_a_walk_without_a_meter_runs_on_one_default_meter(meters_built):
+    D = shared_palette_digraph(6, 3, 8, 0)
+    assert list(iter_rainbow_paths(D, 0, max_len=3, mode="total"))
+    assert meters_built == [1]
+
+
+def test_a_shortest_first_stream_without_a_meter_runs_on_one_default_meter(meters_built):
+    D = shared_palette_digraph(6, 3, 8, 0)
+    assert len({len(p) for p in iter_shortest_first(D, 0, max_len=3, mode="total")}) > 2
+    assert meters_built == [1]

@@ -9,6 +9,15 @@ knobs (``edge_rainbow`` and ``vertex_scope``) became one ``mode``: the old
 stream, less its 384 plain-path kernel lines (``False none``) and with the
 pairs ``True none``, ``True all`` and ``False all`` renamed ``edge``,
 ``total`` and ``vertex``, equals the new one line by line, 2,504 lines.
+It was re-recorded once more when the kernel lost its ``forbidden_vertices``
+rule and ``rainbow_path_through`` came to forbid the colours of the anchors
+still to come: the old stream, less its 528 kernel lines with a non-empty
+blocked set and with the ``{}`` field taken out of the other kernel lines,
+equals the new one line by line, 1,976 lines, except 8 ``through`` lines
+(``palette-0 [7, 6, 2, 5]``, ``palette-sparse-1 [5, 0, 2, 4]``,
+``palette-1 [6, 4, 3]`` and ``palette-dense [4, 3, 5, 2]``, each at d = 2
+and d = 4).  Each of the 8 was a ``SegmentNotFound`` at leg 1 and is one at
+leg 0: the old leg 0 had spent a later anchor's colour.
 It pins, over seeded digraphs:
 
 * ``iter_rainbow_paths`` -- the path sequence and ``meter.nodes`` in every
@@ -42,7 +51,7 @@ from rainbowmatch.gen import generate_proper_digraph
 from rainbowmatch.menger import build_counterexample
 from rainbowmatch.oracle import is_kd_connected, is_rainbow_k_edge_connected
 
-SNAPSHOT_SHA256 = "a6686f878375800c5a20f37e0be8cbb8c498c9e0535821c4824742480d134f3a"
+SNAPSHOT_SHA256 = "914a72131a67a590ab01fffc3c7c7a54fbcfe705dddcf137e16ae8300e6f9a72"
 
 
 def palette_digraph(n: int, out_degree: int, palette: int, seed: int) -> LabelledDigraph:
@@ -90,26 +99,18 @@ def _kernel_lines(name, D):
         for target in (None, start, n - 1, 1):
             for mode in modes:
                 for max_len in (0, 2, 4):
-                    for blocked in (frozenset(), frozenset({2, n - 2})):
-                        meter = BudgetMeter(None)
-                        paths = iter_rainbow_paths(
-                            D,
-                            start,
-                            target=target,
-                            max_len=max_len,
-                            mode=mode,
-                            forbidden_vertices=blocked,
-                            meter=meter,
-                        )
-                        first = next(paths, None)
-                        first_nodes = meter.nodes
-                        rest = list(paths)
-                        yield (
-                            f"{name} kernel {start} {target} {mode} "
-                            f"{max_len} {_set(blocked)} first {first_nodes} "
-                            f"all {meter.nodes} | "
-                            + (" ; ".join(_path(p) for p in [first] + rest) if first is not None else "-")
-                        )
+                    meter = BudgetMeter(None)
+                    paths = iter_rainbow_paths(
+                        D, start, target=target, max_len=max_len, mode=mode, meter=meter
+                    )
+                    first = next(paths, None)
+                    first_nodes = meter.nodes
+                    rest = list(paths)
+                    yield (
+                        f"{name} kernel {start} {target} {mode} {max_len} "
+                        f"first {first_nodes} all {meter.nodes} | "
+                        + (" ; ".join(_path(p) for p in [first] + rest) if first is not None else "-")
+                    )
 
 
 def _enumerate_lines(name, D, palette):
