@@ -1,8 +1,9 @@
 """Rainbow matchings in edge-coloured bipartite multigraphs.
 
-Solvers (greedy, switching engine, golden-ratio recursion, exact oracle),
-Latin square transversals, the rainbow connectivity toolbox, the Menger
-counterexample lab, and the threshold formula table.
+Solvers (greedy, the switching engine, golden: the engine with an exact
+fallback, and the exact oracle), Latin square transversals, the rainbow
+connectivity toolbox, the Menger counterexample lab, and the threshold
+formula table.
 """
 
 from .budget import SearchBudget
@@ -13,7 +14,6 @@ from .core import (
     RainbowMatching,
     build_graph,
     greedy_rainbow_matching,
-    make_context,
     read_edge_list,
     verify_rainbow_matching,
     write_edge_list,
@@ -35,7 +35,6 @@ from .switching import (
     path_to_switching,
     solve_switching_engine,
     validate_switching,
-    woolbright_floor,
 )
 from .golden import golden_solve
 from .menger import build_counterexample, fractional_menger
@@ -50,7 +49,6 @@ __all__ = [
     "RainbowMatching",
     "build_graph",
     "greedy_rainbow_matching",
-    "make_context",
     "read_edge_list",
     "verify_rainbow_matching",
     "write_edge_list",
@@ -69,7 +67,6 @@ __all__ = [
     "path_to_switching",
     "solve_switching_engine",
     "validate_switching",
-    "woolbright_floor",
     "golden_solve",
     "build_counterexample",
     "fractional_menger",

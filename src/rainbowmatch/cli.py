@@ -88,10 +88,7 @@ def _cmd_solve(args) -> int:
     elif args.algorithm == "golden":
         matching, gtrace = golden_mod.golden_solve(graph, budget=_budget(args))
         trace_payload = {
-            "levels": [
-                {"n": lv.n, "method": lv.method, "m0": lv.m0_size, "m1": lv.m1_size}
-                for lv in gtrace.levels
-            ]
+            "levels": [{"n": lv.n, "method": lv.method} for lv in gtrace.levels]
         }
     elif args.algorithm == "oracle":
         result = oracle_mod.exact_max_rainbow_matching(graph, budget=_budget(args))

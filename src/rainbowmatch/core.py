@@ -289,52 +289,6 @@ class MatchingContext:
         return self.missing_colours[0]
 
 
-def make_context(
-    graph: ColouredBipartiteMultigraph, matching: RainbowMatching
-) -> MatchingContext:
-    return MatchingContext(graph, matching)
-
-
-def restrict(
-    graph: ColouredBipartiteMultigraph,
-    xs: Iterable[int] | None = None,
-    ys: Iterable[int] | None = None,
-    colours: Iterable[int] | None = None,
-) -> tuple[ColouredBipartiteMultigraph, tuple[int, ...]]:
-    """Subgraph keeping only the named vertices/colours.
-
-    Vertex ids are preserved (vertices outside the slice just become
-    isolated); colours are renumbered densely in ascending original order.
-    Returns the subgraph plus the tuple mapping new colour id -> old id.
-    """
-    xset = None if xs is None else frozenset(xs)
-    yset = None if ys is None else frozenset(ys)
-    old_colours = (
-        tuple(range(graph.colour_count)) if colours is None else tuple(sorted(set(colours)))
-    )
-    cmap = {old: new for new, old in enumerate(old_colours)}
-    kept = [
-        Edge(e.x, e.y, cmap[e.c])
-        for e in graph.edges
-        if e.c in cmap
-        and (xset is None or e.x in xset)
-        and (yset is None or e.y in yset)
-    ]
-    sub = ColouredBipartiteMultigraph(
-        graph.left_size,
-        graph.right_size,
-        len(old_colours),
-        kept,
-        edge_disjoint=False,
-    )
-    return sub, old_colours
-
-
-def relabel_matching(matching: RainbowMatching, colour_map: Sequence[int]) -> RainbowMatching:
-    """Map a matching found in a restricted graph back to original colour ids."""
-    return RainbowMatching(tuple(Edge(e.x, e.y, colour_map[e.c]) for e in matching))
-
-
 # --- text formats: edge lists ("L R C", then "x y c" lines) and matchings ---
 
 # The bulk path reads a canonical text: every line three runs of ASCII digits

@@ -1,7 +1,7 @@
 """Directed graphs with vertex/edge labels and rainbow path search.
 
 One structure serves several roles: the switch digraph on colours (totally
-labelled), the colour digraph used by the golden-ratio solver (edge labels
+labelled), the colour digraph of the golden-ratio bound check (edge labels
 only), derived two-hop digraphs (unlabelled), and edge-coloured digraphs in
 general.  "Label" and "colour" are interchangeable here.
 

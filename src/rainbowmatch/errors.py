@@ -63,10 +63,6 @@ class RejectionBudgetExceeded(BudgetExceeded):
     pass
 
 
-class RecursionBudgetExceeded(BudgetExceeded):
-    pass
-
-
 # --- solver / machinery preconditions ---------------------------------------
 
 class InfeasibleParameters(RainbowError):
@@ -94,10 +90,6 @@ class PreconditionViolated(RainbowError):
 
 
 class ExchangeNotApplicable(RainbowError):
-    pass
-
-
-class FloorNotCertified(RainbowError):
     pass
 
 

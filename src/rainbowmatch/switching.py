@@ -11,7 +11,6 @@ are exactly the valid switchings.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -38,11 +37,9 @@ from .digraph import (
 from .errors import (
     EmptyMatching,
     ExchangeNotApplicable,
-    FloorNotCertified,
     PathNotInDigraph,
     PathNotRainbow,
 )
-from .oracle import exact_max_rainbow_matching
 
 STAR = "*"  # vertex label of the missing colour in the switch digraph
 _HEAD = itemgetter(1)
@@ -490,32 +487,3 @@ class _Engine:
                             queue.append(candidate)
         self.trace.stop = "stalled"
         return None
-
-
-def woolbright_floor(
-    graph: ColouredBipartiteMultigraph,
-    depth_cap: int | None = None,
-    budget: SearchBudget | None = None,
-) -> RainbowMatching:
-    """Certified subroutine: a rainbow matching of size >= m - ceil(sqrt(m)).
-
-    The guarantee applies when all m colour classes have at least m edges;
-    otherwise the best engine/oracle matching is returned without a floor.
-    The engine is tried first, the exact solver escalates, and a result
-    below a guaranteed floor raises (that would be an engine bug or an
-    undersized budget, never a true optimum).
-    """
-    m = graph.colour_count
-    guaranteed = 0
-    if m > 0 and all(len(cl) >= m for cl in graph.colour_classes):
-        ceil_sqrt = math.isqrt(m - 1) + 1 if m > 1 else 1
-        guaranteed = max(m - ceil_sqrt, 0)
-    matching, _ = solve_switching_engine(graph, depth_cap, budget)
-    if matching.size >= guaranteed:
-        return matching
-    result = exact_max_rainbow_matching(graph, budget=budget)
-    if result.size >= guaranteed:
-        return result.matching
-    raise FloorNotCertified(
-        f"best matching {result.size} below guaranteed floor {guaranteed}"
-    )

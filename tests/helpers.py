@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterable, Sequence
 
+from rainbowmatch.core import ColouredBipartiteMultigraph, Edge, RainbowMatching
 from rainbowmatch.digraph import Arc, LabelledDigraph
 from rainbowmatch.switching import STAR
 from rainbowmatch.gen import generate_instance, random_latin_square
@@ -186,6 +188,49 @@ def tight_text(order: int, seed: int) -> str:
     rng.shuffle(edges)
     lines = [f"{order} {order} {order - 1}"] + [f"{x} {y} {c}" for x, y, c in edges]
     return "\n".join(lines) + "\n"
+
+
+# --- colour slices: a graph's restriction and its matchings mapped back ---
+
+
+def restrict(
+    graph: ColouredBipartiteMultigraph,
+    xs: Iterable[int] | None = None,
+    ys: Iterable[int] | None = None,
+    colours: Iterable[int] | None = None,
+) -> tuple[ColouredBipartiteMultigraph, tuple[int, ...]]:
+    """Subgraph keeping only the named vertices/colours.
+
+    Vertex ids are preserved (vertices outside the slice just become
+    isolated); colours are renumbered densely in ascending original order.
+    Returns the subgraph plus the tuple mapping new colour id -> old id.
+    """
+    xset = None if xs is None else frozenset(xs)
+    yset = None if ys is None else frozenset(ys)
+    old_colours = (
+        tuple(range(graph.colour_count)) if colours is None else tuple(sorted(set(colours)))
+    )
+    cmap = {old: new for new, old in enumerate(old_colours)}
+    kept = [
+        Edge(e.x, e.y, cmap[e.c])
+        for e in graph.edges
+        if e.c in cmap
+        and (xset is None or e.x in xset)
+        and (yset is None or e.y in yset)
+    ]
+    sub = ColouredBipartiteMultigraph(
+        graph.left_size,
+        graph.right_size,
+        len(old_colours),
+        kept,
+        edge_disjoint=False,
+    )
+    return sub, old_colours
+
+
+def relabel_matching(matching: RainbowMatching, colour_map: Sequence[int]) -> RainbowMatching:
+    """Map a matching found in a restricted graph back to original colour ids."""
+    return RainbowMatching(tuple(Edge(e.x, e.y, colour_map[e.c]) for e in matching))
 
 
 def scan_switch_digraph(ctx, x_prime) -> LabelledDigraph:

@@ -18,10 +18,9 @@ from rainbowmatch.connectivity import (
 )
 from rainbowmatch.core import (
     Edge,
+    MatchingContext,
     RainbowMatching,
     greedy_rainbow_matching,
-    make_context,
-    restrict,
     verify_rainbow_matching,
 )
 from rainbowmatch.digraph import iter_rainbow_paths
@@ -50,6 +49,7 @@ from helpers import (
     greedy_suite,
     lp_max_by_vertex_enumeration,
     max_partial_transversal,
+    restrict,
     switching_suite,
 )
 
@@ -94,7 +94,7 @@ def _one_missing_context(graph):
     sub_matching = RainbowMatching(
         tuple(Edge(e.x, e.y, inv[e.c]) for e in matching.edges)
     )
-    return sub, make_context(sub, sub_matching)
+    return sub, MatchingContext(sub, sub_matching)
 
 
 def test_criterion_3_switching_soundness():
@@ -194,7 +194,7 @@ def test_criterion_7_golden_claim_and_solver():
     for graph in deficient_suite():
         result = exact_max_rainbow_matching(graph)
         assert result.optimal and result.size == graph.colour_count - 1
-        ctx = make_context(graph, result.matching)
+        ctx = MatchingContext(graph, result.matching)
         for colour in range(graph.colour_count):
             report = check_uncovered_edge_bound(ctx, colour, certify=False)
             assert report.holds, (

@@ -131,7 +131,7 @@ def test_solve_traces(tmp_path, capsys):
     assert "trace" in json.loads(out)
     code, out = _capture(capsys, ["solve", "--algorithm", "golden", "--trace", str(f)])
     payload = json.loads(out)
-    assert payload["trace"]["levels"][0]["method"] in ("engine", "assembly", "oracle", "base")
+    assert payload["trace"]["levels"][0]["method"] in ("engine", "oracle")
 
 
 def test_solve_oracle_budget_flagged(tmp_path, capsys):

@@ -4,12 +4,11 @@ from hypothesis import strategies as st
 
 from rainbowmatch.core import (
     Edge,
+    MatchingContext,
     RainbowMatching,
     build_graph,
     greedy_rainbow_matching,
-    make_context,
     read_edge_list,
-    restrict,
     verify_rainbow_matching,
     write_edge_list,
 )
@@ -22,7 +21,7 @@ from rainbowmatch.gen import generate_instance
 from rainbowmatch.latin import parse_latin, square_to_graph
 from rainbowmatch.oracle import exact_max_rainbow_matching
 
-from helpers import greedy_suite
+from helpers import greedy_suite, restrict
 
 LATIN_2x2 = square_to_graph(parse_latin("1 2\n2 1"))
 
@@ -153,7 +152,7 @@ def test_greedy_guarantee_on_double_classes():
 def test_context_accessors_and_round_trip():
     g = generate_instance("random", 4, 5, True, seed=11, left_size=6, right_size=6)
     m = greedy_rainbow_matching(g)
-    ctx = make_context(g, m)
+    ctx = MatchingContext(g, m)
     assert sorted(ctx.edge_of_colour) == sorted(m.colours())
     # identities: x0/y0 are exactly the uncovered vertices
     assert set(ctx.x0) == set(range(6)) - m.x_cover()

@@ -1,21 +1,17 @@
-import math
-
 import pytest
 
 from rainbowmatch.budget import SearchBudget
 from rainbowmatch.core import (
     Edge,
+    MatchingContext,
     RainbowMatching,
     build_graph,
-    make_context,
     verify_rainbow_matching,
 )
 from rainbowmatch.errors import ContextInvalid
 from rainbowmatch.gen import generate_instance, random_latin_square
 from rainbowmatch.golden import (
     PHI,
-    GoldenTrace,
-    _try_assembly,
     build_colour_digraph,
     check_uncovered_edge_bound,
     golden_solve,
@@ -34,12 +30,12 @@ def test_phi_identity():
 
 def test_colour_digraph_rejects_empty_matching():
     with pytest.raises(ContextInvalid):
-        build_colour_digraph(make_context(LATIN_2x2, RainbowMatching()))
+        build_colour_digraph(MatchingContext(LATIN_2x2, RainbowMatching()))
 
 
 def test_colour_digraph_two_colour_example():
     g = build_graph(2, 1, 2, [(0, 0, 1), (1, 0, 0)])
-    ctx = make_context(g, RainbowMatching((Edge(0, 0, 1),)))
+    ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 1),)))
     D = build_colour_digraph(ctx)
     assert len(D.arcs) == 1
     arc = D.arcs[0]
@@ -52,7 +48,7 @@ def test_colour_digraph_uses_both_free_sides():
     g = build_graph(
         2, 2, 2, [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
     )
-    ctx = make_context(g, RainbowMatching((Edge(0, 0, 1),)))
+    ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 1),)))
     D = build_colour_digraph(ctx)
     labels = sorted(a.label for a in D.arcs)
     assert labels == [("x", 1), ("y", 1)]
@@ -69,7 +65,7 @@ def test_colour_digraph_out_proper_on_seeded_instances():
         m = res.matching
         if m.size == g.colour_count:
             m = RainbowMatching(m.edges[:-1])
-        ctx = make_context(g, m)
+        ctx = MatchingContext(g, m)
         D = build_colour_digraph(ctx)
         for v in range(D.vertex_count):
             labels = [a.label for a in D.out_arcs(v)]
@@ -81,7 +77,7 @@ def test_colour_digraph_out_proper_on_seeded_instances():
 def test_uncovered_bound_missing_colour_is_contradiction_probe():
     g = square_to_graph(parse_latin("1 2\n2 1"))
     res = exact_max_rainbow_matching(g)
-    ctx = make_context(g, res.matching)
+    ctx = MatchingContext(g, res.matching)
     rep = check_uncovered_edge_bound(ctx, ctx.c_star)
     assert rep.hypothesis == "certified-maximum"
     assert rep.count == 0  # else the matching was not maximum
@@ -92,7 +88,7 @@ def test_uncovered_bound_missing_colour_is_contradiction_probe():
 def test_uncovered_bound_2x2():
     g = square_to_graph(parse_latin("1 2\n2 1"))
     res = exact_max_rainbow_matching(g)
-    ctx = make_context(g, res.matching)
+    ctx = MatchingContext(g, res.matching)
     for c in range(2):
         rep = check_uncovered_edge_bound(ctx, c)
         assert rep.holds
@@ -103,7 +99,7 @@ def test_uncovered_bound_deficient_sample():
     count = 0
     for g in list(deficient_suite())[:12]:
         res = exact_max_rainbow_matching(g)
-        ctx = make_context(g, res.matching)
+        ctx = MatchingContext(g, res.matching)
         for c in range(g.colour_count):
             rep = check_uncovered_edge_bound(ctx, c)
             assert rep.hypothesis == "certified-maximum"
@@ -126,7 +122,7 @@ def test_uncovered_bound_tight_hand_built_instance():
     m = RainbowMatching((Edge(0, 0, 1), Edge(1, 1, 2)))
     res = exact_max_rainbow_matching(g)
     assert res.size == 2  # certified maximum
-    ctx = make_context(g, m)
+    ctx = MatchingContext(g, m)
     rep = check_uncovered_edge_bound(ctx, 2)
     assert rep.hypothesis == "certified-maximum"
     assert rep.count == 2
@@ -140,7 +136,7 @@ def test_uncovered_bound_tight_hand_built_instance():
 def test_uncovered_bound_not_maximum_flagged():
     g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))
     m = RainbowMatching((Edge(0, 0, 0), Edge(1, 1, 2)))  # maximum is 3
-    ctx = make_context(g, m)
+    ctx = MatchingContext(g, m)
     rep = check_uncovered_edge_bound(ctx, 1)
     assert rep.hypothesis == "not-maximum"
 
@@ -149,7 +145,16 @@ def test_golden_n1():
     g = build_graph(2, 2, 1, [(0, 0, 0), (1, 1, 0)])
     m, trace = golden_solve(g)
     assert m.size == 1
-    assert trace.levels[0].method in ("engine", "base")
+    assert trace.levels[0].method in ("engine", "oracle")
+    # no colour: the engine is full at once
+    m, trace = golden_solve(build_graph(2, 2, 0, []))
+    assert m.size == 0
+    assert [lv.method for lv in trace.levels] == ["engine"]
+    # the 2x2 square has no transversal: the oracle proves size 1
+    m, trace = golden_solve(LATIN_2x2)
+    assert m.size == 1
+    assert [lv.method for lv in trace.levels] == ["oracle"]
+    assert trace.proved
 
 
 def test_golden_cyclic3():
@@ -176,43 +181,17 @@ def test_golden_suite_matches_oracle():
             assert m.size == n
 
 
-def test_assembly_success_and_level_invariants():
-    n = 8
-    cs = math.ceil(PHI * n) + 3
-    g = generate_instance(
-        "random", n, cs, False, seed=424, left_size=cs + 2, right_size=cs + 2
-    )
-    res = exact_max_rainbow_matching(g)
-    assert res.size == n
-    doctored = RainbowMatching(tuple(e for e in res.matching if e.c != n - 1))
-    trace = GoldenTrace()
-    out = _try_assembly(g, doctored, None, 50, trace)
-    assert out is not None and out.size == n
-    assert verify_rainbow_matching(g, out).ok
-    level = trace.levels[0]
-    assert level.method == "assembly"
-    # the level identity: colours outside the ball keep their edges
-    assert level.mprime_size + len(level.ball) == n
-    assert level.a0_size + level.a1_size == len(level.ball)
-    assert level.m0_size == level.a0_size
-    assert level.m1_size == level.a1_size
-    # assembled parts are disjoint in vertices and colours by verification
-    mprime = [e for e in doctored if e.c not in level.ball]
-    assert all(e in out.edge_set() for e in mprime)
-
-
 def test_golden_trace_records_shortfall_on_deficient():
     g = square_to_graph(random_latin_square(4, seed=7))
     m, trace = golden_solve(g)
     assert m.size == 3
-    level = trace.levels[0]
-    assert level.method == "oracle"
-    assert level.shortfall_leg is not None
+    assert [lv.method for lv in trace.levels] == ["oracle"]
+    assert trace.levels[0].optimal and trace.proved
 
 
 def test_golden_oracle_fallback_records_unproved_result():
     # an isotope of the order-6 cyclic square has no transversal; the engine
-    # and the assembly legs fit in 100 nodes, the oracle's proof does not
+    # fits in 100 nodes, the oracle's proof does not
     g = square_to_graph(random_latin_square(6, seed=6))
     m, trace = golden_solve(g, budget=SearchBudget(node_limit=100))
     assert m.size == 5

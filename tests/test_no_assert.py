@@ -1,6 +1,7 @@
 """The package checks its results with explicit raises, never with ``assert``,
 which ``python -O`` strips: a re-verification must run in every mode.  It
-also carries no unused import and no public function that only tests reach."""
+also carries no unused import, no public function that only tests reach and
+no error class that no other module names."""
 
 import ast
 from collections import Counter
@@ -106,3 +107,19 @@ def test_every_public_function_is_reached_outside_the_tests():
     ]
     assert sorted(set(unreached) - set(REACHED_BY_TESTS_ONLY)) == []
     assert set(REACHED_BY_TESTS_ONLY) <= set(unreached)
+
+
+def test_every_error_class_is_named_outside_errors_py():
+    # A class no other package module raises, catches or subclasses is dead.
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert len(classes) >= 10
+    named = sum(
+        (
+            _names(ast.parse(path.read_text(), str(path)))
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "errors.py"
+        ),
+        Counter(),
+    )
+    assert [c for c in classes if not named[c]] == []

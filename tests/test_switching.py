@@ -8,10 +8,7 @@ from rainbowmatch.core import (
     RainbowMatching,
     build_graph,
     greedy_rainbow_matching,
-    make_context,
     read_edge_list,
-    relabel_matching,
-    restrict,
     verify_rainbow_matching,
 )
 from rainbowmatch.digraph import LabelledDigraph, check_proper_labelling, iter_rainbow_paths
@@ -37,13 +34,14 @@ from rainbowmatch.switching import (
     path_to_switching,
     solve_switching_engine,
     validate_switching,
-    woolbright_floor,
 )
 
 from helpers import (
     clashing_label_digraphs,
     deficient_suite,
     reference_proper_labelling,
+    relabel_matching,
+    restrict,
     switching_suite,
     tight_text,
 )
@@ -57,7 +55,7 @@ def _ctx_one_missing(graph, matching=None):
         matching = res.matching
         if matching.size == graph.colour_count:
             matching = RainbowMatching(matching.edges[:-1])
-    return make_context(graph, matching)
+    return MatchingContext(graph, matching)
 
 
 # A 3-colour instance whose only augmentation needs a length-2 switching:
@@ -80,7 +78,7 @@ def test_switch_digraph_empty_xprime_is_edgeless():
 
 
 def test_switch_digraph_2x2_example():
-    ctx = make_context(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
+    ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
     D = build_switch_digraph(ctx, ctx.x0)
     assert ctx.x0 == frozenset({1})
     assert len(D.arcs) == 1
@@ -90,11 +88,11 @@ def test_switch_digraph_2x2_example():
 
 
 def test_switch_digraph_rejects_bad_contexts():
-    ctx = make_context(LATIN_2x2, RainbowMatching())
+    ctx = MatchingContext(LATIN_2x2, RainbowMatching())
     with pytest.raises(EmptyMatching):
         build_switch_digraph(ctx, ())
     g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))
-    ctx2 = make_context(g, RainbowMatching((Edge(0, 0, 0),)))
+    ctx2 = MatchingContext(g, RainbowMatching((Edge(0, 0, 0),)))
     with pytest.raises(MultipleMissingColours):
         build_switch_digraph(ctx2, ())
 
@@ -138,7 +136,7 @@ def test_check_proper_labelling_names_the_first_failure_in_arc_order():
 
 
 def test_path_to_switching_length1():
-    ctx = make_context(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
+    ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
     sigma = path_to_switching(ctx, ctx.x0, [1, 0])
     assert sigma.length == 1
     assert sigma.free_edges == (Edge(1, 0, 1),)
@@ -147,7 +145,7 @@ def test_path_to_switching_length1():
 
 
 def test_path_to_switching_rejects_missing_arc():
-    ctx = make_context(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
+    ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
     with pytest.raises(PathNotInDigraph):
         path_to_switching(ctx, (), [1, 0])
 
@@ -156,7 +154,7 @@ def test_path_to_switching_rejects_nonrainbow():
     # both hops are rerouted through the same free X-vertex, so the two arc
     # labels coincide and the colour path is not rainbow
     g = build_graph(3, 2, 3, [(2, 0, 0), (0, 0, 1), (2, 1, 1), (1, 1, 2)])
-    ctx = make_context(g, RainbowMatching((Edge(0, 0, 1), Edge(1, 1, 2))))
+    ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 1), Edge(1, 1, 2))))
     with pytest.raises(PathNotRainbow):
         path_to_switching(ctx, ctx.x0, [0, 1, 2])
 
@@ -198,7 +196,7 @@ def test_length4_switching_full_exchange():
     missing = sorted(set(range(g.colour_count)) - m.colours())
     sub, cmap = restrict(g, colours=sorted(m.colours() | {missing[0]}))
     inv = {old: new for new, old in enumerate(cmap)}
-    ctx = make_context(
+    ctx = MatchingContext(
         sub, RainbowMatching(tuple(Edge(e.x, e.y, inv[e.c]) for e in m.edges))
     )
     D = build_switch_digraph(ctx, ctx.x0)
@@ -221,7 +219,7 @@ def test_length4_switching_full_exchange():
 
 
 def test_validate_switching_clause_i():
-    ctx = make_context(DEPTH2, DEPTH2_M)
+    ctx = MatchingContext(DEPTH2, DEPTH2_M)
     sigma = Switching((Edge(0, 0, 1),), (Edge(0, 0, 1),))  # e_0 in M
     verdict = validate_switching(ctx, ctx.x0, sigma)
     assert not verdict.ok and verdict.reason.startswith("(i)")
@@ -236,7 +234,7 @@ def test_validate_switching_clause_iv_shared_x():
         [(3, 1, 0), (1, 1, 1), (3, 2, 1), (2, 2, 2)],
     )
     m = RainbowMatching((Edge(1, 1, 1), Edge(2, 2, 2)))
-    ctx = make_context(g, m)
+    ctx = MatchingContext(g, m)
     sigma = Switching(
         (Edge(3, 1, 0), Edge(3, 2, 1)),
         (Edge(1, 1, 1), Edge(2, 2, 2)),
@@ -248,14 +246,14 @@ def test_validate_switching_clause_iv_shared_x():
 
 
 def test_validate_switching_clause_v():
-    ctx = make_context(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
+    ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
     sigma = path_to_switching(ctx, ctx.x0, [1, 0])
     verdict = validate_switching(ctx, (), sigma)  # X' empty now
     assert not verdict.ok and verdict.reason.startswith("(v)")
 
 
 def test_apply_switching_length1():
-    ctx = make_context(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
+    ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
     sigma = path_to_switching(ctx, ctx.x0, [1, 0])
     out = apply_switching(ctx, sigma)
     assert out.size == 1
@@ -266,7 +264,7 @@ def test_apply_switching_length1():
 
 
 def test_apply_switching_preconditions_named():
-    ctx = make_context(DEPTH2, DEPTH2_M)
+    ctx = MatchingContext(DEPTH2, DEPTH2_M)
     sigma = path_to_switching(ctx, ctx.x0, [0, 1])
     outside = Switching(sigma.free_edges, (Edge(1, 1, 1),))  # not in ctx.matching
     with pytest.raises(ExchangeNotApplicable):
@@ -307,14 +305,14 @@ def test_apply_switching_seeded_property():
 
 def test_augment_depth0():
     g = build_graph(2, 2, 2, [(0, 0, 0), (1, 1, 1)])
-    ctx = make_context(g, RainbowMatching((Edge(0, 0, 0),)))
+    ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 0),)))
     out = augment(ctx)
     assert isinstance(out, RainbowMatching)
     assert out.size == 2
 
 
 def test_augment_2x2_latin_fails_with_report():
-    ctx = make_context(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
+    ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
     out = augment(ctx)
     assert isinstance(out, AugmentFailure)
     assert out.depth_cap_exhausted
@@ -322,7 +320,7 @@ def test_augment_2x2_latin_fails_with_report():
 
 
 def test_augment_needs_depth2():
-    ctx = make_context(DEPTH2, DEPTH2_M)
+    ctx = MatchingContext(DEPTH2, DEPTH2_M)
     assert isinstance(augment(ctx, depth_cap=1), AugmentFailure)
     out = augment(ctx, depth_cap=2)
     assert isinstance(out, RainbowMatching)
@@ -370,23 +368,6 @@ def test_engine_deterministic():
     assert m1 == m2
 
 
-def test_woolbright_floor_m1():
-    g = build_graph(2, 2, 1, [(0, 0, 0), (1, 1, 0)])
-    assert woolbright_floor(g).size == 1
-
-
-def test_woolbright_floor_m4():
-    g = generate_instance("random", 4, 4, True, seed=12, left_size=6, right_size=6)
-    out = woolbright_floor(g)
-    assert out.size >= 2  # 4 - ceil(sqrt(4))
-    assert verify_rainbow_matching(g, out).ok
-
-
-def test_woolbright_floor_cyclic3():
-    g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))
-    assert woolbright_floor(g).size == 3
-
-
 def test_missing_colour_has_no_in_arcs():
     # the missing colour's matching edge is undefined, so nothing points at it
     for i in range(20):
@@ -432,7 +413,7 @@ def test_out_degree_witness_on_certified_maxima():
     for g in deficient_suite():
         res = exact_max_rainbow_matching(g)
         assert res.optimal and res.size == g.colour_count - 1
-        ctx = make_context(g, res.matching)
+        ctx = MatchingContext(g, res.matching)
         D = build_switch_digraph(ctx, ctx.x0)
         x0, left = len(ctx.x0), g.left_size
         best_len: dict[int, int] = {ctx.c_star: 0}
@@ -491,7 +472,7 @@ def test_active_colours_match_the_restricted_copy():
             host = MatchingContext(g, m, active=active)
             sub, cmap = restrict(g, colours=active)
             inv = {old: new for new, old in enumerate(cmap)}
-            ctx = make_context(sub, RainbowMatching(tuple(Edge(e.x, e.y, inv[e.c]) for e in m)))
+            ctx = MatchingContext(sub, RainbowMatching(tuple(Edge(e.x, e.y, inv[e.c]) for e in m)))
             assert host.missing_colours == (c_star,)
             if m.size:
                 arcs = sorted(build_switch_digraph(host, host.x0).arcs)
