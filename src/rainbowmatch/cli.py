@@ -59,66 +59,64 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
 
 
-def _oracle_unproved(result) -> int:
-    sys.stderr.write(
-        f"budget exhausted: oracle stopped ({result.stop}) after {result.nodes} nodes "
-        f"without proving the maximum\n"
-    )
+def _stopped(why: str) -> int:
+    """Say on stderr what stopped before its answer was proved; exit 3."""
+    sys.stderr.write(f"budget exhausted: {why}\n")
     return EXIT_BUDGET
 
 
+def _unproved(result: oracle_mod.OracleResult) -> str:
+    return f"oracle stopped ({result.stop}) after {result.nodes} nodes without proving the maximum"
+
+
 def _cmd_solve(args) -> int:
+    """``solve`` with each algorithm, and ``oracle-max``, which is
+    ``--algorithm oracle`` reporting the oracle's node count too."""
     if args.depth_cap is not None and args.depth_cap < 0:
         raise ValueError(f"--depth-cap must be non-negative, got {args.depth_cap}")
     if args.depth_cap is not None and args.algorithm != "switching":
         raise ValueError("--depth-cap applies only to --algorithm switching")
     graph = read_edge_list(_read(args.file))
     target = graph.colour_count
-    trace_payload = None
+    engine = oracle = trace_payload = None
     if args.algorithm == "greedy":
         matching = greedy_rainbow_matching(graph)
     elif args.algorithm == "switching":
-        matching, trace = switching_mod.solve_switching_engine(
+        matching, engine = switching_mod.solve_switching_engine(
             graph, depth_cap=args.depth_cap, budget=_budget(args)
         )
         trace_payload = {
-            "augmentations": trace.augmentations,
-            "rotations": trace.rotations,
+            "augmentations": engine.augmentations,
+            "rotations": engine.rotations,
         }
     elif args.algorithm == "golden":
-        matching, gtrace = golden_mod.golden_solve(graph, budget=_budget(args))
-        trace_payload = {
-            "levels": [{"n": lv.n, "method": lv.method} for lv in gtrace.levels]
-        }
-    elif args.algorithm == "oracle":
-        result = oracle_mod.exact_max_rainbow_matching(graph, budget=_budget(args))
-        matching = result.matching
+        matching, oracle = golden_mod.golden_solve(graph, budget=_budget(args))
+        method = "engine" if oracle is None else "oracle"
+        trace_payload = {"levels": [{"n": target, "method": method}]}
+    elif args.algorithm in ("oracle", "oracle-max"):
+        oracle = oracle_mod.exact_max_rainbow_matching(graph, budget=_budget(args))
+        matching = oracle.matching
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
-    verified = bool(verify_rainbow_matching(graph, matching))
     payload = {
         "instance": args.file,
         "algorithm": args.algorithm,
         "size": matching.size,
         "target": target,
         "matching": _matching_payload(matching),
-        "verified": verified,
+        "verified": bool(verify_rainbow_matching(graph, matching)),
     }
-    if args.algorithm == "oracle":
-        payload["optimal"] = result.optimal
+    if args.algorithm in ("oracle", "oracle-max"):
+        payload["optimal"] = oracle.optimal
+    if args.algorithm == "oracle-max":
+        payload["nodes"] = oracle.nodes
     if args.trace and trace_payload is not None:
         payload["trace"] = trace_payload
     _emit(payload, args.format)
-    if args.algorithm == "oracle" and not result.optimal:
-        return _oracle_unproved(result)
-    if args.algorithm == "golden" and not gtrace.proved:
-        sys.stderr.write(
-            "budget exhausted: an oracle fallback stopped without proving the maximum\n"
-        )
-        return EXIT_BUDGET
-    if args.algorithm == "switching" and trace.stop == "rotation_limit":
-        sys.stderr.write("budget exhausted: the engine's rotation search hit its state limit\n")
-        return EXIT_BUDGET
+    if oracle is not None and not oracle.optimal:
+        return _stopped(_unproved(oracle))
+    if engine is not None and engine.stop == "rotation_limit":
+        return _stopped("the engine's rotation search hit its state limit")
     return EXIT_OK if matching.size == target else EXIT_SHORTFALL
 
 
@@ -127,7 +125,7 @@ def _cmd_transversal(args) -> int:
     graph = square_to_graph(rect)
     result = oracle_mod.exact_max_rainbow_matching(graph, budget=_budget(args))
     if not result.optimal:
-        return _oracle_unproved(result)
+        return _stopped(_unproved(result))
     cells = extract_transversal(rect, result.matching)
     if args.format == "json":
         payload = {
@@ -153,25 +151,6 @@ def _cmd_verify(args) -> int:
         args.format,
     )
     return EXIT_OK if verdict.ok else EXIT_SHORTFALL
-
-
-def _cmd_oracle_max(args) -> int:
-    graph = read_edge_list(_read(args.file))
-    result = oracle_mod.exact_max_rainbow_matching(graph, budget=_budget(args))
-    payload = {
-        "instance": args.file,
-        "algorithm": "oracle-max",
-        "size": result.size,
-        "target": graph.colour_count,
-        "matching": _matching_payload(result.matching),
-        "verified": bool(verify_rainbow_matching(graph, result.matching)),
-        "optimal": result.optimal,
-        "nodes": result.nodes,
-    }
-    _emit(payload, args.format)
-    if not result.optimal:
-        return _oracle_unproved(result)
-    return EXIT_OK if result.size == graph.colour_count else EXIT_SHORTFALL
 
 
 def _cmd_connectivity(args) -> int:
@@ -356,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-max", help="exact maximum rainbow matching")
     p.add_argument("file")
+    p.set_defaults(algorithm="oracle-max", depth_cap=None, trace=False)
     common(p)
 
     p = sub.add_parser("connectivity", help="connectivity toolbox on a seeded digraph")
@@ -404,7 +384,7 @@ _HANDLERS = {
     "solve": _cmd_solve,
     "transversal": _cmd_transversal,
     "verify": _cmd_verify,
-    "oracle-max": _cmd_oracle_max,
+    "oracle-max": _cmd_solve,
     "connectivity": _cmd_connectivity,
     "menger": _cmd_menger,
     "bounds": _cmd_bounds,
@@ -417,8 +397,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.subcommand](args)
     except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exhausted: {exc}\n")
-        return EXIT_BUDGET
+        return _stopped(str(exc))
     except (RainbowError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -1,9 +1,11 @@
 """The golden solver and the paper's golden-ratio claims as checks.
 
 ``golden_solve`` runs the switching engine and, when it stops short, the
-exact solver on the same budget, so its matching is full or a proved (or
-flagged unproved) optimum.  The paper's phi * n + o(n) argument is not
-coded as a solver: its uncovered-edge bound is checked as a claim by
+exact solver on the same budget.  It returns the matching with the exact
+solver's result, or with ``None`` when the engine covered every colour, so
+its matching is full or a proved (or flagged unproved) optimum.  The
+paper's phi * n + o(n) argument is not coded as a solver: its
+uncovered-edge bound is checked as a claim by
 :func:`check_uncovered_edge_bound` on the colour digraph of
 :func:`build_colour_digraph`.
 """
@@ -11,7 +13,7 @@ coded as a solver: its uncovered-edge bound is checked as a claim by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .budget import SearchBudget
 from .connectivity import rainbow_distance
@@ -23,29 +25,10 @@ from .core import (
 )
 from .digraph import LabelledDigraph
 from .errors import ContextInvalid
-from .oracle import exact_max_rainbow_matching
+from .oracle import OracleResult, exact_max_rainbow_matching
 from .switching import solve_switching_engine
 
 PHI = (1 + math.sqrt(5)) / 2
-
-
-@dataclass(frozen=True)
-class GoldenLevel:
-    """The one level of a golden solve: which solver completed it."""
-
-    n: int
-    method: str  # "engine" | "oracle"
-    optimal: bool = True  # False when the oracle stopped on its budget
-
-
-@dataclass
-class GoldenTrace:
-    levels: list[GoldenLevel] = field(default_factory=list)
-
-    @property
-    def proved(self) -> bool:
-        """No level holds an unproved oracle result."""
-        return all(lv.optimal for lv in self.levels)
 
 
 def build_colour_digraph(ctx: MatchingContext) -> LabelledDigraph:
@@ -125,26 +108,22 @@ def check_uncovered_edge_bound(
 def golden_solve(
     graph: ColouredBipartiteMultigraph,
     budget: SearchBudget | None = None,
-) -> tuple[RainbowMatching, GoldenTrace]:
+) -> tuple[RainbowMatching, OracleResult | None]:
     """The switching engine, then the exact solver; returns a verified matching.
 
-    When the engine covers every colour the trace holds one ``"engine"``
-    level.  Otherwise the exact solver runs on the same budget and the trace
-    holds one ``"oracle"`` level whose ``optimal`` says whether the maximum
-    was proved.  No class-size hypothesis is needed; the paper's bound for
-    classes of about PHI * n edges is checked by
-    :func:`check_uncovered_edge_bound`.
+    When the engine covers every colour the second value is ``None``.
+    Otherwise the exact solver runs on the same budget, its matching is
+    returned, and the second value is its result, whose ``optimal``,
+    ``stop`` and ``nodes`` say whether the maximum was proved and, if not,
+    why.  No class-size hypothesis is needed; the paper's bound for classes
+    of about PHI * n edges is checked by :func:`check_uncovered_edge_bound`.
     """
-    n = graph.colour_count
-    trace = GoldenTrace()
     matching, _ = solve_switching_engine(graph, budget=budget)
-    if matching.size == n:
-        trace.levels.append(GoldenLevel(n, "engine"))
-    else:
-        best = exact_max_rainbow_matching(graph, budget=budget)
-        matching = best.matching
-        trace.levels.append(GoldenLevel(n, "oracle", optimal=best.optimal))
+    oracle = None
+    if matching.size < graph.colour_count:
+        oracle = exact_max_rainbow_matching(graph, budget=budget)
+        matching = oracle.matching
     ok = verify_rainbow_matching(graph, matching)
     if not ok:
         raise AssertionError(f"golden solver produced invalid matching: {ok.reason}")
-    return matching, trace
+    return matching, oracle

@@ -21,7 +21,6 @@ from .digraph import LabelledDigraph, iter_rainbow_paths, mode_labels
 from .rng import SplitMix64
 
 __all__ = [
-    "SearchBudget",
     "OracleResult",
     "exact_max_rainbow_matching",
     "is_rainbow_k_edge_connected",

@@ -42,6 +42,7 @@ from .errors import (
 )
 
 STAR = "*"  # vertex label of the missing colour in the switch digraph
+ROTATION_LIMIT = 20000  # (state, c*) pairs one rotation search may expand
 _HEAD = itemgetter(1)
 
 
@@ -323,7 +324,6 @@ def solve_switching_engine(
     graph: ColouredBipartiteMultigraph,
     depth_cap: int | None = None,
     budget: SearchBudget | None = None,
-    rotation_limit: int = 20000,
 ) -> tuple[RainbowMatching, EngineTrace]:
     """Greedy start, then repeated switching augmentation.
 
@@ -339,7 +339,7 @@ def solve_switching_engine(
     by ``budget``.  Output is always a valid rainbow matching; deterministic
     for fixed input order, depth cap, and limits.
     """
-    engine = _Engine(graph, depth_cap, budget, rotation_limit)
+    engine = _Engine(graph, depth_cap, budget)
     matching = greedy_rainbow_matching(graph)
     while matching.size < graph.colour_count:
         improved = engine.improve_once(matching)
@@ -387,7 +387,6 @@ class _Engine:
     graph: ColouredBipartiteMultigraph
     depth_cap: int | None
     budget: SearchBudget | None
-    rotation_limit: int
     trace: EngineTrace = field(default_factory=EngineTrace)
     y_side: _YSide | None = None
 
@@ -471,7 +470,7 @@ class _Engine:
             missing = sorted(set(range(self.graph.colour_count)) - current.colours())
             for c_star in missing:
                 expanded += 1
-                if expanded > self.rotation_limit:
+                if expanded > ROTATION_LIMIT:
                     self.trace.stop = "rotation_limit"
                     return None
                 for flip in (False, True):

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ from rainbowmatch.core import read_edge_list, write_edge_list
 from rainbowmatch.errors import InfeasibleParameters
 from rainbowmatch.gen import generate_instance, generate_proper_digraph, random_latin_square
 from rainbowmatch.latin import write_latin
+from rainbowmatch.oracle import exact_max_rainbow_matching
 from rainbowmatch.rng import SplitMix64
 
 
@@ -184,8 +184,7 @@ def test_switching_rotation_limit_exits_3(tmp_path, capsys, monkeypatch):
     argv = ["solve", "--algorithm", "switching", str(g)]
     assert run(argv) == 1
     assert capsys.readouterr().err == ""
-    engine = switching.solve_switching_engine
-    monkeypatch.setattr(switching, "solve_switching_engine", partial(engine, rotation_limit=2))
+    monkeypatch.setattr(switching, "ROTATION_LIMIT", 2)
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert json.loads(captured.out)["size"] == 5
@@ -204,6 +203,45 @@ def test_oracle_budget_exhaustion_says_so(tmp_path, capsys, command):
         r"budget exhausted: oracle stopped \(node_limit\) after \d+ nodes without proving the maximum\n",
         captured.err,
     )
+
+
+def _oracle_max_instances(tmp_path):
+    graphs = [generate_instance("latin", n, seed=n) for n in range(4, 8)]
+    graphs += [
+        generate_instance("random", 6, 5, False, seed=seed, left_size=7, right_size=7)
+        for seed in (11, 12)
+    ]
+    for i, g in enumerate(graphs):
+        f = tmp_path / f"g{i}.txt"
+        f.write_text(write_edge_list(g))
+        yield g, str(f)
+
+
+def test_oracle_max_is_solve_with_the_oracle(tmp_path, capsys):
+    # one handler serves both: oracle-max's report is solve's, renamed, with
+    # the oracle's node count added; exit codes and stderr agree
+    exits = set()
+    for g, f in _oracle_max_instances(tmp_path):
+        for fmt in ("json", "text"):
+            for limit in ([], ["--node-limit", "50"]):
+                options = ["--format", fmt, *limit, f]
+                solve_code = run(["solve", "--algorithm", "oracle", *options])
+                solve = capsys.readouterr()
+                code = run(["oracle-max", *options])
+                captured = capsys.readouterr()
+                assert (code, captured.err) == (solve_code, solve.err)
+                exits.add(code)
+                budget = SearchBudget(node_limit=int(limit[1])) if limit else SearchBudget()
+                nodes = exact_max_rainbow_matching(g, budget=budget).nodes
+                if fmt == "json":
+                    expected = json.loads(solve.out) | {"algorithm": "oracle-max", "nodes": nodes}
+                    text = json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+                else:
+                    fields = dict(line.split(": ", 1) for line in solve.out.splitlines())
+                    fields |= {"algorithm": "oracle-max", "nodes": str(nodes)}
+                    text = "".join(f"{key}: {fields[key]}\n" for key in sorted(fields))
+                assert captured.out == text
+    assert exits == {0, 1, 3}
 
 
 def test_oracle_max_past_the_recursion_limit_stops_unproved(tmp_path, capsys):
@@ -578,7 +616,10 @@ def test_golden_unproved_oracle_fallback_exits_3(tmp_path, capsys):
     assert run([*argv, "--node-limit", "100"]) == 3
     captured = capsys.readouterr()
     assert json.loads(captured.out)["size"] == 5
-    assert captured.err.startswith("budget exhausted:")
+    assert re.fullmatch(
+        r"budget exhausted: oracle stopped \(node_limit\) after \d+ nodes without proving the maximum\n",
+        captured.err,
+    )
 
 
 def test_python_m_cli_runs_main():

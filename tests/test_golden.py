@@ -143,18 +143,17 @@ def test_uncovered_bound_not_maximum_flagged():
 
 def test_golden_n1():
     g = build_graph(2, 2, 1, [(0, 0, 0), (1, 1, 0)])
-    m, trace = golden_solve(g)
+    m, oracle = golden_solve(g)
     assert m.size == 1
-    assert trace.levels[0].method in ("engine", "oracle")
+    assert oracle is None
     # no colour: the engine is full at once
-    m, trace = golden_solve(build_graph(2, 2, 0, []))
+    m, oracle = golden_solve(build_graph(2, 2, 0, []))
     assert m.size == 0
-    assert [lv.method for lv in trace.levels] == ["engine"]
+    assert oracle is None
     # the 2x2 square has no transversal: the oracle proves size 1
-    m, trace = golden_solve(LATIN_2x2)
+    m, oracle = golden_solve(LATIN_2x2)
     assert m.size == 1
-    assert [lv.method for lv in trace.levels] == ["oracle"]
-    assert trace.proved
+    assert oracle is not None and oracle.optimal
 
 
 def test_golden_cyclic3():
@@ -183,21 +182,20 @@ def test_golden_suite_matches_oracle():
 
 def test_golden_trace_records_shortfall_on_deficient():
     g = square_to_graph(random_latin_square(4, seed=7))
-    m, trace = golden_solve(g)
+    m, oracle = golden_solve(g)
     assert m.size == 3
-    assert [lv.method for lv in trace.levels] == ["oracle"]
-    assert trace.levels[0].optimal and trace.proved
+    assert oracle is not None and oracle.optimal
+    assert oracle.matching == m
 
 
 def test_golden_oracle_fallback_records_unproved_result():
     # an isotope of the order-6 cyclic square has no transversal; the engine
     # fits in 100 nodes, the oracle's proof does not
     g = square_to_graph(random_latin_square(6, seed=6))
-    m, trace = golden_solve(g, budget=SearchBudget(node_limit=100))
+    m, oracle = golden_solve(g, budget=SearchBudget(node_limit=100))
     assert m.size == 5
-    assert [lv.method for lv in trace.levels] == ["oracle"]
-    assert not trace.levels[0].optimal
-    assert not trace.proved
-    m, trace = golden_solve(g)
+    assert oracle is not None and not oracle.optimal
+    assert oracle.stop == "node_limit"
+    m, oracle = golden_solve(g)
     assert m.size == 5
-    assert trace.levels[0].optimal and trace.proved
+    assert oracle is not None and oracle.optimal

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowmatch import switching
 from rainbowmatch.core import (
     Edge,
     MatchingContext,
@@ -430,13 +431,15 @@ def test_out_degree_witness_on_certified_maxima():
     assert checked >= 60
 
 
-def test_rotation_search_honours_node_limit():
+def test_rotation_search_honours_node_limit(monkeypatch):
     # The order-6 cyclic square has no transversal, so the engine stops at 5
     # after exhausting the rotation search.  No augment probe needs 20
     # nodes, but the rotation search's move enumerations need 48 together.
     g = generate_instance("latin", 6, seed=6)
     tight = SearchBudget(node_limit=20)
-    m, _ = solve_switching_engine(g, budget=tight, rotation_limit=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(switching, "ROTATION_LIMIT", 0)
+        m, _ = solve_switching_engine(g, budget=tight)
     assert m.size == 5
     m, _ = solve_switching_engine(g)
     assert m.size == 5
@@ -444,14 +447,16 @@ def test_rotation_search_honours_node_limit():
         solve_switching_engine(g, budget=tight)
 
 
-def test_engine_says_why_it_stopped():
+def test_engine_says_why_it_stopped(monkeypatch):
     # The order-6 cyclic square has no transversal: the rotation search runs
     # dry at 5, or first stops at a small rotation limit.
     g = generate_instance("latin", 6, seed=6)
     m, trace = solve_switching_engine(g)
     assert (m.size, trace.stop) == (5, "stalled")
     for limit in (0, 2):
-        m, trace = solve_switching_engine(g, rotation_limit=limit)
+        with monkeypatch.context() as patch:
+            patch.setattr(switching, "ROTATION_LIMIT", limit)
+            m, trace = solve_switching_engine(g)
         assert (m.size, trace.stop) == (5, "rotation_limit")
     m, trace = solve_switching_engine(generate_instance("latin", 5, seed=1))
     assert (m.size, trace.stop) == (5, "complete")
