@@ -15,6 +15,9 @@ CLOCK_STRIDE = 4096
 class SearchBudget:
     """Resource cap for exhaustive searches.
 
+    A budgeted function builds exactly one ``BudgetMeter`` per call; every
+    walk and probe below it ticks that meter and never sees the budget.
+
     node_limit   -- maximum number of search nodes visited
     time_limit   -- wall-clock seconds, read every CLOCK_STRIDE nodes: a
                     search of fewer than 4,096 nodes never stops on time,

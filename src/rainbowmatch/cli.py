@@ -76,6 +76,7 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"--depth-cap must be non-negative, got {args.depth_cap}")
     if args.depth_cap is not None and args.algorithm != "switching":
         raise ValueError("--depth-cap applies only to --algorithm switching")
+    budget = _budget(args)
     graph = read_edge_list(_read(args.file))
     target = graph.colour_count
     engine = oracle = trace_payload = None
@@ -83,18 +84,18 @@ def _cmd_solve(args) -> int:
         matching = greedy_rainbow_matching(graph)
     elif args.algorithm == "switching":
         matching, engine = switching_mod.solve_switching_engine(
-            graph, depth_cap=args.depth_cap, budget=_budget(args)
+            graph, depth_cap=args.depth_cap, budget=budget
         )
         trace_payload = {
             "augmentations": engine.augmentations,
             "rotations": engine.rotations,
         }
     elif args.algorithm == "golden":
-        matching, oracle = golden_mod.golden_solve(graph, budget=_budget(args))
+        matching, oracle = golden_mod.golden_solve(graph, budget=budget)
         method = "engine" if oracle is None else "oracle"
         trace_payload = {"levels": [{"n": target, "method": method}]}
     elif args.algorithm in ("oracle", "oracle-max"):
-        oracle = oracle_mod.exact_max_rainbow_matching(graph, budget=_budget(args))
+        oracle = oracle_mod.exact_max_rainbow_matching(graph, budget=budget)
         matching = oracle.matching
     else:
         raise ValueError(f"unknown algorithm {args.algorithm!r}")
@@ -214,8 +215,9 @@ def _cmd_menger(args) -> int:
     if args.simple:
         D = menger_mod.subdivide_to_simple(D)  # source/sink ids survive
     u, v = 0, args.m
-    property_I = menger_mod.verify_property_I(D, u, v, args.k, budget=_budget(args))
-    paths = menger_mod.rainbow_st_paths(D, u, v, budget=_budget(args))
+    budget = _budget(args)
+    property_I = menger_mod.verify_property_I(D, u, v, args.k, budget=budget)
+    paths = menger_mod.rainbow_st_paths(D, u, v, budget=budget)
     payload = {
         "k": args.k,
         "m": args.m,
@@ -305,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    defaults = SearchBudget()
+    def formatted(p):
+        p.add_argument("--format", choices=("text", "json"), default="json")
 
-    def common(p, fmt=True):
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"), default="json")
-        p.add_argument("--node-limit", type=int, default=defaults.node_limit)
-        p.add_argument("--time-limit", type=float, default=defaults.time_limit)
+    def budgeted(p):
+        formatted(p)
+        p.add_argument("--node-limit", type=int, default=SearchBudget.node_limit)
+        p.add_argument("--time-limit", type=float, default=SearchBudget.time_limit)
 
     p = sub.add_parser("solve", help="solve an edge-list instance")
     p.add_argument("file")
@@ -322,21 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--depth-cap", type=int, default=None, dest="depth_cap")
     p.add_argument("--trace", action="store_true")
-    common(p)
+    budgeted(p)
 
     p = sub.add_parser("transversal", help="maximum partial transversal of a Latin grid")
     p.add_argument("file")
-    common(p)
+    budgeted(p)
 
     p = sub.add_parser("verify", help="verify a matching file against a graph")
     p.add_argument("graph")
     p.add_argument("matching")
-    common(p)
+    formatted(p)
 
     p = sub.add_parser("oracle-max", help="exact maximum rainbow matching")
     p.add_argument("file")
     p.set_defaults(algorithm="oracle-max", depth_cap=None, trace=False)
-    common(p)
+    budgeted(p)
 
     p = sub.add_parser("connectivity", help="connectivity toolbox on a seeded digraph")
     p.add_argument("--op", choices=("ball", "twohop", "kdset", "through-path"), required=True)
@@ -350,21 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--mode", default="uncoloured")
     p.add_argument("--anchors", default="0,1")
-    common(p)
+    budgeted(p)
 
     p = sub.add_parser("menger", help="counterexample family and fractional duality")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--lp", action="store_true")
     p.add_argument("--simple", action="store_true")
-    common(p)
+    budgeted(p)
 
     p = sub.add_parser("bounds", help="threshold formula table")
     p.add_argument("--epsilon", required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--k1", default=None)
-    common(p)
+    formatted(p)
 
     p = sub.add_parser("gen", help="emit a seeded instance as an edge list")
     p.add_argument("--kind", choices=("random", "latin"), default="random")
@@ -375,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-disjoint", action="store_true", dest="edge_disjoint")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
-    common(p, fmt=False)
 
     return parser
 

@@ -79,7 +79,7 @@ def subdivide_to_simple(D: LabelledDigraph) -> LabelledDigraph:
     return LabelledDigraph(fresh_vertex, arcs)
 
 
-def _st_paths(D: LabelledDigraph, u: int, v: int, forbidden, budget):
+def _st_paths(D: LabelledDigraph, u: int, v: int, forbidden, meter: BudgetMeter):
     """Rainbow u -> v paths of length >= 1 (edge-colour convention), lazily."""
     if u == v:  # the kernel's only path from u to u is the empty one
         return iter(())
@@ -89,7 +89,7 @@ def _st_paths(D: LabelledDigraph, u: int, v: int, forbidden, budget):
         target=v,
         max_len=max(D.vertex_count - 1, 1),
         forbidden=frozenset(forbidden),
-        meter=BudgetMeter(budget),
+        meter=meter,
     )
 
 
@@ -104,7 +104,7 @@ def rainbow_st_paths(
 
     The search stops at path max_paths + 1 and raises PathBudgetExceeded.
     """
-    paths = tuple(itertools.islice(_st_paths(D, u, v, (), budget), max_paths + 1))
+    paths = tuple(itertools.islice(_st_paths(D, u, v, (), BudgetMeter(budget)), max_paths + 1))
     if len(paths) > max_paths:
         raise PathBudgetExceeded(f"rainbow paths exceed cap {max_paths}")
     return paths
@@ -119,11 +119,12 @@ def verify_property_I(
 ) -> bool:
     """For every k-colour set there is a rainbow u -> v path avoiding it.
 
-    Each set's search stops at its first path; the budget bounds each set.
+    Each set's search stops at its first path, all on one meter.
     """
     colours = sorted(D.edge_labels())
+    meter = BudgetMeter(budget)
     return all(
-        next(_st_paths(D, u, v, S, budget), None) is not None
+        next(_st_paths(D, u, v, S, meter), None) is not None
         for S in itertools.combinations(colours, min(k, len(colours)))
     )
 

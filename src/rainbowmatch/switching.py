@@ -245,9 +245,7 @@ def apply_switching(ctx: MatchingContext, sigma: Switching) -> RainbowMatching:
 
 
 def augment(
-    ctx: MatchingContext,
-    depth_cap: int | None = None,
-    budget: SearchBudget | None = None,
+    ctx: MatchingContext, depth_cap: int | None = None, meter: BudgetMeter | None = None
 ) -> RainbowMatching | AugmentFailure:
     """Grow a one-colour-short matching by one edge, if a switching allows.
 
@@ -256,11 +254,10 @@ def augment(
     colour it scans that colour's edges from the still-uncovered X-side to
     the uncovered Y-side.  A hit yields the exchanged matching plus the new
     edge.  Exhaustion returns a structured report (a legitimate outcome:
-    the matching may simply be maximum).
+    the matching may simply be maximum).  The walk ticks ``meter``.
     """
     c_star = ctx.c_star
     cap = depth_cap if depth_cap is not None else len(ctx.active_colours)
-    meter = BudgetMeter(budget)
 
     # depth 0: a missing-colour edge between uncovered sides extends directly
     e = _closing_edge(ctx, c_star, frozenset())
@@ -335,11 +332,11 @@ def solve_switching_engine(
     of x and y swapped, indexed once per solve, which moves the other side.
     When no single switching augments, the engine explores matchings
     reachable by non-augmenting exchanges on either side (bounded
-    breadth-first rotation) before giving up.  Every path search is metered
-    by ``budget``.  Output is always a valid rainbow matching; deterministic
-    for fixed input order, depth cap, and limits.
+    breadth-first rotation) before giving up.  One meter counts every path
+    search, so ``budget`` bounds the whole solve.  Output is always a valid
+    rainbow matching; deterministic for fixed input order, cap and limits.
     """
-    engine = _Engine(graph, depth_cap, budget)
+    engine = _Engine(graph, depth_cap, BudgetMeter(budget))
     matching = greedy_rainbow_matching(graph)
     while matching.size < graph.colour_count:
         improved = engine.improve_once(matching)
@@ -382,11 +379,11 @@ class _YSide:
 
 @dataclass
 class _Engine:
-    """State of one solve: the host graph, its Y side once built, the limits."""
+    """State of one solve: the host graph, its Y side once built, the cap, the meter."""
 
     graph: ColouredBipartiteMultigraph
     depth_cap: int | None
-    budget: SearchBudget | None
+    meter: BudgetMeter | None
     trace: EngineTrace = field(default_factory=EngineTrace)
     y_side: _YSide | None = None
 
@@ -409,7 +406,7 @@ class _Engine:
         # Pass 1: direct augmentation per missing colour, either side.
         for flip in (False, True):
             for c_star in missing:
-                result = augment(self.context(matching, c_star, flip), self.depth_cap, self.budget)
+                result = augment(self.context(matching, c_star, flip), self.depth_cap, self.meter)
                 if isinstance(result, RainbowMatching):
                     self.trace.augmentations.append((c_star, 1))
                     return self.to_host(result, flip)
@@ -417,12 +414,12 @@ class _Engine:
         return self.rotation_search(matching)
 
     def explore(
-        self, current: RainbowMatching, c_star: int, flip: bool, meter: BudgetMeter
+        self, current: RainbowMatching, c_star: int, flip: bool
     ) -> tuple[RainbowMatching | None, list[RainbowMatching]]:
         """One side's rotation state for c*: its augmentation, else its moves.
 
         Moves are the same-size matchings one switching away.  Both answers,
-        on the host, come from one switch digraph and one walk on ``meter``.
+        on the host, come from one switch digraph and one walk on the solve's meter.
         The augmentation is :func:`augment`'s: the first hit in
         :func:`iter_shortest_first` order.  One full walk finds it, because it
         yields each length's paths in the order that a walk capped at that
@@ -438,7 +435,7 @@ class _Engine:
         cap = self.depth_cap if self.depth_cap is not None else len(ctx.active_colours)
         best: tuple[int, RainbowMatching] | None = None  # (length, augmented)
         moves = []
-        for path in iter_rainbow_paths(D, c_star, max_len=cap, mode="total", meter=meter):
+        for path in iter_rainbow_paths(D, c_star, max_len=cap, mode="total", meter=self.meter):
             if not path:
                 continue
             sigma = _arcs_to_switching(ctx, path)
@@ -459,9 +456,7 @@ class _Engine:
         from a rainbow path of the state's switch digraph, which is walked once
         per (state, c*, side) for its direct augmentation and its moves.  States
         are explored breadth first, so the shallowest augmentable state wins.
-        One meter counts every walk: ``budget`` bounds the whole search.
         """
-        meter = BudgetMeter(self.budget)
         seen: set[frozenset[Edge]] = {matching.edge_set()}
         queue: deque[RainbowMatching] = deque([matching])
         expanded = 0
@@ -474,7 +469,7 @@ class _Engine:
                     self.trace.stop = "rotation_limit"
                     return None
                 for flip in (False, True):
-                    augmented, moves = self.explore(current, c_star, flip, meter)
+                    augmented, moves = self.explore(current, c_star, flip)
                     if augmented is not None:
                         self.trace.rotations = expanded
                         self.trace.augmentations.append((c_star, 0))

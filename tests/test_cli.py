@@ -500,6 +500,7 @@ def test_connectivity_kdset_refuses_k_below_one(capsys, shape, k):
          "--depth-cap must be non-negative, got -1"),
         ("solve", ["--time-limit", "nan"], "time_limit must be positive, got nan"),
         ("oracle-max", ["--time-limit", "nan"], "time_limit must be positive, got nan"),
+        ("solve", ["--algorithm", "greedy", "--node-limit", "0"], "node_limit must be positive, got 0"),
     ],
 )
 def test_solvers_name_a_limit_that_would_not_bound_them(capsys, tmp_path, command, options, message):
@@ -580,9 +581,16 @@ def test_every_subcommand_defaults_to_the_default_budget():
         "gen": ["--n", "1"],
     }
     assert set(minimal) == set(cli._HANDLERS)
+    budgeted = {"solve", "transversal", "oracle-max", "connectivity", "menger"}
     for name, rest in minimal.items():
-        args = cli.build_parser().parse_args([name, *rest])
-        assert cli._budget(args) == SearchBudget()
+        if name in budgeted:
+            args = cli.build_parser().parse_args([name, *rest])
+            assert cli._budget(args) == SearchBudget()
+        else:
+            # a command that searches nothing takes no budget flags
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args([name, *rest, "--node-limit", "1"])
+            assert exc.value.code == 2
 
 
 def test_unknown_file_exit_2(capsys):

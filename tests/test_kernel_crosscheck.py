@@ -153,20 +153,6 @@ def test_unknown_mode_is_named_by_every_entry_point():
             is_kd_connected(unlabelled, [0, 2], 1, 2, mode=mode)
 
 
-@pytest.fixture
-def meters_built(monkeypatch):
-    """The number of ``BudgetMeter``s constructed so far, as a one-item list."""
-    built = [0]
-    init = BudgetMeter.__init__
-
-    def counting_init(meter, *args, **kwargs):
-        built[0] += 1
-        init(meter, *args, **kwargs)
-
-    monkeypatch.setattr(BudgetMeter, "__init__", counting_init)
-    return built
-
-
 def test_a_walk_without_a_meter_runs_on_one_default_meter(meters_built):
     D = shared_palette_digraph(6, 3, 8, 0)
     assert list(iter_rainbow_paths(D, 0, max_len=3, mode="total"))

@@ -4,7 +4,7 @@ import pytest
 
 from rainbowmatch.budget import SearchBudget
 from rainbowmatch.digraph import LabelledDigraph
-from rainbowmatch.errors import ParameterViolation, PathBudgetExceeded
+from rainbowmatch.errors import BudgetExceeded, ParameterViolation, PathBudgetExceeded
 from rainbowmatch.menger import (
     build_counterexample,
     fractional_menger,
@@ -89,10 +89,14 @@ def test_path_cap_stops_the_search():
 
 
 def test_property_I_stops_at_the_first_path_per_set():
-    # each 3-colour set's first path takes at most 14 nodes; enumerating
-    # every path of some sets takes up to 1,560
+    # One meter counts the whole check: the first paths of all 165 3-colour
+    # sets take 2,040 nodes together, while enumerating every path of one
+    # set takes up to 1,560, so a check that passes on 2,040 stops each set
+    # at its first path.
     D = build_counterexample(3, 8)
-    assert verify_property_I(D, 0, 8, 3, budget=SearchBudget(node_limit=100))
+    assert verify_property_I(D, 0, 8, 3, budget=SearchBudget(node_limit=2040))
+    with pytest.raises(BudgetExceeded):
+        verify_property_I(D, 0, 8, 3, budget=SearchBudget(node_limit=2039))
 
 
 def test_subdivision_preserves_counts_and_properties():

@@ -13,7 +13,7 @@ from rainbowmatch.core import (
     verify_rainbow_matching,
 )
 from rainbowmatch.digraph import LabelledDigraph, check_proper_labelling, iter_rainbow_paths
-from rainbowmatch.budget import BudgetMeter, SearchBudget
+from rainbowmatch.budget import SearchBudget
 from rainbowmatch.errors import (
     BudgetExceeded,
     EmptyMatching,
@@ -433,10 +433,11 @@ def test_out_degree_witness_on_certified_maxima():
 
 def test_rotation_search_honours_node_limit(monkeypatch):
     # The order-6 cyclic square has no transversal, so the engine stops at 5
-    # after exhausting the rotation search.  No augment probe needs 20
-    # nodes, but the rotation search's move enumerations need 48 together.
+    # after exhausting the rotation search.  On the solve's one meter pass
+    # 1's augment probes spend 22 nodes and the rotation search's move
+    # enumerations 48 more, so 69 nodes cover pass 1 but not the search.
     g = generate_instance("latin", 6, seed=6)
-    tight = SearchBudget(node_limit=20)
+    tight = SearchBudget(node_limit=69)
     with monkeypatch.context() as patch:
         patch.setattr(switching, "ROTATION_LIMIT", 0)
         m, _ = solve_switching_engine(g, budget=tight)
@@ -537,7 +538,7 @@ def test_explore_gives_augment_or_the_reference_moves(monkeypatch, depth_cap):
     monkeypatch.undo()
     outcomes = {"augmented": 0, "moves": 0}
     for engine, current, c_star, flip in states:
-        augmented, moves = engine.explore(current, c_star, flip, BudgetMeter(None))
+        augmented, moves = engine.explore(current, c_star, flip)
         ctx = engine.context(current, c_star, flip)
         want = augment(ctx, engine.depth_cap)
         if isinstance(want, RainbowMatching):
