@@ -10,16 +10,18 @@ programs still agree exactly.
 The linear programs are solved by a self-contained dense simplex with one
 column per distinct colour set of the paths, numbered by first occurrence;
 later paths with the same set get weight zero.  That is exact: equal columns
-stay equal under row operations, and Bland's rule enters the first of them.
-Up to 64 paths the pivots are exact and fraction-free: Python ints over one
-common denominator, as in integer-preserving Gaussian elimination (Edmonds
-1967, Bareiss 1968), with the results returned as ``Fraction``.  Beyond 64
-paths the arithmetic is floating point.
+stay equal under row operations, so they keep equal reduced costs, and the
+entering rule takes the lowest index among equals, the first of them.  The
+pivots are exact and fraction-free: Python ints over one common denominator,
+as in integer-preserving Gaussian elimination (Edmonds 1967, Bareiss 1968),
+with the results returned as ``Fraction``.  Beyond 64 paths the verified
+optimum is reported rounded to floats.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -34,8 +36,7 @@ from .errors import (
     PathBudgetExceeded,
 )
 
-EXACT_PATH_LIMIT = 64
-_TOLERANCE = 1e-9  # float branch: feasibility slack and largest duality gap
+EXACT_PATH_LIMIT = 64  # above it, fractional_menger reports floats
 _MAX_PIVOTS = 100_000
 
 
@@ -168,9 +169,16 @@ def fractional_menger(paths: tuple[tuple[Arc, ...], ...]) -> PathLP:
 
     Primal: maximise the total path weight subject to unit capacity per
     colour.  Dual: minimise total colour weight subject to unit coverage of
-    every path.  Both solutions are extracted from one exact tableau (the
-    dual from the slack reduced costs), then re-verified for feasibility;
-    weak duality is asserted before the gap.
+    every path.  Both solutions are read off one exact tableau (the dual
+    from the slack reduced costs) and re-verified exactly, as integer
+    numerators over one common denominator: primal feasibility, dual
+    feasibility, then equal objectives.  Weak duality follows from the two
+    feasibilities, so equal objectives certify both optima.
+
+    Up to ``EXACT_PATH_LIMIT`` paths the weights and values are
+    ``Fraction``.  Above it they are the same exact optimum rounded to
+    floats, with ``exact`` false, because ``bench/checks.py`` still reads
+    those values with ``float()``.
     """
     if not paths:
         return PathLP((), (), (), {}, 0, 0, True)
@@ -178,149 +186,104 @@ def fractional_menger(paths: tuple[tuple[Arc, ...], ...]) -> PathLP:
     colour_sets = [frozenset(a.label for a in p) for p in paths]
     columns = list(dict.fromkeys(colour_sets))  # distinct, by first occurrence
     colours = sorted(set().union(*columns))
-    exact = len(paths) <= EXACT_PATH_LIMIT
-    one: object = 1 if exact else 1.0  # the exact simplex takes ints, returns Fractions
-    zero = Fraction(0) if exact else 0.0
 
     # rows: one capacity constraint per colour; columns: one var per colour set
-    A = [[one * (c in cs) for cs in columns] for c in colours]
-    b = [one for _ in colours]
-    c_obj = [one for _ in columns]
-    x_col, y, value = _simplex_max(A, b, c_obj, exact=exact)
-    first = dict(zip(columns, x_col))
-    x = [first.pop(cs, zero) for cs in colour_sets]  # later duplicates get zero
+    A = [[int(c in cs) for cs in columns] for c in colours]
+    x_col, y, _ = _simplex_max(A, [1] * len(colours), [1] * len(columns))
 
-    primal_value = sum(x)
-    dual_value = sum(y)
-    eps = 0 if exact else _TOLERANCE
-
-    # primal feasibility
-    if any(xp < -eps for xp in x_col):
-        raise LPNumericalFailure(f"primal infeasible at colour {colours[0]}")
-    for c in colours:
-        if sum(xp for xp, cs in zip(x_col, columns) if c in cs) > one + eps:
+    # X / D and Y / D are the primal and dual solutions, exactly
+    D = math.lcm(*(v.denominator for v in itertools.chain(x_col, y)))
+    X = [v.numerator * (D // v.denominator) for v in x_col]
+    Y = [v.numerator * (D // v.denominator) for v in y]
+    for xj, cs in zip(X, columns):
+        if xj < 0:
+            raise LPNumericalFailure(
+                f"primal infeasible: negative weight on colour set {sorted(cs)}"
+            )
+    for c, row in zip(colours, A):
+        if sum(itertools.compress(X, row)) > D:
             raise LPNumericalFailure(f"primal infeasible at colour {c}")
-    # dual feasibility
-    dual = dict(zip(colours, y))
-    if any(val < -eps for val in y) or any(
-        sum(dual[c] for c in cs) < one - eps for cs in columns
-    ):
-        raise LPNumericalFailure("dual infeasible on a path constraint")
-    # weak duality first, then the strong-duality gap
-    if float(primal_value) > float(dual_value) + _TOLERANCE:
-        raise LPNumericalFailure("weak duality violated")
-    if abs(float(primal_value) - float(dual_value)) > _TOLERANCE:
-        raise LPNumericalFailure(
-            f"duality gap {float(dual_value) - float(primal_value)} above tolerance"
-        )
-    return PathLP(paths, tuple(colours), tuple(x), dual, primal_value, dual_value, exact)
+    dual = dict(zip(colours, Y))
+    for c, yc in dual.items():
+        if yc < 0:
+            raise LPNumericalFailure(f"dual infeasible: negative weight on colour {c}")
+    for cs in columns:
+        if sum(map(dual.__getitem__, cs)) < D:
+            raise LPNumericalFailure(f"dual infeasible on the path colour set {sorted(cs)}")
+    primal, dual_total = Fraction(sum(X), D), Fraction(sum(Y), D)
+    if primal != dual_total:
+        raise LPNumericalFailure(f"duality gap: primal value {primal}, dual value {dual_total}")
+
+    exact = len(paths) <= EXACT_PATH_LIMIT
+    number = Fraction if exact else float
+    first = dict(zip(columns, map(number, x_col)))
+    x = tuple(first.pop(cs, number(0)) for cs in colour_sets)  # later duplicates get zero
+    value = number(primal)
+    dual_weights = {c: number(yc) for c, yc in zip(colours, y)}
+    return PathLP(paths, tuple(colours), x, dual_weights, value, value, exact)
 
 
-def _simplex_max(A: Sequence[Sequence], b: Sequence, c: Sequence, exact: bool):
+def _integral(values) -> list[int]:
+    ints = list(map(int, values))
+    if ints != list(values):
+        raise ValueError(f"exact simplex needs integral entries, got {values!r}")
+    return ints
+
+
+def _simplex_max(A: Sequence[Sequence], b: Sequence, c: Sequence):
     """Dense tableau simplex for max c.x s.t. Ax <= b, x >= 0, b >= 0.
 
-    Slack variables give the starting basis (no phase one needed).  Bland's
-    rule prevents cycling.  Returns (x, y, value) with y the dual solution
-    read off the slack reduced costs.  With ``exact`` the entries must be
-    integral and the results are ``Fraction``; otherwise they are floats.
-    """
-    if exact:
-        return _simplex_max_exact(A, b, c)
-    m, n = len(A), len(c)
-    zero = 0.0
-    one = 1.0
-    eps = _TOLERANCE / 10
+    The entries must be integral.  Slack variables give the starting basis
+    (no phase one needed).  Returns (x, y, value) as ``Fraction``, with y
+    the dual solution read off the slack reduced costs.
 
-    # tableau: m constraint rows + objective row; columns x | slacks | rhs
-    T = [list(A[i]) + [one if j == i else zero for j in range(m)] + [b[i]] for i in range(m)]
-    T.append([-ci for ci in c] + [zero] * m + [zero])
-    basis = [n + i for i in range(m)]
-
-    for _ in range(_MAX_PIVOTS):
-        obj = T[m]
-        col = next((j for j in range(n + m) if obj[j] < -eps), None)
-        if col is None:
-            break
-        pivot_row = None
-        best_ratio = None
-        for i in range(m):
-            if T[i][col] > eps:
-                ratio = T[i][n + m] / T[i][col]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
-                ):
-                    best_ratio = ratio
-                    pivot_row = i
-        if pivot_row is None:
-            raise LPNumericalFailure("LP unbounded; incidence matrix malformed")
-        piv = T[pivot_row][col]
-        T[pivot_row] = [t / piv for t in T[pivot_row]]
-        for i in range(m + 1):
-            if i != pivot_row and T[i][col] != zero:
-                factor = T[i][col]
-                T[i] = [
-                    t - factor * p for t, p in zip(T[i], T[pivot_row])
-                ]
-        basis[pivot_row] = col
-    else:
-        raise LPNumericalFailure("pivot limit reached without convergence")
-
-    x = [zero] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = T[i][n + m]
-    y = [T[m][n + i] for i in range(m)]
-    value = T[m][n + m]
-    return x, y, value
-
-
-def _integral(v) -> int:
-    i = int(v)
-    if i != v:
-        raise ValueError(f"exact simplex needs integral entries, got {v!r}")
-    return i
-
-
-def _simplex_max_exact(A, b, c):
-    """The exact branch of ``_simplex_max``, pivoting on ints.
+    The entering column has the most negative reduced cost, the lowest
+    index on ties (Dantzig's rule).  The leaving row is the lexicographic
+    least of (rhs, slack columns) divided by its entry in the pivot column.
+    The slack columns hold the rows of the basis inverse, which are
+    linearly independent, so that least is unique, and the rule cannot
+    cycle whatever column enters (Dantzig, Orden and Wolfe 1955).
 
     The rational tableau is held as ints N over one common denominator
     ``det`` > 0, the last pivot element (1 at the start).  Every entry of N
     is a minor of the starting tableau, so each row update
     ``(t * piv - f * p) // det`` divides exactly.  Signs and ratio
-    comparisons are those of N / det, so the entering column, the pivot
-    row and its Bland tie-break, and hence every result, equal those of a
-    ``Fraction`` tableau.
+    comparisons are those of N / det, so every pivot, and hence every
+    result, equals that of a ``Fraction`` tableau under the same rule.
     """
     m, n = len(A), len(c)
     rhs = n + m
+    lex = [rhs, *range(n, rhs)]
     T = [
-        [_integral(v) for v in A[i]] + [int(j == i) for j in range(m)] + [_integral(b[i])]
-        for i in range(m)
+        _integral(A[i]) + [int(j == i) for j in range(m)] + [bi]
+        for i, bi in enumerate(_integral(b))
     ]
-    T.append([-_integral(v) for v in c] + [0] * (m + 1))
+    T.append([-v for v in _integral(c)] + [0] * (m + 1))
     basis = [n + i for i in range(m)]
     det = 1
 
     for _ in range(_MAX_PIVOTS):
         obj = T[m]
-        col = next((j for j in range(rhs) if obj[j] < 0), None)
-        if col is None:
+        least = min(obj[:rhs])
+        if least >= 0:
             break
+        col = obj.index(least)
         pivot_row = None
         for i in range(m):
             a = T[i][col]
             if a > 0:
                 if pivot_row is not None:
-                    # ratio T[i][rhs] / a against best_b / best_a, cross-multiplied
-                    mine, best = T[i][rhs] * best_a, best_b * a
-                    if mine > best or (mine == best and basis[i] > basis[pivot_row]):
+                    # row / a against best / best_a, lexicographically, cross-multiplied
+                    row, best = T[i], T[pivot_row]
+                    for j in lex:
+                        d = row[j] * best_a - best[j] * a
+                        if d:
+                            break
+                    if d > 0:
                         continue
-                best_b, best_a, pivot_row = T[i][rhs], a, i
+                pivot_row, best_a = i, a
         if pivot_row is None:
-            raise LPNumericalFailure("LP unbounded; incidence matrix malformed")
+            raise LPNumericalFailure(f"LP unbounded in column {col}; incidence matrix malformed")
         prow = T[pivot_row]
         piv = prow[col]
         for i in range(m + 1):
@@ -334,7 +297,7 @@ def _simplex_max_exact(A, b, c):
         det = piv
         basis[pivot_row] = col
     else:
-        raise LPNumericalFailure("pivot limit reached without convergence")
+        raise LPNumericalFailure(f"pivot limit {_MAX_PIVOTS} reached without convergence")
 
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):

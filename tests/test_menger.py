@@ -169,6 +169,63 @@ def test_lp_float_mode_beyond_64_paths():
     assert lp.duality_gap <= 1e-9
 
 
+def test_lp_float_report_is_the_rounded_exact_optimum():
+    # every k <= 3 and 2k+2 <= m <= 10 beyond 64 paths, as `menger --lp` runs them
+    from rainbowmatch.menger import EXACT_PATH_LIMIT
+
+    beyond = 0
+    for k in (1, 2, 3):
+        for m in range(2 * k + 2, 11):
+            paths = rainbow_st_paths(build_counterexample(k, m), 0, m)
+            if len(paths) > EXACT_PATH_LIMIT:
+                lp = fractional_menger(paths)
+                assert not lp.exact and type(lp.primal_value) is float
+                assert lp.primal_value == lp.dual_value == float(Fraction(m + k, m)), (k, m)
+                assert lp.duality_gap == 0.0
+                beyond += 1
+    assert beyond == 6  # k = 2 and k = 3, each with m = 8, 9, 10
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ([-1, 0, 0, 0, 0], [Fraction(1, 4)] * 5,
+         "primal infeasible: negative weight on colour set [0, 1, 2, 3]"),
+        ([0, 0, 0, 1, 1], [1] * 5, "primal infeasible at colour 2"),
+        ([Fraction(1, 4)] * 5, [-1, 1, 1, 1, 1], "dual infeasible: negative weight on colour 0"),
+        ([Fraction(1, 4)] * 5, [1, 0, 0, 0, 0],
+         "dual infeasible on the path colour set [1, 2, 3, 5]"),
+        ([0] * 5, [1] * 5, "duality gap: primal value 0, dual value 5"),
+    ],
+)
+def test_lp_verification_names_what_failed(monkeypatch, x, y, message):
+    # a simplex returning a wrong solution must not pass the exact checks;
+    # the (1, 4) LP has columns {0,1,2,3}, {0,1,2,5}, {0,1,3,5}, {0,2,3,5},
+    # {1,2,3,5} and colours 0, 1, 2, 3, 5
+    from rainbowmatch import menger
+    from rainbowmatch.errors import LPNumericalFailure
+
+    paths = rainbow_st_paths(build_counterexample(1, 4), 0, 4)
+    fake = ([Fraction(v) for v in x], [Fraction(v) for v in y], None)
+    monkeypatch.setattr(menger, "_simplex_max", lambda A, b, c: fake)
+    with pytest.raises(LPNumericalFailure) as failure:
+        fractional_menger(paths)
+    assert str(failure.value) == message
+
+
+def test_simplex_names_an_unbounded_column_and_the_pivot_limit(monkeypatch):
+    from rainbowmatch import menger
+    from rainbowmatch.errors import LPNumericalFailure
+
+    # column 1 is in no row: nothing bounds its variable
+    with pytest.raises(LPNumericalFailure, match=r"^LP unbounded in column 1;"):
+        menger._simplex_max([[1, 0]], [1], [1, 1])
+    _, A, b, c = _menger_lp(1, 4)
+    monkeypatch.setattr(menger, "_MAX_PIVOTS", 1)
+    with pytest.raises(LPNumericalFailure, match=r"^pivot limit 1 reached"):
+        menger._simplex_max(A, b, c)
+
+
 def test_simplex_against_vertex_oracle_random_incidences():
     # the simplex itself, on arbitrary small 0/1 capacity LPs
     from fractions import Fraction as F
@@ -187,7 +244,7 @@ def test_simplex_against_vertex_oracle_random_incidences():
                 A[rng.below(m)][j] = F(1)
         b = [F(1)] * m
         c = [F(1)] * n
-        x, y, value = _simplex_max(A, b, c, exact=True)
+        x, y, value = _simplex_max(A, b, c)
         assert value == lp_max_by_vertex_enumeration(A, b, c)
         # returned dual must certify the same value
         assert sum(y) == value
@@ -211,9 +268,12 @@ def test_weak_duality_on_feasible_pairs():
 
 
 def _fraction_simplex(A, b, c, max_pivots=100000):
-    """Reference: the generic ``Fraction`` tableau loop that ``_simplex_max``
-    ran on its exact branch before it pivoted on integers."""
+    """Reference: a plain ``Fraction`` tableau under ``_simplex_max``'s rule.
+    The most negative reduced cost enters (lowest index on ties), and the
+    row with the lexicographic least (rhs, slack columns) / pivot entry
+    leaves."""
     m, n = len(A), len(c)
+    rhs = n + m
     zero, one = Fraction(0), Fraction(1)
     T = [
         [Fraction(v) for v in A[i]] + [one if j == i else zero for j in range(m)] + [Fraction(b[i])]
@@ -223,22 +283,12 @@ def _fraction_simplex(A, b, c, max_pivots=100000):
     basis = [n + i for i in range(m)]
     for _ in range(max_pivots):
         obj = T[m]
-        col = next((j for j in range(n + m) if obj[j] < 0), None)
-        if col is None:
+        col = min(range(rhs), key=obj.__getitem__)
+        if obj[col] >= 0:
             break
-        pivot_row = None
-        best_ratio = None
-        for i in range(m):
-            if T[i][col] > 0:
-                ratio = T[i][n + m] / T[i][col]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
-                ):
-                    best_ratio = ratio
-                    pivot_row = i
-        assert pivot_row is not None, "unbounded"
+        rows = [i for i in range(m) if T[i][col] > 0]
+        assert rows, "unbounded"
+        pivot_row = min(rows, key=lambda i: [T[i][j] / T[i][col] for j in [rhs, *range(n, rhs)]])
         piv = T[pivot_row][col]
         T[pivot_row] = [t / piv for t in T[pivot_row]]
         for i in range(m + 1):
@@ -251,8 +301,8 @@ def _fraction_simplex(A, b, c, max_pivots=100000):
     x = [zero] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = T[i][n + m]
-    return x, [T[m][n + i] for i in range(m)], T[m][n + m]
+            x[bv] = T[i][rhs]
+    return x, [T[m][n + i] for i in range(m)], T[m][rhs]
 
 
 def _menger_lp(k, m):
@@ -287,7 +337,7 @@ def test_integer_pivots_match_the_fraction_tableau_on_random_lps(seed):
     from rainbowmatch.menger import _simplex_max
 
     A, b, c = _random_01_lp(seed)
-    got = _simplex_max(A, b, c, exact=True)
+    got = _simplex_max(A, b, c)
     # repr pins the Fraction type as well as the values
     assert repr(got) == repr(_fraction_simplex(A, b, c))
 
@@ -295,35 +345,35 @@ def test_integer_pivots_match_the_fraction_tableau_on_random_lps(seed):
 def test_integer_pivots_match_the_fraction_tableau_on_counterexamples():
     from rainbowmatch.menger import EXACT_PATH_LIMIT, _simplex_max
 
-    # Every counterexample LP on the exact branch: k = 1 with m = 4..63 and
-    # k = 2 with m = 6, 7.  The Fraction reference pivots a dense
-    # (m+1)-square LP for k = 1 (2.3 s at m = 63, about 33 s over all m), so
-    # it runs on m <= 24 and on the 64-path boundary; every case checks the
-    # value (m+k)/m and the dual certificate.
-    cases = [(1, m) for m in range(4, 64)] + [(2, 6), (2, 7)]
+    # Every counterexample LP up to the 64-path boundary: k = 1 with
+    # m = 4..63 and k = 2 with m = 6, 7; and beyond it (2, 8), (2, 10) and
+    # (3, 8).  The Fraction reference pivots a dense (m+1)-square LP for
+    # k = 1 (1.6 s at m = 63, about 27 s over all m), so it runs on m <= 24,
+    # on the 64-path boundary and on k >= 2; every case checks the value
+    # (m+k)/m and the dual certificate.
+    cases = [(1, m) for m in range(4, 64)] + [(2, 6), (2, 7), (2, 8), (2, 10), (3, 8)]
     for k, m in cases:
         n_paths, A, b, c = _menger_lp(k, m)
-        assert n_paths <= EXACT_PATH_LIMIT
-        x, y, value = got = _simplex_max(A, b, c, exact=True)
+        x, y, value = got = _simplex_max(A, b, c)
         assert value == sum(y) == sum(x) == Fraction(m + k, m)
         assert all(sum(yi for yi, row in zip(y, A) if row[j]) >= 1 for j in range(len(c)))
-        if k == 2 or m <= 24 or m == 63:
+        if k >= 2 or m <= 24 or m == 63:
             assert repr(got) == repr(_fraction_simplex(A, b, c)), (k, m)
-    assert _menger_lp(1, 64)[0] > EXACT_PATH_LIMIT
-    assert _menger_lp(2, 8)[0] > EXACT_PATH_LIMIT
+    assert _menger_lp(1, 63)[0] == EXACT_PATH_LIMIT < _menger_lp(1, 64)[0]
+    assert _menger_lp(2, 7)[0] <= EXACT_PATH_LIMIT < _menger_lp(2, 8)[0]
 
 
 def test_integer_pivots_reject_non_integral_entries():
     from rainbowmatch.menger import _simplex_max
 
     with pytest.raises(ValueError):
-        _simplex_max([[Fraction(1, 2)]], [1], [1], exact=True)
+        _simplex_max([[Fraction(1, 2)]], [1], [1])
     with pytest.raises(ValueError):
-        _simplex_max([[1]], [Fraction(3, 2)], [1], exact=True)
+        _simplex_max([[1]], [Fraction(3, 2)], [1])
     with pytest.raises(ValueError):
-        _simplex_max([[1]], [1], [0.5], exact=True)
+        _simplex_max([[1]], [1], [0.5])
     # integral Fractions are accepted and give the same result as ints
-    assert _simplex_max([[Fraction(2)]], [Fraction(3)], [Fraction(1)], exact=True) == (
+    assert _simplex_max([[Fraction(2)]], [Fraction(3)], [Fraction(1)]) == (
         [Fraction(3, 2)],
         [Fraction(1, 2)],
         Fraction(3, 2),
