@@ -21,7 +21,6 @@ from .errors import (
     DuplicateEdgeAcrossColours,
     DuplicateEndpointInColourClass,
     IdOutOfRange,
-    MultipleMissingColours,
 )
 
 
@@ -113,9 +112,6 @@ class ColouredBipartiteMultigraph:
         self.x_index = tuple(x_index)
         self.colour_classes = tuple(tuple(at_x.values()) for at_x in x_index)
 
-    def colour_class(self, c: int) -> tuple[Edge, ...]:
-        return self.colour_classes[c]
-
     def has_edge(self, e: Edge) -> bool:
         """Whether ``e`` is an edge; any tuple not of three ids is not."""
         if len(e) != 3:
@@ -175,12 +171,6 @@ class RainbowMatching:
     def colours(self) -> frozenset[int]:
         return frozenset(e.c for e in self.edges)
 
-    def x_cover(self) -> frozenset[int]:
-        return frozenset(e.x for e in self.edges)
-
-    def y_cover(self) -> frozenset[int]:
-        return frozenset(e.y for e in self.edges)
-
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -239,10 +229,8 @@ class MatchingContext:
     ``edge_of_x``, ``edge_of_y`` and ``edge_of_colour`` map each covered
     X-vertex, covered Y-vertex and matched colour to its matching edge;
     uncovered vertices and missing colours are not keys.  ``x0`` and ``y0``
-    list the uncovered vertices.  ``active`` limits the colours in play
-    (default: all); a colour outside it is neither missing nor searched, so
-    a probe for one missing colour passes the matched colours plus that
-    colour.
+    list the uncovered vertices.  A context holds no missing colour of its
+    own: a probe is a context plus the missing colour its walks start from.
     """
 
     __slots__ = (
@@ -253,15 +241,12 @@ class MatchingContext:
         "edge_of_colour",
         "x0",
         "y0",
-        "active_colours",
-        "missing_colours",
     )
 
     def __init__(
         self,
         graph: ColouredBipartiteMultigraph,
         matching: RainbowMatching,
-        active: Iterable[int] | None = None,
     ):
         ok = verify_rainbow_matching(graph, matching)
         if not ok:
@@ -273,20 +258,6 @@ class MatchingContext:
         self.edge_of_colour = {e.c: e for e in matching}
         self.x0 = frozenset(range(graph.left_size)).difference(self.edge_of_x)
         self.y0 = frozenset(range(graph.right_size)).difference(self.edge_of_y)
-        self.active_colours = tuple(
-            range(graph.colour_count) if active is None else sorted(active)
-        )
-        self.missing_colours = tuple(
-            c for c in self.active_colours if c not in self.edge_of_colour
-        )
-
-    @property
-    def c_star(self) -> int:
-        if len(self.missing_colours) != 1:
-            raise MultipleMissingColours(
-                f"{len(self.missing_colours)} colours missing, need exactly 1"
-            )
-        return self.missing_colours[0]
 
 
 # --- text formats: edge lists ("L R C", then "x y c" lines) and matchings ---

@@ -69,10 +69,6 @@ class InfeasibleParameters(RainbowError):
     pass
 
 
-class MultipleMissingColours(RainbowError):
-    pass
-
-
 class EmptyMatching(RainbowError):
     pass
 

@@ -89,8 +89,9 @@ def check_uncovered_edge_bound(
     graph = ctx.graph
     count = sum(1 for e in graph.colour_classes[c] if e.x in ctx.x0 and e.y in ctx.y0)
     D = build_colour_digraph(ctx)
+    (missing,) = set(range(graph.colour_count)).difference(ctx.edge_of_colour)
     distance = rainbow_distance(
-        D, ctx.c_star, c, cap=graph.colour_count, mode="edge", budget=budget
+        D, missing, c, cap=graph.colour_count, mode="edge", budget=budget
     )
     if certify:
         best = exact_max_rainbow_matching(graph, budget=budget)

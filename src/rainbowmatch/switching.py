@@ -39,9 +39,10 @@ from .errors import (
     ExchangeNotApplicable,
     PathNotInDigraph,
     PathNotRainbow,
+    PreconditionViolated,
 )
 
-STAR = "*"  # vertex label of the missing colour in the switch digraph
+STAR = "*"  # vertex label of each missing colour in the switch digraph
 ROTATION_LIMIT = 20000  # (state, c*) pairs one rotation search may expand
 _HEAD = itemgetter(1)
 
@@ -57,14 +58,6 @@ class Switching:
 
     free_edges: tuple[Edge, ...]
     matched_edges: tuple[Edge, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.matched_edges)
-
-    @property
-    def end_colour(self) -> int:
-        return self.matched_edges[-1].c
 
     def x_vertices(self) -> frozenset[int]:
         """X-endpoints of all edges of the switching."""
@@ -93,36 +86,33 @@ class AugmentFailure:
 def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> LabelledDigraph:
     """Digraph on colours whose arcs are single-colour reroutes through X'.
 
-    Vertices are the graph's colour ids; only the context's active colours
-    carry arcs.  Vertex labels are the matched X-endpoints of each colour,
-    with the missing colour labelled "*"; an arc u -> v labelled x records a
-    colour-u edge from x in X' to the Y-endpoint of v's matching edge.
-    The missing colour has no Y-endpoint, hence no in-arcs.
+    Vertices are the graph's colour ids.  Vertex labels are the matched
+    X-endpoints of each colour, with every missing colour labelled "*"; an
+    arc u -> v labelled x records a colour-u edge from x in X' to the
+    Y-endpoint of v's matching edge.  A missing colour has no Y-endpoint,
+    hence no in-arcs, so a path holds at most one "*": its start.
 
     The labels and the Y-cover are read once per digraph; each out-list is
-    built the first time it is read.  Most walks from the missing colour
-    end within a few arcs, so most colours' out-lists are never built.  An
-    active colour's out-list costs one lookup in the graph's ``x_index`` per
-    X-vertex of X'.  Its arcs, sorted by head, are its out-list as built:
-    heads are distinct because a colour class is a matching.
+    built the first time it is read.  A walk from a missing colour reads
+    its own out-list and those of matched colours only, and most walks end
+    within a few arcs, so most colours' out-lists are never built.  An
+    out-list costs one lookup in the graph's ``x_index`` per X-vertex of
+    X'.  Its arcs, sorted by head, are its out-list as built: heads are
+    distinct because a colour class is a matching.
     """
     from .digraph import _LazyOutLists  # the one producer of lazy out-lists
 
     if ctx.matching.size == 0:
         raise EmptyMatching("switch digraph needs a non-empty matching")
     label_of = {c: e.x for c, e in ctx.edge_of_colour.items()}
-    label_of[ctx.c_star] = STAR
     graph = ctx.graph
-    labels = tuple(map(label_of.get, range(graph.colour_count)))
+    labels = tuple(map(label_of.get, range(graph.colour_count), repeat(STAR)))
     xs = tuple(dict.fromkeys(x_prime))
     colour_at_y = {y: e.c for y, e in ctx.edge_of_y.items()}
-    active = frozenset(ctx.active_colours)
     x_index = graph.x_index
     new = tuple.__new__  # builds an Arc without its Python-level __new__
 
     def out_list(u: int) -> tuple[Arc, ...]:
-        if u not in active:
-            return ()
         row = []
         for e in filter(None, map(x_index[u].get, xs)):
             v = colour_at_y.get(e.y, u)  # an uncovered y, like u's own, gives no arc
@@ -218,8 +208,8 @@ def apply_switching(ctx: MatchingContext, sigma: Switching) -> RainbowMatching:
 
     Preserves size and Y-cover; the result misses the switching's end
     colour.  A switching whose matched edges are not all in the matching,
-    or whose free edges collide with the kept edges, raises
-    :class:`ExchangeNotApplicable`.
+    or one of whose free edges is no graph edge or collides with the kept
+    edges or an earlier free edge, raises :class:`ExchangeNotApplicable`.
     """
     if sigma.is_empty():
         return ctx.matching
@@ -234,30 +224,41 @@ def apply_switching(ctx: MatchingContext, sigma: Switching) -> RainbowMatching:
     for ei in sigma.free_edges:
         if ei.x in kept_x or ei.y in kept_y:
             raise ExchangeNotApplicable(
-                f"free edge {tuple(ei)} collides with the kept matching"
+                f"free edge {tuple(ei)} collides with a kept or earlier free edge"
             )
         if ei.c in kept_c:
             raise ExchangeNotApplicable(
-                f"free-edge colour {ei.c} already present in the kept matching"
+                f"free-edge colour {ei.c} already present in a kept or earlier free edge"
             )
+        if not ctx.graph.has_edge(ei):
+            raise ExchangeNotApplicable(f"free edge {tuple(ei)} is not a graph edge")
+        kept_x.add(ei.x)
+        kept_y.add(ei.y)
+        kept_c.add(ei.c)
     out = tuple(sorted(kept | set(sigma.free_edges), key=lambda e: (e.c, e.x, e.y)))
     return RainbowMatching(out)
 
 
 def augment(
-    ctx: MatchingContext, depth_cap: int | None = None, meter: BudgetMeter | None = None
+    ctx: MatchingContext,
+    c_star: int,
+    depth_cap: int | None = None,
+    meter: BudgetMeter | None = None,
 ) -> RainbowMatching | AugmentFailure:
-    """Grow a one-colour-short matching by one edge, if a switching allows.
+    """Grow the matching by one edge, if a switching from the missing colour
+    c* allows.
 
-    Enumerates rainbow paths from the missing colour in the switch digraph
-    over the uncovered X-vertices, shortest first; for every reached
-    colour it scans that colour's edges from the still-uncovered X-side to
-    the uncovered Y-side.  A hit yields the exchanged matching plus the new
-    edge.  Exhaustion returns a structured report (a legitimate outcome:
-    the matching may simply be maximum).  The walk ticks ``meter``.
+    Enumerates rainbow paths from c* in the switch digraph over the
+    uncovered X-vertices, shortest first, up to ``depth_cap`` arcs (default:
+    the matching's size plus one); for every reached colour it scans that
+    colour's edges from the still-uncovered X-side to the uncovered Y-side.
+    A hit yields the exchanged matching plus the new edge.  Exhaustion
+    returns a structured report (a legitimate outcome: the matching may
+    simply be maximum).  The walk ticks ``meter``.
     """
-    c_star = ctx.c_star
-    cap = depth_cap if depth_cap is not None else len(ctx.active_colours)
+    if c_star in ctx.edge_of_colour or not 0 <= c_star < ctx.graph.colour_count:
+        raise PreconditionViolated(f"colour {c_star} is not a missing colour")
+    cap = depth_cap if depth_cap is not None else ctx.matching.size + 1
 
     # depth 0: a missing-colour edge between uncovered sides extends directly
     e = _closing_edge(ctx, c_star, frozenset())
@@ -325,9 +326,9 @@ def solve_switching_engine(
     """Greedy start, then repeated switching augmentation.
 
     Each probe asks :func:`augment` for a one-edge improvement for one
-    missing colour c*; its context keeps the matched colours plus c* active
-    (the calculus needs exactly one missing colour) and works on the host
-    graph in host colour ids.  Because X-side switchings preserve the
+    missing colour c*, on a context of the current matching that works on
+    the host graph in host colour ids; one context per side serves every
+    missing colour.  Because X-side switchings preserve the
     Y-cover, every probe is repeated on the Y side: the host with the roles
     of x and y swapped, indexed once per solve, which moves the other side.
     When no single switching augments, the engine explores matchings
@@ -387,15 +388,15 @@ class _Engine:
     trace: EngineTrace = field(default_factory=EngineTrace)
     y_side: _YSide | None = None
 
-    def context(self, matching: RainbowMatching, c_star: int, flip: bool) -> MatchingContext:
-        """The probe for c* on one side (Y when ``flip``), in that side's terms."""
+    def context(self, matching: RainbowMatching, flip: bool) -> MatchingContext:
+        """The context of ``matching`` on one side (Y when ``flip``), in that side's terms."""
         side = self.graph
         if flip:
             if self.y_side is None:
                 self.y_side = _YSide(self.graph)
             side = self.y_side
             matching = RainbowMatching(_swapped(matching))
-        return MatchingContext(side, matching, active=matching.colours() | {c_star})
+        return MatchingContext(side, matching)
 
     @staticmethod
     def to_host(matching: RainbowMatching, flip: bool) -> RainbowMatching:
@@ -405,8 +406,9 @@ class _Engine:
         missing = sorted(set(range(self.graph.colour_count)) - matching.colours())
         # Pass 1: direct augmentation per missing colour, either side.
         for flip in (False, True):
+            ctx = self.context(matching, flip)
             for c_star in missing:
-                result = augment(self.context(matching, c_star, flip), self.depth_cap, self.meter)
+                result = augment(ctx, c_star, self.depth_cap, self.meter)
                 if isinstance(result, RainbowMatching):
                     self.trace.augmentations.append((c_star, 1))
                     return self.to_host(result, flip)
@@ -425,14 +427,14 @@ class _Engine:
         yields each length's paths in the order that a walk capped at that
         length does; the shortest hit that comes first wins.
         """
-        ctx = self.context(current, c_star, flip)
+        ctx = self.context(current, flip)
         e = _closing_edge(ctx, c_star, frozenset())
         if e is not None:
             return self.to_host(_with_edge(ctx.matching, e), flip), []
         if current.size == 0:
             return None, []
         D = build_switch_digraph(ctx, ctx.x0)
-        cap = self.depth_cap if self.depth_cap is not None else len(ctx.active_colours)
+        cap = self.depth_cap if self.depth_cap is not None else current.size + 1
         best: tuple[int, RainbowMatching] | None = None  # (length, augmented)
         moves = []
         for path in iter_rainbow_paths(D, c_star, max_len=cap, mode="total", meter=self.meter):

@@ -233,22 +233,25 @@ def relabel_matching(matching: RainbowMatching, colour_map: Sequence[int]) -> Ra
     return RainbowMatching(tuple(Edge(e.x, e.y, colour_map[e.c]) for e in matching))
 
 
+def missing_colour(ctx) -> int:
+    """The one colour a context's matching misses; fails unless exactly one."""
+    (c,) = set(range(ctx.graph.colour_count)).difference(ctx.edge_of_colour)
+    return c
+
+
 def scan_switch_digraph(ctx, x_prime) -> LabelledDigraph:
-    """The switch digraph built by scanning every edge of every active colour
-    and keeping those that start in X' (the library looks X' up instead)."""
-    c_star = ctx.c_star
+    """The switch digraph built by scanning every edge of every colour and
+    keeping those that start in X' (the library looks X' up instead)."""
     xset = frozenset(x_prime)
     graph = ctx.graph
 
     def label(c):
-        if c == c_star:
-            return STAR
-        e = ctx.edge_of_colour.get(c)  # a colour neither matched nor c* has none
-        return None if e is None else e.x
+        e = ctx.edge_of_colour.get(c)  # a missing colour has none
+        return STAR if e is None else e.x
 
     labels = tuple(map(label, range(graph.colour_count)))
     arcs = []
-    for u in ctx.active_colours:
+    for u in range(graph.colour_count):
         for e in graph.colour_classes[u]:
             if e.x not in xset:
                 continue

@@ -49,6 +49,7 @@ from helpers import (
     greedy_suite,
     lp_max_by_vertex_enumeration,
     max_partial_transversal,
+    missing_colour,
     restrict,
     switching_suite,
 )
@@ -107,7 +108,7 @@ def test_criterion_3_switching_soundness():
         digraph = build_switch_digraph(ctx, ctx.x0)
         for path in iter_rainbow_paths(
             digraph,
-            ctx.c_star,
+            missing_colour(ctx),
             target=None,
             max_len=sub.colour_count,
             mode="total",
@@ -121,7 +122,7 @@ def test_criterion_3_switching_soundness():
             exchanged = apply_switching(ctx, sigma)
             assert verify_rainbow_matching(sub, exchanged).ok
             assert exchanged.size == ctx.matching.size
-            assert sigma.end_colour not in exchanged.colours()
+            assert sigma.matched_edges[-1].c not in exchanged.colours()
             converted += 1
     assert converted > 400
     _report(3, f"{converted} rainbow paths converted to five-clause-valid "

@@ -29,7 +29,7 @@ LATIN_2x2 = square_to_graph(parse_latin("1 2\n2 1"))
 def test_build_single_matching():
     g = build_graph(2, 2, 1, [(0, 0, 0), (1, 1, 0)])
     assert len(g.edges) == 2
-    assert g.colour_class(0) == (Edge(0, 0, 0), Edge(1, 1, 0))
+    assert g.colour_classes[0] == (Edge(0, 0, 0), Edge(1, 1, 0))
 
 
 def test_build_rejects_shared_endpoint():
@@ -155,11 +155,12 @@ def test_context_accessors_and_round_trip():
     ctx = MatchingContext(g, m)
     assert sorted(ctx.edge_of_colour) == sorted(m.colours())
     # identities: x0/y0 are exactly the uncovered vertices
-    assert set(ctx.x0) == set(range(6)) - m.x_cover()
-    assert set(ctx.y0) == set(range(6)) - m.y_cover()
+    xs, ys = {e.x for e in m}, {e.y for e in m}
+    assert set(ctx.x0) == set(range(6)) - xs
+    assert set(ctx.y0) == set(range(6)) - ys
     # uncovered vertices are not keys of the maps
-    assert set(ctx.edge_of_x) == m.x_cover()
-    assert set(ctx.edge_of_y) == m.y_cover()
+    assert set(ctx.edge_of_x) == xs
+    assert set(ctx.edge_of_y) == ys
 
 
 def test_restrict_preserves_vertices_and_remaps_colours():

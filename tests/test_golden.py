@@ -19,7 +19,7 @@ from rainbowmatch.golden import (
 from rainbowmatch.latin import parse_latin, square_to_graph
 from rainbowmatch.oracle import exact_max_rainbow_matching
 
-from helpers import deficient_suite, golden_suite
+from helpers import deficient_suite, golden_suite, missing_colour
 
 LATIN_2x2 = square_to_graph(parse_latin("1 2\n2 1"))
 
@@ -78,7 +78,7 @@ def test_uncovered_bound_missing_colour_is_contradiction_probe():
     g = square_to_graph(parse_latin("1 2\n2 1"))
     res = exact_max_rainbow_matching(g)
     ctx = MatchingContext(g, res.matching)
-    rep = check_uncovered_edge_bound(ctx, ctx.c_star)
+    rep = check_uncovered_edge_bound(ctx, missing_colour(ctx))
     assert rep.hypothesis == "certified-maximum"
     assert rep.count == 0  # else the matching was not maximum
     assert rep.distance == 0

@@ -78,14 +78,14 @@ def test_square_to_graph_1x1():
 
 def test_square_to_graph_2x2_matches_core_example():
     g = square_to_graph(parse_latin("1 2\n2 1"))
-    assert g.colour_class(0) == (Edge(0, 0, 0), Edge(1, 1, 0))
-    assert g.colour_class(1) == (Edge(0, 1, 1), Edge(1, 0, 1))
+    assert g.colour_classes[0] == (Edge(0, 0, 0), Edge(1, 1, 0))
+    assert g.colour_classes[1] == (Edge(0, 1, 1), Edge(1, 0, 1))
 
 
 def test_square_to_graph_cyclic3():
     g = square_to_graph(parse_latin(CYCLIC_3))
     assert len(g.edges) == 9
-    assert all(len(g.colour_class(c)) == 3 for c in range(3))
+    assert all(len(g.colour_classes[c]) == 3 for c in range(3))
 
 
 def test_square_to_graph_rejects_rectangle():
@@ -96,19 +96,19 @@ def test_square_to_graph_rejects_rectangle():
 def test_rectangle_to_graph_1x2():
     g = rectangle_to_graph(parse_latin("1 2"))
     assert g.colour_count == 1
-    assert g.colour_class(0) == (Edge(0, 0, 0), Edge(1, 1, 0))
+    assert g.colour_classes[0] == (Edge(0, 0, 0), Edge(1, 1, 0))
 
 
 def test_rectangle_to_graph_2x3():
     g = rectangle_to_graph(parse_latin("1 2 3\n2 3 1"))
     assert g.colour_count == 2
-    assert all(len(g.colour_class(c)) == 3 for c in range(2))
+    assert all(len(g.colour_classes[c]) == 3 for c in range(2))
 
 
 def test_rectangle_to_graph_cyclic3():
     g = rectangle_to_graph(parse_latin(CYCLIC_3))
     assert g.colour_count == 3
-    assert all(len(g.colour_class(c)) == 3 for c in range(3))
+    assert all(len(g.colour_classes[c]) == 3 for c in range(3))
 
 
 def test_extract_transversal_empty():

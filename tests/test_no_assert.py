@@ -1,7 +1,7 @@
 """The package checks its results with explicit raises, never with ``assert``,
 which ``python -O`` strips: a re-verification must run in every mode.  It
-also carries no unused import, no public function that only tests reach and
-no error class that no other module names."""
+also carries no unused import, no public function, method or property that
+only tests reach and no error class that no other module names."""
 
 import ast
 from collections import Counter
@@ -85,21 +85,26 @@ def _names(tree: ast.AST, strings: bool = False) -> Counter:
     return found
 
 
+def _public_definitions(tree: ast.Module):
+    """The module's public functions and the public methods and properties
+    of its classes."""
+    for node in tree.body:
+        for member in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                yield member
+
+
 def test_every_public_function_is_reached_outside_the_tests():
     # A package module, the package's __all__ or the benchmark must name each
-    # one outside its own definition; bench/tracer.py wraps functions by name.
+    # public function, method or property outside its own definition;
+    # bench/tracer.py wraps functions by name.
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
     in_package = sum(map(_names, trees), Counter())
     elsewhere = _exported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
     for path in sorted((ROOT / "bench").glob("*.py")):
         elsewhere |= set(_names(ast.parse(path.read_text(), str(path)), strings=True))
-    public = [
-        node
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    ]
-    assert len(public) >= 50
+    public = [fn for tree in trees for fn in _public_definitions(tree)]
+    assert len(public) >= 80
     unreached = [
         fn.name
         for fn in public

@@ -64,21 +64,20 @@ def test_switch_digraphs_equal_the_constructor_on_both_sides():
     checked = {False: 0, True: 0}
     arcs = 0
     for n in range(3, 9):
-        for seed in range(3):
+        for seed in range(7):
             graph, planted = planted_tight_system(n, seed)
             engine = _Engine(graph, None, None, 0)
             rng = random.Random(f"out-lists/matchings/{n}/{seed}")
             for matching in _matchings(graph, planted, rng):
-                for c_star in sorted(set(range(n)) - matching.colours()):
-                    for flip in (False, True):
-                        ctx = engine.context(matching, c_star, flip)
-                        xs = range(ctx.graph.left_size)
-                        subsets = [ctx.x0, xs, (), rng.sample(xs, rng.randint(1, len(xs)))]
-                        for x_prime in subsets:
-                            D = build_switch_digraph(ctx, x_prime)
-                            assert_built_as_by_constructor(D)
-                            arcs += len(D.arcs)
-                        checked[isinstance(ctx.graph, _YSide)] += 1
+                for flip in (False, True):
+                    ctx = engine.context(matching, flip)
+                    xs = range(ctx.graph.left_size)
+                    subsets = [ctx.x0, xs, (), rng.sample(xs, rng.randint(1, len(xs)))]
+                    for x_prime in subsets:
+                        D = build_switch_digraph(ctx, x_prime)
+                        assert_built_as_by_constructor(D)
+                        arcs += len(D.arcs)
+                    checked[isinstance(ctx.graph, _YSide)] += 1
     assert min(checked.values()) >= 200, checked
     assert arcs > 5000
 
@@ -128,22 +127,21 @@ def test_only_digraph_and_the_switch_digraph_name_the_lazy_rows():
 
 def _fresh_digraphs():
     """Factories of fresh switch digraphs, one per (context, X'), on both
-    sides, with rows of every kind: empty, inactive and long.  Each comes
-    with the digraph the public constructor builds from a scan of every
-    edge, its arcs read tail by tail."""
+    sides, with rows of every kind: empty, missing colours' and long.  Each
+    comes with the digraph the public constructor builds from a scan of
+    every edge, its arcs read tail by tail."""
     factories = []
     for n in range(3, 7):
         graph, planted = planted_tight_system(n, 0)
         engine = _Engine(graph, None, None, 0)
         rng = random.Random(f"out-lists/lazy/{n}")
         for matching in _matchings(graph, planted, rng):
-            for c_star in sorted(set(range(n)) - matching.colours())[:2]:
-                for flip in (False, True):
-                    ctx = engine.context(matching, c_star, flip)
-                    for x_prime in (ctx.x0, range(ctx.graph.left_size)):
-                        scan = scan_switch_digraph(ctx, x_prime)
-                        want = LabelledDigraph(scan.vertex_count, sorted(scan.arcs), scan.vertex_labels)
-                        factories.append((partial(build_switch_digraph, ctx, x_prime), want))
+            for flip in (False, True):
+                ctx = engine.context(matching, flip)
+                for x_prime in (ctx.x0, range(ctx.graph.left_size)):
+                    scan = scan_switch_digraph(ctx, x_prime)
+                    want = LabelledDigraph(scan.vertex_count, sorted(scan.arcs), scan.vertex_labels)
+                    factories.append((partial(build_switch_digraph, ctx, x_prime), want))
     return factories
 
 
@@ -156,14 +154,14 @@ def _built_rows(D) -> set[int]:
 
 def test_a_walk_of_one_arc_builds_only_the_missing_colours_row():
     walked = 0
-    for fresh, _ in FRESH:
-        D = fresh()
-        c_star = D.vertex_labels.index("*")
-        assert _built_rows(D) == set()
-        paths = list(iter_shortest_first(D, c_star, max_len=1, mode="total"))
-        assert _built_rows(D) == {c_star}
-        assert [p for p in paths if p] == [(a,) for a in D.out_arcs(c_star)]
-        walked += len(paths) > 1
+    for fresh, want in FRESH:
+        for c_star in [v for v, label in enumerate(want.vertex_labels) if label == "*"]:
+            D = fresh()
+            assert _built_rows(D) == set()
+            paths = list(iter_shortest_first(D, c_star, max_len=1, mode="total"))
+            assert _built_rows(D) == {c_star}
+            assert [p for p in paths if p] == [(a,) for a in D.out_arcs(c_star)]
+            walked += len(paths) > 1
     assert walked >= 20
 
 

@@ -12,15 +12,20 @@ from rainbowmatch.core import (
     read_edge_list,
     verify_rainbow_matching,
 )
-from rainbowmatch.digraph import LabelledDigraph, check_proper_labelling, iter_rainbow_paths
+from rainbowmatch.digraph import (
+    LabelledDigraph,
+    check_proper_labelling,
+    iter_rainbow_paths,
+    iter_shortest_first,
+)
 from rainbowmatch.budget import SearchBudget
 from rainbowmatch.errors import (
     BudgetExceeded,
     EmptyMatching,
     ExchangeNotApplicable,
-    MultipleMissingColours,
     PathNotInDigraph,
     PathNotRainbow,
+    PreconditionViolated,
 )
 from rainbowmatch.gen import generate_instance
 from rainbowmatch.latin import parse_latin, square_to_graph
@@ -40,6 +45,7 @@ from rainbowmatch.switching import (
 from helpers import (
     clashing_label_digraphs,
     deficient_suite,
+    missing_colour,
     reference_proper_labelling,
     relabel_matching,
     restrict,
@@ -92,10 +98,13 @@ def test_switch_digraph_rejects_bad_contexts():
     ctx = MatchingContext(LATIN_2x2, RainbowMatching())
     with pytest.raises(EmptyMatching):
         build_switch_digraph(ctx, ())
+    # Two colours missing: each is labelled "*" and has out-arcs, no in-arcs.
     g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))
     ctx2 = MatchingContext(g, RainbowMatching((Edge(0, 0, 0),)))
-    with pytest.raises(MultipleMissingColours):
-        build_switch_digraph(ctx2, ())
+    D = build_switch_digraph(ctx2, ctx2.x0)
+    assert D.vertex_labels == (0, "*", "*")
+    assert [tuple(a) for a in D.arcs] == [(1, 0, 1), (2, 0, 2)]
+    assert D.arcs_into(1) == D.arcs_into(2) == {}
 
 
 def test_built_digraphs_always_properly_labelled():
@@ -139,7 +148,7 @@ def test_check_proper_labelling_names_the_first_failure_in_arc_order():
 def test_path_to_switching_length1():
     ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
     sigma = path_to_switching(ctx, ctx.x0, [1, 0])
-    assert sigma.length == 1
+    assert len(sigma.matched_edges) == 1
     assert sigma.free_edges == (Edge(1, 0, 1),)
     assert sigma.matched_edges == (Edge(0, 0, 0),)
     assert validate_switching(ctx, ctx.x0, sigma).ok
@@ -173,7 +182,7 @@ def test_all_short_paths_give_valid_switchings():
             continue
         D = build_switch_digraph(ctx, ctx.x0)
         for path in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=3, mode="total"
+            D, missing_colour(ctx), target=None, max_len=3, mode="total"
         ):
             if not path:
                 continue
@@ -204,18 +213,17 @@ def test_length4_switching_full_exchange():
     long_path = next(
         p
         for p in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=4, mode="total"
+            D, missing_colour(ctx), target=None, max_len=4, mode="total"
         )
         if len(p) == 4
     )
     verts = [long_path[0].tail] + [a.head for a in long_path]
     sigma = path_to_switching(ctx, ctx.x0, verts, digraph=D)
-    assert sigma.length == 4
     assert len(sigma.free_edges) == 4 and len(sigma.matched_edges) == 4
     assert validate_switching(ctx, ctx.x0, sigma).ok
     out = apply_switching(ctx, sigma)
     assert out.size == ctx.matching.size
-    assert out.y_cover() == ctx.matching.y_cover()
+    assert {e.y for e in out} == {e.y for e in ctx.matching}
     assert verify_rainbow_matching(sub, out).ok
 
 
@@ -261,7 +269,7 @@ def test_apply_switching_length1():
     assert out.colours() == {1}
     assert verify_rainbow_matching(LATIN_2x2, out).ok
     # Y-cover preserved
-    assert out.y_cover() == ctx.matching.y_cover()
+    assert {e.y for e in out} == {e.y for e in ctx.matching}
 
 
 def test_apply_switching_preconditions_named():
@@ -274,6 +282,21 @@ def test_apply_switching_preconditions_named():
     for free, reason in ((Edge(1, 0, 0), "collides"), (Edge(2, 0, 2), "already present")):
         with pytest.raises(ExchangeNotApplicable, match=reason):
             apply_switching(ctx, Switching((free,), sigma.matched_edges))
+
+
+def test_apply_switching_checks_free_edges_against_each_other_and_the_graph():
+    # Both matched edges go, so nothing is kept: each free edge must still
+    # miss the earlier free edges' x, y and colour, and be a graph edge.
+    g = read_edge_list("3 3 3\n0 0 0\n2 1 0\n1 1 1\n0 2 1\n2 0 2\n1 2 2\n")
+    ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 0), Edge(1, 1, 1))))
+    for free, reason in (
+        ((Edge(2, 1, 0), Edge(2, 0, 2)), r"free edge \(2, 0, 2\) collides"),
+        ((Edge(2, 1, 0), Edge(1, 1, 1)), r"free edge \(1, 1, 1\) collides"),
+        ((Edge(2, 1, 0), Edge(0, 0, 0)), "free-edge colour 0 already present"),
+        ((Edge(2, 2, 0),), r"free edge \(2, 2, 0\) is not a graph edge"),
+    ):
+        with pytest.raises(ExchangeNotApplicable, match=reason):
+            apply_switching(ctx, Switching(free, ctx.matching.edges))
 
 
 def test_apply_switching_seeded_property():
@@ -289,7 +312,7 @@ def test_apply_switching_seeded_property():
             continue
         D = build_switch_digraph(ctx, ctx.x0)
         for path in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=3, mode="total"
+            D, missing_colour(ctx), target=None, max_len=3, mode="total"
         ):
             if not path:
                 continue
@@ -298,8 +321,8 @@ def test_apply_switching_seeded_property():
             out = apply_switching(ctx, sigma)
             assert verify_rainbow_matching(g, out).ok
             assert out.size == ctx.matching.size
-            assert out.y_cover() == ctx.matching.y_cover()
-            assert sigma.end_colour not in out.colours()
+            assert {e.y for e in out} == {e.y for e in ctx.matching}
+            assert sigma.matched_edges[-1].c not in out.colours()
             applied += 1
     assert applied > 100
 
@@ -307,14 +330,14 @@ def test_apply_switching_seeded_property():
 def test_augment_depth0():
     g = build_graph(2, 2, 2, [(0, 0, 0), (1, 1, 1)])
     ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 0),)))
-    out = augment(ctx)
+    out = augment(ctx, 1)
     assert isinstance(out, RainbowMatching)
     assert out.size == 2
 
 
 def test_augment_2x2_latin_fails_with_report():
     ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
-    out = augment(ctx)
+    out = augment(ctx, 1)
     assert isinstance(out, AugmentFailure)
     assert out.depth_cap_exhausted
     assert out.frontier == (0,)  # colour A reachable, no uncovered edge for it
@@ -322,8 +345,8 @@ def test_augment_2x2_latin_fails_with_report():
 
 def test_augment_needs_depth2():
     ctx = MatchingContext(DEPTH2, DEPTH2_M)
-    assert isinstance(augment(ctx, depth_cap=1), AugmentFailure)
-    out = augment(ctx, depth_cap=2)
+    assert isinstance(augment(ctx, 0, depth_cap=1), AugmentFailure)
+    out = augment(ctx, 0, depth_cap=2)
     assert isinstance(out, RainbowMatching)
     assert out.size == 3
     assert verify_rainbow_matching(DEPTH2, out).ok
@@ -380,7 +403,7 @@ def test_missing_colour_has_no_in_arcs():
         if ctx.matching.size == 0:
             continue
         D = build_switch_digraph(ctx, ctx.x0)
-        assert D.arcs_into(ctx.c_star) == {}
+        assert D.arcs_into(missing_colour(ctx)) == {}
 
 
 def test_path_switching_converse_round_trip():
@@ -396,13 +419,13 @@ def test_path_switching_converse_round_trip():
             continue
         D = build_switch_digraph(ctx, ctx.x0)
         for path in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=3, mode="total"
+            D, missing_colour(ctx), target=None, max_len=3, mode="total"
         ):
             if not path:
                 continue
             verts = [path[0].tail] + [a.head for a in path]
             sigma = path_to_switching(ctx, ctx.x0, verts, digraph=D)
-            recovered = [e.c for e in sigma.free_edges] + [sigma.end_colour]
+            recovered = [e.c for e in sigma.free_edges] + [sigma.matched_edges[-1].c]
             assert recovered == verts
 
 
@@ -417,15 +440,14 @@ def test_out_degree_witness_on_certified_maxima():
         ctx = MatchingContext(g, res.matching)
         D = build_switch_digraph(ctx, ctx.x0)
         x0, left = len(ctx.x0), g.left_size
-        best_len: dict[int, int] = {ctx.c_star: 0}
-        for path in iter_rainbow_paths(
-            D, ctx.c_star, target=None, max_len=4, mode="total"
-        ):
+        c_star = missing_colour(ctx)
+        best_len: dict[int, int] = {c_star: 0}
+        for path in iter_rainbow_paths(D, c_star, target=None, max_len=4, mode="total"):
             if path:
                 v = path[-1].head
                 best_len[v] = min(best_len.get(v, len(path)), len(path))
         for v, plen in best_len.items():
-            bound = len(g.colour_class(v)) + x0 - left - 2 * plen
+            bound = len(g.colour_classes[v]) + x0 - left - 2 * plen
             assert D.out_degree(v) >= bound
             checked += 1
     assert checked >= 60
@@ -463,31 +485,38 @@ def test_engine_says_why_it_stopped(monkeypatch):
     assert (m.size, trace.stop) == (5, "complete")
 
 
-def test_active_colours_match_the_restricted_copy():
-    # A probe on the host with the matched colours plus c* active sees the
-    # restricted copy's switch digraph and augmentation, in host colour ids.
-    probes = 0
+def test_each_missing_colours_probe_matches_the_restricted_copy():
+    # One host context serves every missing colour c: augment(ctx, c) equals
+    # the augmentation on the copy restricted to the matched colours plus c,
+    # in host colour ids.  A walk from c builds no other missing colour's row,
+    # and the host digraph less those rows is the copy's switch digraph.
+    probes = shared = 0
     for i in range(60):
         n = 4 + i % 5
         g = generate_instance(
             "random", n, 3, True, seed=7000 + i, left_size=n + 1, right_size=n + 1
         )
         m = greedy_rainbow_matching(g)
-        for c_star in sorted(set(range(n)) - m.colours()):
-            active = m.colours() | {c_star}
-            host = MatchingContext(g, m, active=active)
-            sub, cmap = restrict(g, colours=active)
+        host = MatchingContext(g, m)
+        missing = sorted(set(range(n)) - m.colours())
+        shared += len(missing) >= 2
+        for c_star in missing:
+            sub, cmap = restrict(g, colours=m.colours() | {c_star})
             inv = {old: new for new, old in enumerate(cmap)}
             ctx = MatchingContext(sub, RainbowMatching(tuple(Edge(e.x, e.y, inv[e.c]) for e in m)))
-            assert host.missing_colours == (c_star,)
             if m.size:
-                arcs = sorted(build_switch_digraph(host, host.x0).arcs)
+                D = build_switch_digraph(host, host.x0)
+                for _ in iter_shortest_first(D, c_star, max_len=m.size + 1, mode="total"):
+                    pass
+                built = {v for v, row in enumerate(D._out._rows) if row is not None}
+                assert built.intersection(missing) == {c_star}
+                others = set(missing) - {c_star}
                 mapped = sorted(
                     (cmap[a.tail], cmap[a.head], a.label)
                     for a in build_switch_digraph(ctx, ctx.x0).arcs
                 )
-                assert arcs == mapped
-            got, want = augment(host), augment(ctx)
+                assert sorted(a for a in D.arcs if a.tail not in others) == mapped
+            got, want = augment(host, c_star), augment(ctx, inv[c_star])
             if isinstance(want, AugmentFailure):
                 assert got == AugmentFailure(
                     want.depth_cap,
@@ -499,7 +528,14 @@ def test_active_colours_match_the_restricted_copy():
             else:
                 assert got == relabel_matching(want, cmap)
             probes += 1
-    assert probes >= 70
+    assert probes >= 70 and shared >= 15
+
+
+def test_augment_needs_a_missing_colour():
+    ctx = MatchingContext(DEPTH2, DEPTH2_M)
+    for c in (1, 2, -1, 3):
+        with pytest.raises(PreconditionViolated, match=f"colour {c} "):
+            augment(ctx, c)
 
 
 def _reference_moves(engine, ctx, c_star, flip):
@@ -508,7 +544,7 @@ def _reference_moves(engine, ctx, c_star, flip):
     if ctx.matching.size == 0:
         return []
     D = build_switch_digraph(ctx, ctx.x0)
-    cap = engine.depth_cap if engine.depth_cap is not None else len(ctx.active_colours)
+    cap = engine.depth_cap if engine.depth_cap is not None else ctx.matching.size + 1
     moves = []
     for path in iter_rainbow_paths(D, c_star, max_len=cap, mode="total"):
         if path:
@@ -519,16 +555,17 @@ def _reference_moves(engine, ctx, c_star, flip):
 
 @pytest.mark.parametrize("depth_cap", [None, 2])
 def test_explore_gives_augment_or_the_reference_moves(monkeypatch, depth_cap):
-    # Replays every (matching, c*, side) the engine builds a context for:
-    # the states pass 1 probes and those the rotation search explores.  On
-    # the rotation states of these systems the first hit in preorder is also
-    # a shortest one; some pass-1 states are where the two differ.
-    states = []
+    # Replays every (matching, side) the engine builds a context for, with
+    # each of its missing colours c*: the states pass 1 probes and those the
+    # rotation search explores, and more.  On the rotation states of these
+    # systems the first hit in preorder is also a shortest one; some pass-1
+    # states are where the two differ.
+    contexts = {}
     context = _Engine.context
 
-    def recording(self, matching, c_star, flip):
-        states.append((self, matching, c_star, flip))
-        return context(self, matching, c_star, flip)
+    def recording(self, matching, flip):
+        contexts[matching, flip] = self
+        return context(self, matching, flip)
 
     monkeypatch.setattr(_Engine, "context", recording)
     for order, seed in [(9, 0), (11, 0), (13, 6), (15, 8), (17, 7)]:
@@ -537,15 +574,16 @@ def test_explore_gives_augment_or_the_reference_moves(monkeypatch, depth_cap):
         assert m.size == graph.colour_count
     monkeypatch.undo()
     outcomes = {"augmented": 0, "moves": 0}
-    for engine, current, c_star, flip in states:
-        augmented, moves = engine.explore(current, c_star, flip)
-        ctx = engine.context(current, c_star, flip)
-        want = augment(ctx, engine.depth_cap)
-        if isinstance(want, RainbowMatching):
-            assert (augmented, moves) == (engine.to_host(want, flip), [])
-            outcomes["augmented"] += 1
-        else:
-            assert augmented is None
-            assert moves == _reference_moves(engine, ctx, c_star, flip)
-            outcomes["moves"] += 1
+    for (current, flip), engine in contexts.items():
+        ctx = engine.context(current, flip)
+        for c_star in sorted(set(range(ctx.graph.colour_count)) - current.colours()):
+            augmented, moves = engine.explore(current, c_star, flip)
+            want = augment(ctx, c_star, engine.depth_cap)
+            if isinstance(want, RainbowMatching):
+                assert (augmented, moves) == (engine.to_host(want, flip), [])
+                outcomes["augmented"] += 1
+            else:
+                assert augmented is None
+                assert moves == _reference_moves(engine, ctx, c_star, flip)
+                outcomes["moves"] += 1
     assert outcomes["augmented"] >= 5 and outcomes["moves"] >= 20

@@ -4,8 +4,8 @@
 does, on host graphs and on the engine's Y side, for every probe: edges,
 near misses, bools and tuples of the wrong length.  The switch digraph looks
 X' up in ``x_index`` and must equal the one built by scanning every edge of
-every active colour (``helpers.scan_switch_digraph``) on every context the
-engine builds.
+every colour (``helpers.scan_switch_digraph``) on every context the engine
+builds.
 """
 
 import random
@@ -73,8 +73,8 @@ def test_switch_digraph_equals_the_scan_on_every_engine_context(monkeypatch):
     contexts = []
     context = _Engine.context
 
-    def recording(self, matching, c_star, flip):
-        ctx = context(self, matching, c_star, flip)
+    def recording(self, matching, flip):
+        ctx = context(self, matching, flip)
         contexts.append(ctx)
         return ctx
 
