@@ -278,15 +278,14 @@ def find_kd_connected_set(
     eps,
     mode: str = "uncoloured",
     budget: SearchBudget | None = None,
-    seed: int = 0,
 ) -> KdSetResult:
     """Propose a highly connected vertex set by peeling, then verify it.
 
     The peel repeatedly deletes vertices whose out-degree into the current
     set falls below min-out-degree(D) - eps|D|/4 and finally keeps the
     vertices with in-degree >= eps|D|/2 from the survivors.  The candidate
-    is then checked by the exhaustive/sampled connectivity oracle at the
-    mode's diameter bound; correctness rests on the verifier, never the
+    is then checked by the exact connectivity oracle, ``is_kd_connected``, at
+    the mode's diameter bound; correctness rests on the verifier, never the
     heuristic.  Degenerate inputs fall back to a singleton with a vacuous
     verdict; an unknown mode or k < 1 raises ``ValueError`` before that.
     """
@@ -330,7 +329,7 @@ def find_kd_connected_set(
             d,
             target,
         )
-    verdict = is_kd_connected(D, keep, k, d, mode=mode, budget=budget, seed=seed)
+    verdict = is_kd_connected(D, keep, k, d, mode=mode, budget=budget)
     if not verdict.connected:
         raise NoVerifiedSetFound(
             f"peeled set of size {len(keep)} failed verification: {verdict.witness}"

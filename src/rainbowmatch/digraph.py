@@ -208,9 +208,6 @@ class LabelledDigraph:
             return 0
         return min(self.out_degree(v) for v in range(self.vertex_count))
 
-    def edge_labels(self) -> frozenset:
-        return frozenset(a.label for a in self.arcs)
-
     def __repr__(self) -> str:
         return f"LabelledDigraph(|V|={self.vertex_count}, |A|={len(self.arcs)})"
 

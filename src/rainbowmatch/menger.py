@@ -35,6 +35,7 @@ from .errors import (
     ParameterViolation,
     PathBudgetExceeded,
 )
+from .oracle import removal_verdict
 
 EXACT_PATH_LIMIT = 64  # above it, fractional_menger reports floats
 _MAX_PIVOTS = 100_000
@@ -80,20 +81,6 @@ def subdivide_to_simple(D: LabelledDigraph) -> LabelledDigraph:
     return LabelledDigraph(fresh_vertex, arcs)
 
 
-def _st_paths(D: LabelledDigraph, u: int, v: int, forbidden, meter: BudgetMeter):
-    """Rainbow u -> v paths of length >= 1 (edge-colour convention), lazily."""
-    if u == v:  # the kernel's only path from u to u is the empty one
-        return iter(())
-    return iter_rainbow_paths(
-        D,
-        u,
-        target=v,
-        max_len=max(D.vertex_count - 1, 1),
-        forbidden=frozenset(forbidden),
-        meter=meter,
-    )
-
-
 def rainbow_st_paths(
     D: LabelledDigraph,
     u: int,
@@ -105,7 +92,12 @@ def rainbow_st_paths(
 
     The search stops at path max_paths + 1 and raises PathBudgetExceeded.
     """
-    paths = tuple(itertools.islice(_st_paths(D, u, v, (), BudgetMeter(budget)), max_paths + 1))
+    if u == v:  # the kernel's only path from u to u is the empty one
+        return ()
+    walk = iter_rainbow_paths(
+        D, u, target=v, max_len=max(D.vertex_count - 1, 1), meter=BudgetMeter(budget)
+    )
+    paths = tuple(itertools.islice(walk, max_paths + 1))
     if len(paths) > max_paths:
         raise PathBudgetExceeded(f"rainbow paths exceed cap {max_paths}")
     return paths
@@ -118,16 +110,18 @@ def verify_property_I(
     k: int,
     budget: SearchBudget | None = None,
 ) -> bool:
-    """For every k-colour set there is a rainbow u -> v path avoiding it.
+    """For every k-colour set there is a rainbow u -> v path of length >= 1
+    avoiding it; false when u == v.
 
-    Each set's search stops at its first path, all on one meter.
+    Exact, by the one removal search of ``oracle.removal_verdict`` on one
+    meter: each tree node stops at its first path.
     """
-    colours = sorted(D.edge_labels())
-    meter = BudgetMeter(budget)
-    return all(
-        next(_st_paths(D, u, v, S, meter), None) is not None
-        for S in itertools.combinations(colours, min(k, len(colours)))
-    )
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
+    if u == v:  # as in rainbow_st_paths
+        return False
+    max_len = max(D.vertex_count - 1, 1)
+    return removal_verdict(D, [(u, v)], k, max_len, "edge", BudgetMeter(budget)).connected
 
 
 def verify_property_II(paths: tuple[tuple[Arc, ...], ...]) -> bool:

@@ -1,16 +1,15 @@
 """Exact ground truth by exhaustive search.
 
 These solvers are deliberately simple and budgeted: branch and bound over
-colour classes for maximum rainbow matchings, and exhaustive (or explicitly
-sampled) quantifier sweeps for the connectivity predicates.  Every verdict
-records whether it was proved exhaustively or merely sampled; the two are
-never silently mixed.
+colour classes for maximum rainbow matchings, and one bounded search tree
+over removal sets for the connectivity predicates and property (I).  Every
+verdict is exact; a search that runs out of budget raises rather than
+guess.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from time import monotonic
 from typing import Iterable, Sequence
@@ -18,7 +17,6 @@ from typing import Iterable, Sequence
 from .budget import CLOCK_STRIDE, BudgetMeter, SearchBudget
 from .core import ColouredBipartiteMultigraph, Edge, RainbowMatching
 from .digraph import LabelledDigraph, iter_rainbow_paths, mode_labels
-from .rng import SplitMix64
 
 __all__ = [
     "OracleResult",
@@ -29,7 +27,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE = "exhaustive"
-SAMPLED = "sampled"
 VACUOUS = "vacuous"
 
 # Bits (table entries times live-edge mask width) the dead-state table of
@@ -57,10 +54,14 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class ConnectivityVerdict:
+    """An exact removal verdict.  ``checked`` is the number of nodes of the
+    removal search tree, one path search each; ``witness`` is the (S, x, y)
+    that failed, when any."""
+
     connected: bool
-    mode: str  # "exhaustive" | "sampled" | "vacuous"
+    mode: str  # "exhaustive", or "vacuous" for a set of at most one vertex
     checked: int
-    witness: tuple | None = None  # (S, x, y) that failed, when any
+    witness: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.connected
@@ -221,66 +222,67 @@ def exact_max_rainbow_matching(
     return OracleResult(matching, stop == "complete", nodes, stop)
 
 
-def _work_meter(budget: SearchBudget | None) -> BudgetMeter:
-    """Inner-work meter for the quantifier sweeps.
+def removal_verdict(
+    D: LabelledDigraph,
+    pairs: Iterable[tuple[int, int]],
+    r: int,
+    max_len: int,
+    mode: str,
+    meter: BudgetMeter,
+) -> ConnectivityVerdict:
+    """Whether every (x, y) in ``pairs`` keeps a path of length <= max_len
+    after any removal of at most r labels: vertices other than x and y in
+    ``"uncoloured"`` mode, colours under the kernel's ``mode`` otherwise.
 
-    For the connectivity predicates the budget's node_limit bounds the
-    quantifier space (exhaustive vs sampled); the per-probe search work is
-    guarded by the time limit alone.
+    Per pair, the bounded search tree for hitting sets (Cygan et al.,
+    *Parameterized Algorithms*, 2015, ch. 3): a node S finds one path that
+    avoids S, and while |S| < r branches on each label that would kill it.
+    Any set that kills every path contains one of those labels, so the tree
+    reaches a killing set whenever one of size <= r exists.  Each set is
+    searched once per pair, and each tree node ticks ``meter``.  The first
+    (S, x, y) with no path is the witness; ``checked`` counts tree nodes.
     """
-    budget = budget or SearchBudget()
-    return BudgetMeter(SearchBudget(time_limit=budget.time_limit))
+    if mode == "uncoloured":
 
+        def survivor(x: int, y: int, S: frozenset) -> list | None:
+            return _bfs_inner_vertices(D, x, y, S, max_len)
 
-def _sweep(every, total, draw, fails, budget, samples) -> ConnectivityVerdict:
-    """The first witness (S, x, y) that ``fails(S)`` returns decides.  S runs
-    over all ``total`` sets of ``every`` when they fit the node limit, and
-    over ``samples`` sets from ``draw()`` otherwise."""
-    if total <= budget.node_limit:
-        mode, sets = EXHAUSTIVE, every
+        def kill(path: list) -> list:
+            return path
+
     else:
-        mode, sets = SAMPLED, (draw() for _ in range(samples))
-    checked = 0
-    for S in sets:
-        checked += 1
-        witness = fails(frozenset(S))
-        if witness is not None:
-            return ConnectivityVerdict(False, mode, checked, witness)
-    return ConnectivityVerdict(True, mode, checked)
+        arc_labels, vertex_labels = mode_labels(D, mode)
 
-
-def _coloured_verdict(D, colours, k, pairs, max_len, mode, budget, samples, seed):
-    """Whether every removal of min(k-1, |colours|) colours leaves, for each
-    (x, y) in ``pairs``, a rainbow x -> y path of length <= max_len avoiding
-    them under ``mode`` (edge / vertex / total)."""
-    meter = _work_meter(budget)
-    r = min(k - 1, len(colours))
-    rng = SplitMix64(seed)
-
-    def fails(S: frozenset) -> tuple | None:
-        for x, y in pairs:
-            meter.tick()
+        def survivor(x: int, y: int, S: frozenset) -> tuple | None:
             paths = iter_rainbow_paths(
-                D,
-                x,
-                target=y,
-                max_len=max_len,
-                mode=mode,
-                forbidden=S,
-                meter=meter,
+                D, x, target=y, max_len=max_len, mode=mode, forbidden=S, meter=meter
             )
-            if next(paths, None) is None:
-                return S, x, y
-        return None
+            return next(paths, None)
 
-    return _sweep(
-        itertools.combinations(colours, r),
-        math.comb(len(colours), r),
-        lambda: [colours[j] for j in rng.sample_ids(len(colours), r)],
-        fails,
-        budget,
-        samples,
-    )
+        def kill(path: tuple) -> list:
+            labels = [a.label for a in path] if arc_labels else []
+            if vertex_labels is not None:
+                labels += [vertex_labels[a.head] for a in path[:-1]]
+            return labels
+
+    checked = 0
+    for x, y in pairs:
+        stack = [frozenset()]
+        seen = set(stack)
+        while stack:
+            S = stack.pop()
+            meter.tick()
+            checked += 1
+            path = survivor(x, y, S)
+            if path is None:
+                return ConnectivityVerdict(False, EXHAUSTIVE, checked, (S, x, y))
+            if len(S) < r:
+                for label in kill(path):
+                    T = S | {label}
+                    if T not in seen:
+                        seen.add(T)
+                        stack.append(T)
+    return ConnectivityVerdict(True, EXHAUSTIVE, checked)
 
 
 def is_rainbow_k_edge_connected(
@@ -288,27 +290,18 @@ def is_rainbow_k_edge_connected(
     k: int,
     budget: SearchBudget | None = None,
     pairs: Sequence[tuple[int, int]] | None = None,
-    samples: int = 200,
-    seed: int = 0,
 ) -> ConnectivityVerdict:
     """Rainbow k-edge-connectivity: every <= (k-1)-colour removal leaves a
     rainbow path between every ordered pair (or the given pairs).
 
-    Exhaustive over removal sets when their count fits the node budget,
-    otherwise uniformly sampled with the sample count reported.
+    Exact, by ``removal_verdict`` on one meter.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    budget = budget or SearchBudget()
     n = D.vertex_count
     if pairs is None:
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    colours = sorted(D.edge_labels(), key=repr)
-    return _coloured_verdict(
-        D, colours, k, pairs, max(n - 1, 0), "edge", budget, samples, seed
-    )
+    return removal_verdict(D, pairs, k - 1, max(n - 1, 0), "edge", BudgetMeter(budget))
 
 
 def is_kd_connected(
@@ -318,67 +311,32 @@ def is_kd_connected(
     d: int,
     mode: str = "uncoloured",
     budget: SearchBudget | None = None,
-    samples: int = 200,
-    seed: int = 0,
 ) -> ConnectivityVerdict:
     """(k, d)-connectedness of a vertex set A inside D.
 
-    ``uncoloured`` quantifies the removal set S over vertex subsets of size
-    at most k-1 (paths avoid S entirely; pairs are drawn from A minus S).
+    ``uncoloured`` quantifies the removal set S over sets of at most k-1
+    vertices (for each pair x, y of A outside S, a path of length <= d
+    avoids S).
     The coloured modes (``edge`` / ``vertex`` / ``total``) quantify S over
     colour sets and ask for rainbow paths of length <= d internally avoiding
-    S, under the matching convention.  Exhaustive when the quantifier space
-    fits the budget, otherwise sampled; the verdict says which.
+    S, under the matching convention.  Exact, by ``removal_verdict`` on one
+    meter; a set A of at most one vertex is vacuously connected.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    budget = budget or SearchBudget()
     A = sorted(set(A))
     if len(A) <= 1:
         return ConnectivityVerdict(True, VACUOUS, 0)
-
-    if mode == "uncoloured":
-        meter = _work_meter(budget)
-        rng = SplitMix64(seed)
-        n = D.vertex_count
-        top = min(k - 1, n)
-
-        def fails(S: frozenset) -> tuple | None:
-            members = [a for a in A if a not in S]
-            for x in members:
-                meter.tick()
-                dists = _bfs_avoiding(D, x, S, d)
-                for y in members:
-                    if y != x and y not in dists:
-                        return S, x, y
-            return None
-
-        return _sweep(
-            itertools.chain.from_iterable(
-                itertools.combinations(range(n), r) for r in range(top + 1)
-            ),
-            sum(math.comb(n, r) for r in range(top + 1)),
-            lambda: rng.sample_ids(n, rng.below(top + 1)),
-            fails,
-            budget,
-            samples,
-        )
-
-    arc_labels, vertex_labels = mode_labels(D, mode)
-    universe = set(D.edge_labels()) if arc_labels else set()
-    universe.update(vertex_labels or ())
     pairs = [(x, y) for x in A for y in A if x != y]
-    return _coloured_verdict(
-        D, sorted(universe, key=repr), k, pairs, d, mode, budget, samples, seed
-    )
+    return removal_verdict(D, pairs, k - 1, d, mode, BudgetMeter(budget))
 
 
-def _bfs_avoiding(
-    D: LabelledDigraph, x: int, S: frozenset, max_len: int
-) -> dict[int, int]:
-    dist = {x: 0}
+def _bfs_inner_vertices(
+    D: LabelledDigraph, x: int, y: int, S: frozenset, max_len: int
+) -> list[int] | None:
+    """The inner vertices of one shortest x -> y path of length <= max_len
+    that avoids S, or None when there is none."""
+    parent = {x: x}
     frontier = [x]
     depth = 0
     while frontier and depth < max_len:
@@ -387,9 +345,15 @@ def _bfs_avoiding(
         for v in frontier:
             for arc in D.out_arcs(v):
                 w = arc.head
-                if w in dist or w in S:
+                if w in parent or w in S:
                     continue
-                dist[w] = depth
+                if w == y:
+                    inner = []
+                    while v != x:
+                        inner.append(v)
+                        v = parent[v]
+                    return inner
+                parent[w] = v
                 nxt.append(w)
         frontier = nxt
-    return dist
+    return None

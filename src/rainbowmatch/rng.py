@@ -54,6 +54,3 @@ class SplitMix64:
             pool[i], pool[j] = pool[j], pool[i]
         self._state = state
         return pool[:k]
-
-    def choice(self, xs):
-        return xs[self.below(len(xs))]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from rainbowmatch.core import ColouredBipartiteMultigraph, Edge, RainbowMatching
-from rainbowmatch.digraph import Arc, LabelledDigraph
+from rainbowmatch.digraph import Arc, LabelledDigraph, iter_rainbow_paths
 from rainbowmatch.switching import STAR
 from rainbowmatch.gen import generate_instance, random_latin_square
 from rainbowmatch.latin import square_to_graph
@@ -128,6 +128,65 @@ def complete_biorientation(q: int, rainbow: bool = True) -> LabelledDigraph:
         if u != v
     ]
     return LabelledDigraph(q, arcs, vertex_labels=tuple(range(q)))
+
+
+# --- removal verdicts by brute force: every removal set, one search per pair -
+
+
+def reference_path_avoids(D: LabelledDigraph, x: int, y: int, S, max_len: int, mode: str) -> bool:
+    """Whether some x -> y path of length <= max_len survives the removal of
+    S: a BFS over the vertices outside S in ``"uncoloured"`` mode, otherwise
+    the kernel's rainbow paths under ``mode`` with the colours S forbidden."""
+    if mode == "uncoloured":
+        reached = frontier = {x}
+        for _ in range(max_len):
+            frontier = {a.head for v in frontier for a in D.out_arcs(v)} - reached - set(S)
+            reached = reached | frontier
+        return y in reached
+    paths = iter_rainbow_paths(D, x, target=y, max_len=max_len, mode=mode, forbidden=frozenset(S))
+    return next(paths, None) is not None
+
+
+def reference_kd_connected(D: LabelledDigraph, A: Iterable[int], k: int, d: int, mode: str) -> bool:
+    """``is_kd_connected`` by sweeping every removal set.
+
+    In ``"uncoloured"`` mode S runs over every set of at most k-1 vertices
+    and the pairs over A minus S.  Otherwise S runs over every set of
+    min(k-1, |labels|) colours, where the labels are the arc colours unless
+    the mode is ``"vertex"`` and the vertex colours unless it is ``"edge"``.
+    """
+    A = sorted(set(A))
+    pairs = [(x, y) for x in A for y in A if x != y]
+    if mode == "uncoloured":
+        n = D.vertex_count
+        sets = itertools.chain.from_iterable(
+            itertools.combinations(range(n), r) for r in range(min(k - 1, n) + 1)
+        )
+        return all(
+            reference_path_avoids(D, x, y, S, d, mode)
+            for S in sets
+            for x, y in pairs
+            if x not in S and y not in S
+        )
+    labels = set() if mode == "vertex" else {a.label for a in D.arcs}
+    if mode != "edge":
+        labels.update(D.vertex_labels)
+    return all(
+        reference_path_avoids(D, x, y, S, d, mode)
+        for S in itertools.combinations(sorted(labels, key=repr), min(k - 1, len(labels)))
+        for x, y in pairs
+    )
+
+
+def reference_property_I(D: LabelledDigraph, u: int, v: int, k: int) -> bool:
+    """``verify_property_I`` by sweeping every set of min(k, |colours|) arc
+    colours; false when u == v."""
+    colours = sorted({a.label for a in D.arcs})
+    max_len = max(D.vertex_count - 1, 1)
+    return u != v and all(
+        reference_path_avoids(D, u, v, S, max_len, "edge")
+        for S in itertools.combinations(colours, min(k, len(colours)))
+    )
 
 
 # --- seeded corpora used by both module tests and the acceptance gate ------

@@ -73,3 +73,26 @@ def test_a_node_limit_bounds_the_whole_solve():
     assert (m.size, trace.stop) == (5, "stalled")
     with pytest.raises(BudgetExceeded, match=r"node limit exceeded \(69\)"):
         solve_switching_engine(LATIN_6, budget=SearchBudget(node_limit=69))
+
+
+# The whole cost of one removal verdict: one node per tree node, plus the
+# kernel's out-arcs in the coloured modes.
+VERDICT_COSTS = {
+    "is_kd_connected": (
+        lambda budget: is_kd_connected(COMPLETE, range(6), 3, 2, mode="total", budget=budget),
+        2607,
+    ),
+    "is_rainbow_k_edge_connected": (
+        lambda budget: is_rainbow_k_edge_connected(COMPLETE, 2, budget=budget),
+        1116,
+    ),
+    "verify_property_I": (lambda budget: verify_property_I(MENGER, 0, 8, 3, budget=budget), 2205),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_COSTS))
+def test_a_node_limit_bounds_the_whole_verdict(name):
+    call, cost = VERDICT_COSTS[name]
+    assert call(SearchBudget(node_limit=cost))
+    with pytest.raises(BudgetExceeded, match=rf"node limit exceeded \({cost - 1}\)"):
+        call(SearchBudget(node_limit=cost - 1))

@@ -605,6 +605,16 @@ def test_connectivity_ball_honours_node_limit(capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+def test_connectivity_kdset_node_limit_bounds_the_verdict(capsys):
+    # every node of the verdict's search tree counts against the node limit
+    argv = ["connectivity", "--op", "kdset", "--vertices", "12", "--out-degree", "8",
+            "--seed", "2", "--epsilon", "0.9", "--k", "2"]
+    assert run([*argv, "--node-limit", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: node limit exceeded (1)\n"
+
+
 def test_transversal_budget_exhaustion_says_so(tmp_path, capsys):
     f = tmp_path / "sq.txt"
     f.write_text(write_latin(random_latin_square(12, seed=1)))

@@ -18,13 +18,21 @@ equals the new one line by line, 1,976 lines, except 8 ``through`` lines
 ``palette-1 [6, 4, 3]`` and ``palette-dense [4, 3, 5, 2]``, each at d = 2
 and d = 4).  Each of the 8 was a ``SegmentNotFound`` at leg 1 and is one at
 leg 0: the old leg 0 had spent a later anchor's colour.
+It was re-recorded again when one bounded search tree per pair replaced the
+connectivity predicates' sweep over every removal set, and their sampled
+verdicts were deleted.  Proof, over the 1,976 lines of both streams,
+compared outside the suite: the 1,676 lines that are not verdicts are
+equal; of the 300 verdict lines, with the sampled half taken out of each
+old line, every line keeps its ``connected`` flag and its mode.  265 moved:
+134 name another witness and 131 only another ``checked``, which now
+counts tree nodes.  Each of the 208 witnesses in the new stream was
+re-verified with ``helpers.reference_path_avoids``.
 It pins, over seeded digraphs:
 
 * ``iter_rainbow_paths`` -- the path sequence and ``meter.nodes`` in every
   mode the digraph admits, in the order edge, total, vertex;
 * u -> v paths with forbidden colours (the ``enumerate`` lines);
-* ``is_kd_connected`` (edge/vertex/total) and ``is_rainbow_k_edge_connected``,
-  exhaustive and sampled;
+* ``is_kd_connected`` (edge/vertex/total) and ``is_rainbow_k_edge_connected``;
 * ``rainbow_ball_layers``, ``low_expansion_ball``, ``rainbow_distance`` and
   ``rainbow_path_through``.
 
@@ -38,7 +46,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from rainbowmatch.budget import BudgetMeter, SearchBudget
+from rainbowmatch.budget import BudgetMeter
 from rainbowmatch.connectivity import (
     low_expansion_ball,
     rainbow_ball_layers,
@@ -51,7 +59,7 @@ from rainbowmatch.gen import generate_proper_digraph
 from rainbowmatch.menger import build_counterexample
 from rainbowmatch.oracle import is_kd_connected, is_rainbow_k_edge_connected
 
-SNAPSHOT_SHA256 = "914a72131a67a590ab01fffc3c7c7a54fbcfe705dddcf137e16ae8300e6f9a72"
+SNAPSHOT_SHA256 = "e9190f42a4e265a1599d271e5aad71521842e6005cc7884ad63e4573b53b8de7"
 
 
 def palette_digraph(n: int, out_degree: int, palette: int, seed: int) -> LabelledDigraph:
@@ -125,19 +133,16 @@ def _enumerate_lines(name, D, palette):
 
 def _connectivity_lines(name, D):
     n = D.vertex_count
-    small = SearchBudget(node_limit=3)
     for k in (1, 2, 3):
         for mode in ("edge", "vertex", "total"):
             for d in (2, 3):
                 for A in (range(n), [0, 1, n - 1]):
-                    full = is_kd_connected(D, A, k, d, mode=mode)
-                    sampled = is_kd_connected(D, A, k, d, mode=mode, budget=small, samples=4, seed=k)
-                    yield f"{name} kd {k} {mode} {d} {list(A)} {_verdict(full)} / {_verdict(sampled)}"
+                    verdict = is_kd_connected(D, A, k, d, mode=mode)
+                    yield f"{name} kd {k} {mode} {d} {list(A)} {_verdict(verdict)}"
         pairs = [(0, n - 1), (1, 2), (n - 1, 0)]
         for chosen in (None, pairs):
-            full = is_rainbow_k_edge_connected(D, k, pairs=chosen)
-            sampled = is_rainbow_k_edge_connected(D, k, pairs=chosen, budget=small, samples=4, seed=k)
-            yield f"{name} rkec {k} {chosen} {_verdict(full)} / {_verdict(sampled)}"
+            verdict = is_rainbow_k_edge_connected(D, k, pairs=chosen)
+            yield f"{name} rkec {k} {chosen} {_verdict(verdict)}"
 
 
 def _toolbox_lines(name, D):
@@ -176,7 +181,7 @@ def _lines():
         yield from _toolbox_lines(name, D)
     M = build_counterexample(2, 6)
     yield from _kernel_lines("menger-2-6", M)
-    yield from _enumerate_lines("menger-2-6", M, sorted(M.edge_labels()))
+    yield from _enumerate_lines("menger-2-6", M, sorted({a.label for a in M.arcs}))
     for k in (1, 2, 3):
         verdict = is_rainbow_k_edge_connected(M, k, pairs=[(0, 6), (6, 0), (1, 5)])
         yield f"menger-2-6 rkec {k} {_verdict(verdict)}"

@@ -21,7 +21,7 @@ def test_counterexample_k1_m4_shape():
     D = build_counterexample(1, 4)
     assert D.vertex_count == 5
     assert len(D.arcs) == 8
-    assert D.edge_labels() == {0, 1, 2, 3, 5}
+    assert {a.label for a in D.arcs} == {0, 1, 2, 3, 5}
 
 
 def test_counterexample_boundary():
@@ -34,7 +34,7 @@ def test_counterexample_boundary():
 def test_counterexample_k2_m6_shape():
     D = build_counterexample(2, 6)
     assert len(D.arcs) == 18
-    assert D.edge_labels() == set(range(6)) | {7, 8}
+    assert {a.label for a in D.arcs} == set(range(6)) | {7, 8}
 
 
 def test_colour_multiplicities():
@@ -88,15 +88,20 @@ def test_path_cap_stops_the_search():
         rainbow_st_paths(D, 0, 8, max_paths=10, budget=SearchBudget(node_limit=100))
 
 
+def test_property_I_refuses_a_negative_k():
+    with pytest.raises(ValueError, match=r"^k must be at least 0, got -1$"):
+        verify_property_I(build_counterexample(1, 4), 0, 4, -1)
+
+
 def test_property_I_stops_at_the_first_path_per_set():
-    # One meter counts the whole check: the first paths of all 165 3-colour
-    # sets take 2,040 nodes together, while enumerating every path of one
-    # set takes up to 1,560, so a check that passes on 2,040 stops each set
-    # at its first path.
+    # One meter counts the whole check: the removal search's 165 tree nodes
+    # and their first paths take 2,205 nodes together, while enumerating
+    # every path of one set takes up to 1,560, so a check that passes on
+    # 2,205 stops each node at its first path.
     D = build_counterexample(3, 8)
-    assert verify_property_I(D, 0, 8, 3, budget=SearchBudget(node_limit=2040))
+    assert verify_property_I(D, 0, 8, 3, budget=SearchBudget(node_limit=2205))
     with pytest.raises(BudgetExceeded):
-        verify_property_I(D, 0, 8, 3, budget=SearchBudget(node_limit=2039))
+        verify_property_I(D, 0, 8, 3, budget=SearchBudget(node_limit=2204))
 
 
 def test_subdivision_preserves_counts_and_properties():

@@ -200,30 +200,6 @@ def test_kd_coloured_modes_on_rainbow_complete():
         assert is_kd_connected(D, range(5), k=2, d=2, mode=mode).connected
 
 
-def test_kd_sampled_verdict_labelled():
-    D = complete_biorientation(5)
-    verdict = is_kd_connected(
-        D, range(5), k=3, d=2, mode="uncoloured", budget=SearchBudget(node_limit=4), samples=5
-    )
-    assert verdict.mode == "sampled"
-
-
-def test_sampled_verdicts_need_a_positive_sample_count():
-    # No arc leaves vertex 1, so any sampled removal set has a witness.
-    D = LabelledDigraph(3, [(0, 1, 7)])
-    tight = SearchBudget(node_limit=1)
-    assert is_kd_connected(D, [0, 1, 2], 3, 2, budget=tight).witness == (
-        frozenset({0}),
-        1,
-        2,
-    )
-    for samples in (0, -1):
-        with pytest.raises(ValueError, match="samples must be positive"):
-            is_kd_connected(D, [0, 1, 2], 3, 2, budget=tight, samples=samples)
-        with pytest.raises(ValueError, match="samples must be positive"):
-            is_rainbow_k_edge_connected(D, 2, budget=tight, samples=samples)
-
-
 @pytest.mark.parametrize("k", [0, -1])
 def test_connectivity_predicates_refuse_k_below_one(k):
     # vertex 2 is unreachable, so no k could make this digraph connected

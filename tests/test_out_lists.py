@@ -167,7 +167,6 @@ def test_a_walk_of_one_arc_builds_only_the_missing_colours_row():
 
 READERS = {
     "arcs": lambda D: D.arcs,
-    "edge_labels": lambda D: D.edge_labels(),
     "min_out_degree": lambda D: D.min_out_degree(),
     "out_arcs": lambda D, v: D.out_arcs(v),
     "out_neighbours": lambda D, v: D.out_neighbours(v),
