@@ -12,7 +12,6 @@ from .core import (
     Edge,
     MatchingContext,
     RainbowMatching,
-    build_graph,
     greedy_rainbow_matching,
     read_edge_list,
     verify_rainbow_matching,
@@ -24,7 +23,6 @@ from .latin import (
     parse_latin,
     rectangle_to_graph,
     square_to_graph,
-    write_latin,
 )
 from .oracle import OracleResult, exact_max_rainbow_matching
 from .switching import (
@@ -32,9 +30,7 @@ from .switching import (
     apply_switching,
     augment,
     build_switch_digraph,
-    path_to_switching,
     solve_switching_engine,
-    validate_switching,
 )
 from .golden import golden_solve
 from .menger import build_counterexample, fractional_menger
@@ -47,7 +43,6 @@ __all__ = [
     "Edge",
     "MatchingContext",
     "RainbowMatching",
-    "build_graph",
     "greedy_rainbow_matching",
     "read_edge_list",
     "verify_rainbow_matching",
@@ -57,16 +52,13 @@ __all__ = [
     "parse_latin",
     "rectangle_to_graph",
     "square_to_graph",
-    "write_latin",
     "OracleResult",
     "exact_max_rainbow_matching",
     "Switching",
     "apply_switching",
     "augment",
     "build_switch_digraph",
-    "path_to_switching",
     "solve_switching_engine",
-    "validate_switching",
     "golden_solve",
     "build_counterexample",
     "fractional_menger",

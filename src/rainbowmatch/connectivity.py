@@ -26,6 +26,7 @@ from .digraph import (
     MODES,
     Arc,
     LabelledDigraph,
+    _label_key,
     is_rainbow_arc_path,
     iter_rainbow_paths,
     iter_shortest_first,
@@ -331,8 +332,10 @@ def find_kd_connected_set(
         )
     verdict = is_kd_connected(D, keep, k, d, mode=mode, budget=budget)
     if not verdict.connected:
+        S, x, y = verdict.witness
         raise NoVerifiedSetFound(
-            f"peeled set of size {len(keep)} failed verification: {verdict.witness}"
+            f"peeled set of size {len(keep)} failed verification: "
+            f"removal set {sorted(S, key=_label_key)} cuts {x} -> {y}"
         )
     return KdSetResult(frozenset(keep), verdict, d, target)
 

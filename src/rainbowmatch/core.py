@@ -139,19 +139,6 @@ class ColouredBipartiteMultigraph:
         )
 
 
-def build_graph(
-    left_size: int,
-    right_size: int,
-    colour_count: int,
-    edges: Iterable[tuple[int, int, int]],
-    edge_disjoint: bool = False,
-) -> ColouredBipartiteMultigraph:
-    """Validate and index an edge list; rejects inputs violating invariants."""
-    return ColouredBipartiteMultigraph(
-        left_size, right_size, colour_count, edges, edge_disjoint
-    )
-
-
 @dataclass(frozen=True)
 class RainbowMatching:
     """A matching whose edges all have distinct colours."""
@@ -310,7 +297,9 @@ def read_edge_list(text: str, edge_disjoint: bool = False) -> ColouredBipartiteM
     if not rows:
         raise ValueError("empty edge-list input")
     left, right, colours = rows[0]
-    return build_graph(left, right, colours, islice(rows, 1, None), edge_disjoint=edge_disjoint)
+    return ColouredBipartiteMultigraph(
+        left, right, colours, islice(rows, 1, None), edge_disjoint=edge_disjoint
+    )
 
 
 def read_matching(text: str) -> RainbowMatching:

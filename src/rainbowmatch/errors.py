@@ -77,10 +77,6 @@ class PathNotRainbow(RainbowError):
     pass
 
 
-class PathNotInDigraph(RainbowError):
-    pass
-
-
 class PreconditionViolated(RainbowError):
     pass
 

@@ -6,7 +6,7 @@ pins an instance byte-for-byte on any platform or implementation.
 
 from __future__ import annotations
 
-from .core import ColouredBipartiteMultigraph, Edge, build_graph
+from .core import ColouredBipartiteMultigraph, Edge
 from .digraph import LabelledDigraph
 from .errors import InfeasibleParameters, RejectionBudgetExceeded
 from .latin import LatinRectangle, square_to_graph
@@ -61,7 +61,7 @@ def generate_instance(
         if edge_disjoint:
             used_pairs.update(pairs)
         edges.extend(Edge(x, y, c) for x, y in pairs)
-    return build_graph(left, right, n, edges, edge_disjoint=edge_disjoint)
+    return ColouredBipartiteMultigraph(left, right, n, edges, edge_disjoint=edge_disjoint)
 
 
 def random_latin_square(n: int, seed: int = 0) -> LatinRectangle:

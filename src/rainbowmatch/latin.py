@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ColouredBipartiteMultigraph, RainbowMatching, build_graph
+from .core import ColouredBipartiteMultigraph, RainbowMatching
 from .errors import (
     ColumnRepeat,
     MatchingGraphMismatch,
@@ -93,12 +93,6 @@ def parse_latin(text: str) -> LatinRectangle:
     return LatinRectangle(m, n, tuple(grid), symbols)
 
 
-def write_latin(rect: LatinRectangle) -> str:
-    return (
-        "\n".join(" ".join(rect.symbols[s] for s in row) for row in rect.grid) + "\n"
-    )
-
-
 def square_to_graph(rect: LatinRectangle) -> ColouredBipartiteMultigraph:
     """Order-n square -> properly coloured complete bipartite graph.
 
@@ -110,7 +104,7 @@ def square_to_graph(rect: LatinRectangle) -> ColouredBipartiteMultigraph:
         raise NotSquare(f"{rect.rows}x{rect.cols} rectangle is not a square")
     n = rect.rows
     edges = [(i, j, rect.grid[i][j]) for i in range(n) for j in range(n)]
-    return build_graph(n, n, n, edges, edge_disjoint=True)
+    return ColouredBipartiteMultigraph(n, n, n, edges, edge_disjoint=True)
 
 
 def rectangle_to_graph(rect: LatinRectangle) -> ColouredBipartiteMultigraph:
@@ -122,7 +116,9 @@ def rectangle_to_graph(rect: LatinRectangle) -> ColouredBipartiteMultigraph:
     edges = [
         (j, rect.grid[k][j], k) for k in range(rect.rows) for j in range(rect.cols)
     ]
-    return build_graph(rect.cols, rect.cols, rect.rows, edges, edge_disjoint=True)
+    return ColouredBipartiteMultigraph(
+        rect.cols, rect.cols, rect.rows, edges, edge_disjoint=True
+    )
 
 
 def extract_transversal(

@@ -320,11 +320,15 @@ def is_kd_connected(
     The coloured modes (``edge`` / ``vertex`` / ``total``) quantify S over
     colour sets and ask for rainbow paths of length <= d internally avoiding
     S, under the matching convention.  Exact, by ``removal_verdict`` on one
-    meter; a set A of at most one vertex is vacuously connected.
+    meter; a set A of at most one vertex is vacuously connected.  A vertex
+    of A outside D raises ``ValueError`` in every mode, as the kernel does.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     A = sorted(set(A))
+    for v in A:
+        if not 0 <= v < D.vertex_count:
+            raise ValueError(f"vertex {v} is not among the digraph's {D.vertex_count} vertices")
     if len(A) <= 1:
         return ConnectivityVerdict(True, VACUOUS, 0)
     pairs = [(x, y) for x in A for y in A if x != y]

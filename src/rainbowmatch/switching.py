@@ -23,22 +23,18 @@ from .core import (
     Edge,
     MatchingContext,
     RainbowMatching,
-    Verdict,
     greedy_rainbow_matching,
     verify_rainbow_matching,
 )
 from .digraph import (
     Arc,
     LabelledDigraph,
-    is_rainbow_arc_path,
     iter_rainbow_paths,
     iter_shortest_first,
 )
 from .errors import (
     EmptyMatching,
     ExchangeNotApplicable,
-    PathNotInDigraph,
-    PathNotRainbow,
     PreconditionViolated,
 )
 
@@ -52,8 +48,11 @@ class Switching:
     """Alternating exchange sequence (e_0, m_1, e_1, ..., m_l).
 
     ``free_edges`` are the non-matching edges e_0..e_{l-1}; ``matched_edges``
-    are the matching edges m_1..m_l.  Validity is decided by
-    :func:`validate_switching`, clause by clause.
+    are the matching edges m_1..m_l.  It is valid when (i) matched edges
+    belong to the matching and free edges do not; (ii) paired edges share
+    their colour; (iii) e_{i-1} and m_i meet exactly in m_i's Y-endpoint;
+    (iv) all other pairs are disjoint and the colours pairwise distinct;
+    (v) free edges start in X'.
     """
 
     free_edges: tuple[Edge, ...]
@@ -67,9 +66,6 @@ class Switching:
 
     def is_empty(self) -> bool:
         return not self.free_edges and not self.matched_edges
-
-
-EMPTY_SWITCHING = Switching((), ())
 
 
 @dataclass(frozen=True)
@@ -123,84 +119,6 @@ def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> Labell
 
     out = _LazyOutLists(graph.colour_count, out_list)
     return LabelledDigraph._from_out_lists(graph.colour_count, out, vertex_labels=labels)
-
-
-def path_to_switching(
-    ctx: MatchingContext,
-    x_prime: Iterable[int],
-    path: Sequence[int],
-    digraph: LabelledDigraph | None = None,
-) -> Switching:
-    """Convert a rainbow colour path of the switch digraph into a switching.
-
-    ``path`` is the vertex (colour) sequence.  The i-th free edge is the
-    graph edge behind the i-th arc; the i-th matched edge is the matching
-    edge of the i-th reached colour.
-    """
-    D = digraph if digraph is not None else build_switch_digraph(ctx, x_prime)
-    verts = list(path)
-    if len(verts) <= 1:
-        return EMPTY_SWITCHING
-    arcs: list[Arc] = []
-    for a, b in zip(verts, verts[1:]):
-        hits = D.arcs_between(a, b)
-        if not hits:
-            raise PathNotInDigraph(f"no arc {a} -> {b} in the switch digraph")
-        arcs.append(hits[0])  # label unique: colour classes are matchings
-    if not is_rainbow_arc_path(D, tuple(arcs)):
-        raise PathNotRainbow(f"colour path {verts} is not rainbow")
-    return _arcs_to_switching(ctx, arcs)
-
-
-def validate_switching(
-    ctx: MatchingContext, x_prime: Iterable[int], sigma: Switching
-) -> Verdict:
-    """Check the five defining clauses; report the first violated one.
-
-    (i) matched edges belong to the matching, free edges do not;
-    (ii) paired edges share their colour;
-    (iii) consecutive free/matched edges meet exactly in the matched edge's
-    Y-endpoint; (iv) all other intersections are empty and colours are
-    pairwise distinct; (v) free edges start in X'.
-    """
-    xset = frozenset(x_prime)
-    e, m = sigma.free_edges, sigma.matched_edges
-    if len(e) != len(m):
-        return Verdict(False, "(structure) needs equal counts of e- and m-edges")
-    if sigma.is_empty():
-        return Verdict(True, None)
-    medges = ctx.matching.edge_set()
-    for i, ei in enumerate(e):
-        if ei in medges:
-            return Verdict(False, f"(i) e_{i} is a matching edge")
-        if not ctx.graph.has_edge(ei):
-            return Verdict(False, f"(i) e_{i} is not a graph edge")
-    for i, mi in enumerate(m, start=1):
-        if mi not in medges:
-            return Verdict(False, f"(i) m_{i} is not a matching edge")
-    for i in range(1, len(e)):
-        if e[i].c != m[i - 1].c:
-            return Verdict(False, f"(ii) e_{i} and m_{i} differ in colour")
-    for i in range(len(m)):
-        if e[i].y != m[i].y or e[i].x == m[i].x:
-            return Verdict(
-                False, f"(iii) e_{i} and m_{i + 1} must share exactly the Y-endpoint"
-            )
-    colours = [e[0].c] + [mi.c for mi in m]
-    if len(set(colours)) != len(colours):
-        return Verdict(False, "(iv) colours are not pairwise distinct")
-    for i in range(len(e)):
-        for j in range(len(e)):
-            if i != j and (e[i].x == e[j].x or e[i].y == e[j].y):
-                return Verdict(False, f"(iv) e_{i} and e_{j} intersect")
-    for i in range(len(e)):
-        for j in range(len(m)):
-            if i != j and (e[i].x == m[j].x or e[i].y == m[j].y):
-                return Verdict(False, f"(iv) e_{i} and m_{j + 1} intersect")
-    for i, ei in enumerate(e):
-        if ei.x not in xset:
-            return Verdict(False, f"(v) e_{i} starts outside X'")
-    return Verdict(True, None)
 
 
 def apply_switching(ctx: MatchingContext, sigma: Switching) -> RainbowMatching:

@@ -12,11 +12,17 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from rainbowmatch.core import ColouredBipartiteMultigraph, Edge, RainbowMatching
+from rainbowmatch.core import (
+    ColouredBipartiteMultigraph,
+    Edge,
+    MatchingContext,
+    RainbowMatching,
+    Verdict,
+)
 from rainbowmatch.digraph import Arc, LabelledDigraph, iter_rainbow_paths
-from rainbowmatch.switching import STAR
+from rainbowmatch.switching import STAR, Switching
 from rainbowmatch.gen import generate_instance, random_latin_square
-from rainbowmatch.latin import square_to_graph
+from rainbowmatch.latin import LatinRectangle, square_to_graph
 
 
 def max_partial_transversal(grid) -> int:
@@ -117,6 +123,11 @@ def _solve_square(A, b):
                 f = M[r][col]
                 M[r] = [v - f * p for v, p in zip(M[r], M[col])]
     return [M[r][n] for r in range(n)]
+
+
+def latin_text(rect: LatinRectangle) -> str:
+    """The grid as ``parse_latin`` reads it: one line of symbols per row."""
+    return "".join(" ".join(rect.symbols[s] for s in row) + "\n" for row in rect.grid)
 
 
 def complete_biorientation(q: int, rainbow: bool = True) -> LabelledDigraph:
@@ -319,6 +330,76 @@ def scan_switch_digraph(ctx, x_prime) -> LabelledDigraph:
                 continue
             arcs.append((u, target.c, e.x))
     return LabelledDigraph(graph.colour_count, arcs, vertex_labels=labels)
+
+
+def colour_path_to_switching(
+    ctx: MatchingContext, D: LabelledDigraph, colours: Sequence[int]
+) -> Switching:
+    """The switching behind a colour path of ``ctx``'s switch digraph D.
+
+    The i-th free edge is the graph edge behind the arc from the i-th colour
+    to the next; the i-th matched edge is the matching edge of the colour
+    that arc reaches.  Each arc is read from ``D.out_arcs``, so a lazy D
+    builds only the out-lists of the colours the path leaves.
+    """
+    free, matched = [], []
+    for a, b in zip(colours, colours[1:]):
+        (arc,) = [arc for arc in D.out_arcs(a) if arc.head == b]
+        head_edge = ctx.edge_of_colour[b]
+        free.append(Edge(arc.label, head_edge.y, a))
+        matched.append(head_edge)
+    return Switching(tuple(free), tuple(matched))
+
+
+def validate_switching(
+    ctx: MatchingContext, x_prime: Iterable[int], sigma: Switching
+) -> Verdict:
+    """Check the five defining clauses; report the first violated one.
+
+    (i) matched edges belong to the matching, free edges do not;
+    (ii) paired edges share their colour;
+    (iii) consecutive free/matched edges meet exactly in the matched edge's
+    Y-endpoint; (iv) all other intersections are empty and colours are
+    pairwise distinct; (v) free edges start in X'.
+    """
+    xset = frozenset(x_prime)
+    e, m = sigma.free_edges, sigma.matched_edges
+    if len(e) != len(m):
+        return Verdict(False, "(structure) needs equal counts of e- and m-edges")
+    if sigma.is_empty():
+        return Verdict(True, None)
+    medges = ctx.matching.edge_set()
+    for i, ei in enumerate(e):
+        if ei in medges:
+            return Verdict(False, f"(i) e_{i} is a matching edge")
+        if not ctx.graph.has_edge(ei):
+            return Verdict(False, f"(i) e_{i} is not a graph edge")
+    for i, mi in enumerate(m, start=1):
+        if mi not in medges:
+            return Verdict(False, f"(i) m_{i} is not a matching edge")
+    for i in range(1, len(e)):
+        if e[i].c != m[i - 1].c:
+            return Verdict(False, f"(ii) e_{i} and m_{i} differ in colour")
+    for i in range(len(m)):
+        if e[i].y != m[i].y or e[i].x == m[i].x:
+            return Verdict(
+                False, f"(iii) e_{i} and m_{i + 1} must share exactly the Y-endpoint"
+            )
+    colours = [e[0].c] + [mi.c for mi in m]
+    if len(set(colours)) != len(colours):
+        return Verdict(False, "(iv) colours are not pairwise distinct")
+    for i in range(len(e)):
+        for j in range(len(e)):
+            if i != j and (e[i].x == e[j].x or e[i].y == e[j].y):
+                return Verdict(False, f"(iv) e_{i} and e_{j} intersect")
+    for i in range(len(e)):
+        for j in range(len(m)):
+            if i != j and (e[i].x == m[j].x or e[i].y == m[j].y):
+                return Verdict(False, f"(iv) e_{i} and m_{j + 1} intersect")
+    for i, ei in enumerate(e):
+        if ei.x not in xset:
+            return Verdict(False, f"(v) e_{i} starts outside X'")
+    return Verdict(True, None)
 
 
 def clashing_label_digraphs(count: int, seed: str = "proper-labelling"):

@@ -38,12 +38,11 @@ from rainbowmatch.oracle import exact_max_rainbow_matching
 from rainbowmatch.switching import (
     apply_switching,
     build_switch_digraph,
-    path_to_switching,
     solve_switching_engine,
-    validate_switching,
 )
 
 from helpers import (
+    colour_path_to_switching,
     deficient_suite,
     golden_suite,
     greedy_suite,
@@ -52,6 +51,7 @@ from helpers import (
     missing_colour,
     restrict,
     switching_suite,
+    validate_switching,
 )
 
 
@@ -116,7 +116,7 @@ def test_criterion_3_switching_soundness():
             if not path:
                 continue
             vertices = [path[0].tail] + [a.head for a in path]
-            sigma = path_to_switching(ctx, ctx.x0, vertices, digraph=digraph)
+            sigma = colour_path_to_switching(ctx, digraph, vertices)
             verdict = validate_switching(ctx, ctx.x0, sigma)
             assert verdict.ok, f"clause violated: {verdict.reason}"
             exchanged = apply_switching(ctx, sigma)

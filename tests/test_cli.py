@@ -14,9 +14,10 @@ from rainbowmatch.cli import run
 from rainbowmatch.core import read_edge_list, write_edge_list
 from rainbowmatch.errors import InfeasibleParameters
 from rainbowmatch.gen import generate_instance, generate_proper_digraph, random_latin_square
-from rainbowmatch.latin import write_latin
 from rainbowmatch.oracle import exact_max_rainbow_matching
 from rainbowmatch.rng import SplitMix64
+
+from helpers import latin_text
 
 
 def _capture(capsys, argv):
@@ -68,9 +69,9 @@ def test_negative_sample_sizes_are_rejected():
 
 def test_solve_greedy_guarantee_regime(tmp_path, capsys):
     edges = [(x, x, 0) for x in range(4)] + [(x, (x + 1) % 4, 1) for x in range(4)]
-    from rainbowmatch.core import build_graph
+    from rainbowmatch.core import ColouredBipartiteMultigraph
 
-    g = build_graph(4, 4, 2, edges)
+    g = ColouredBipartiteMultigraph(4, 4, 2, edges)
     f = tmp_path / "inst.txt"
     f.write_text(write_edge_list(g))
     code, out = _capture(capsys, ["solve", "--algorithm", "greedy", str(f)])
@@ -90,7 +91,7 @@ def test_transversal_2x2_reports_shortfall(tmp_path, capsys):
 
 def test_transversal_cyclic3_full(tmp_path, capsys):
     f = tmp_path / "sq.txt"
-    f.write_text(write_latin(random_latin_square(3, seed=4)))
+    f.write_text(latin_text(random_latin_square(3, seed=4)))
     code, out = _capture(capsys, ["transversal", str(f)])
     assert code == 0
     assert json.loads(out)["size"] == 3
@@ -617,7 +618,7 @@ def test_connectivity_kdset_node_limit_bounds_the_verdict(capsys):
 
 def test_transversal_budget_exhaustion_says_so(tmp_path, capsys):
     f = tmp_path / "sq.txt"
-    f.write_text(write_latin(random_latin_square(12, seed=1)))
+    f.write_text(latin_text(random_latin_square(12, seed=1)))
     assert run(["transversal", "--node-limit", "2000", str(f)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from rainbowmatch.connectivity import (
 )
 from rainbowmatch.digraph import Arc, LabelledDigraph, iter_rainbow_paths
 from rainbowmatch.errors import (
+    NoVerifiedSetFound,
     PathNotRainbow,
     PreconditionViolated,
     SegmentNotFound,
@@ -182,6 +187,52 @@ def test_kdset_coloured_mode():
     result = find_kd_connected_set(D, 2, 0.9, mode="total")
     assert result.vertices == frozenset(range(6))
     assert result.verdict.connected
+
+
+# A str-labelled copy of generate_proper_digraph(12, 3, seed=0), whose
+# peeled set fails the edge-mode check with a two-label removal set.
+_STR_LABELLED_KDSET = """
+from rainbowmatch.connectivity import find_kd_connected_set
+from rainbowmatch.digraph import LabelledDigraph
+from rainbowmatch.errors import NoVerifiedSetFound
+from rainbowmatch.gen import generate_proper_digraph
+
+G = generate_proper_digraph(12, 3, seed=0)
+D = LabelledDigraph(
+    12,
+    [(a.tail, a.head, f"a{a.label}") for a in G.arcs],
+    vertex_labels=tuple(f"v{v}" for v in range(12)),
+)
+try:
+    find_kd_connected_set(D, 3, "1/2", mode="edge")
+except NoVerifiedSetFound as e:
+    print(e)
+"""
+
+
+def test_kdset_failure_reason_is_independent_of_the_hash_seed():
+    # The removal set is written sorted, not in a frozenset's hash order;
+    # under these two seeds a frozenset of the two labels iterates in
+    # opposite orders.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reasons = {
+        subprocess.run(
+            [sys.executable, "-c", _STR_LABELLED_KDSET],
+            capture_output=True, text=True, check=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "6")
+    }
+    assert reasons == {
+        "peeled set of size 7 failed verification: removal set ['a13', 'a16'] cuts 2 -> 3\n"
+    }
+
+
+def test_kdset_failure_reason_sorts_int_labels():
+    D = generate_proper_digraph(12, 3, seed=0)
+    with pytest.raises(NoVerifiedSetFound, match=r"removal set \[13, 16\] cuts 2 -> 3$"):
+        find_kd_connected_set(D, 3, "1/2", mode="edge")
 
 
 def test_anchored_path_single_anchor():

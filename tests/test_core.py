@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch.core import (
+    ColouredBipartiteMultigraph,
     Edge,
     MatchingContext,
     RainbowMatching,
-    build_graph,
     greedy_rainbow_matching,
     read_edge_list,
     verify_rainbow_matching,
@@ -27,29 +27,29 @@ LATIN_2x2 = square_to_graph(parse_latin("1 2\n2 1"))
 
 
 def test_build_single_matching():
-    g = build_graph(2, 2, 1, [(0, 0, 0), (1, 1, 0)])
+    g = ColouredBipartiteMultigraph(2, 2, 1, [(0, 0, 0), (1, 1, 0)])
     assert len(g.edges) == 2
     assert g.colour_classes[0] == (Edge(0, 0, 0), Edge(1, 1, 0))
 
 
 def test_build_rejects_shared_endpoint():
     with pytest.raises(DuplicateEndpointInColourClass):
-        build_graph(2, 2, 1, [(0, 0, 0), (0, 1, 0)])
+        ColouredBipartiteMultigraph(2, 2, 1, [(0, 0, 0), (0, 1, 0)])
 
 
 def test_build_rejects_duplicate_pair_when_edge_disjoint():
     with pytest.raises(DuplicateEdgeAcrossColours):
-        build_graph(2, 2, 2, [(0, 0, 0), (0, 0, 1)], edge_disjoint=True)
+        ColouredBipartiteMultigraph(2, 2, 2, [(0, 0, 0), (0, 0, 1)], edge_disjoint=True)
     # and allows it as a multigraph
-    g = build_graph(2, 2, 2, [(0, 0, 0), (0, 0, 1)])
+    g = ColouredBipartiteMultigraph(2, 2, 2, [(0, 0, 0), (0, 0, 1)])
     assert len(g.edges) == 2
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(IdOutOfRange):
-        build_graph(2, 2, 1, [(2, 0, 0)])
+        ColouredBipartiteMultigraph(2, 2, 1, [(2, 0, 0)])
     with pytest.raises(IdOutOfRange):
-        build_graph(2, 2, 1, [(0, 0, 1)])
+        ColouredBipartiteMultigraph(2, 2, 1, [(0, 0, 1)])
 
 
 def test_latin_2x2_graph_is_valid_and_edge_disjoint():
@@ -63,7 +63,7 @@ def test_verify_empty_matching():
 
 
 def test_verify_shared_y():
-    g = build_graph(2, 1, 2, [(0, 0, 0), (1, 0, 1)])
+    g = ColouredBipartiteMultigraph(2, 1, 2, [(0, 0, 0), (1, 0, 1)])
     verdict = verify_rainbow_matching(
         g, RainbowMatching((Edge(0, 0, 0), Edge(1, 0, 1)))
     )
@@ -89,11 +89,11 @@ def test_build_keeps_or_converts_edges():
     edges = tuple(Edge(*r) for r in rows)
     forms = [edges, list(edges), rows, [list(r) for r in rows], iter(rows), [edges[0], *rows[1:]]]
     for form in forms:
-        g = build_graph(2, 2, 2, form)
+        g = ColouredBipartiteMultigraph(2, 2, 2, form)
         assert g.edges == edges
         assert all(type(e) is Edge for e in g.edges)
         assert g.colour_classes == ((edges[0], edges[1]), (edges[2],))
-    assert build_graph(2, 2, 2, edges).edges is edges  # already Edges: kept as is
+    assert ColouredBipartiteMultigraph(2, 2, 2, edges).edges is edges  # already Edges: kept as is
 
 
 def test_verify_on_2x2_latin_pairs():
@@ -108,13 +108,13 @@ def test_verify_on_2x2_latin_pairs():
 
 
 def test_greedy_single_class():
-    g = build_graph(3, 3, 1, [(0, 0, 0), (1, 1, 0)])
+    g = ColouredBipartiteMultigraph(3, 3, 1, [(0, 0, 0), (1, 1, 0)])
     assert greedy_rainbow_matching(g).size == 1
 
 
 def test_greedy_two_disjoint_classes_of_four():
     edges = [(x, x, 0) for x in range(4)] + [(x, (x + 1) % 4, 1) for x in range(4)]
-    g = build_graph(4, 4, 2, edges)
+    g = ColouredBipartiteMultigraph(4, 4, 2, edges)
     m = greedy_rainbow_matching(g)
     assert m.size == 2
     assert verify_rainbow_matching(g, m).ok
@@ -191,7 +191,7 @@ def test_edge_list_comments_and_errors():
 
 
 def test_degenerate_inputs_are_valid():
-    g = build_graph(0, 0, 0, [])
+    g = ColouredBipartiteMultigraph(0, 0, 0, [])
     assert greedy_rainbow_matching(g).size == 0
-    g2 = build_graph(3, 3, 2, [(0, 0, 1)])  # colour 0 empty
+    g2 = ColouredBipartiteMultigraph(3, 3, 2, [(0, 0, 1)])  # colour 0 empty
     assert greedy_rainbow_matching(g2).size == 1

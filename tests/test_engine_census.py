@@ -19,14 +19,14 @@ import random
 
 import pytest
 
-from rainbowmatch.core import build_graph
+from rainbowmatch.core import ColouredBipartiteMultigraph
 from rainbowmatch.oracle import exact_max_rainbow_matching
 from rainbowmatch.switching import solve_switching_engine
 
 
 def _graph(n: int, system):
     edges = [(x, y, c) for c, perm in enumerate(system) for x, y in enumerate(perm)]
-    return build_graph(n + 1, n + 1, n, edges)
+    return ColouredBipartiteMultigraph(n + 1, n + 1, n, edges)
 
 
 def test_every_system_at_n3_is_full():

@@ -2,10 +2,10 @@ import pytest
 
 from rainbowmatch.budget import SearchBudget
 from rainbowmatch.core import (
+    ColouredBipartiteMultigraph,
     Edge,
     MatchingContext,
     RainbowMatching,
-    build_graph,
     verify_rainbow_matching,
 )
 from rainbowmatch.errors import ContextInvalid
@@ -34,7 +34,7 @@ def test_colour_digraph_rejects_empty_matching():
 
 
 def test_colour_digraph_two_colour_example():
-    g = build_graph(2, 1, 2, [(0, 0, 1), (1, 0, 0)])
+    g = ColouredBipartiteMultigraph(2, 1, 2, [(0, 0, 1), (1, 0, 0)])
     ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 1),)))
     D = build_colour_digraph(ctx)
     assert len(D.arcs) == 1
@@ -45,7 +45,7 @@ def test_colour_digraph_two_colour_example():
 
 def test_colour_digraph_uses_both_free_sides():
     # one reroute through a free X-vertex, one through a free Y-vertex
-    g = build_graph(
+    g = ColouredBipartiteMultigraph(
         2, 2, 2, [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
     )
     ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 1),)))
@@ -113,7 +113,7 @@ def test_uncovered_bound_tight_hand_built_instance():
     # reaching colour 2 from the missing colour takes a rainbow path of
     # length exactly 2, and exactly 2 colour-2 edges join the uncovered
     # sides, so the bound holds with equality
-    g = build_graph(
+    g = ColouredBipartiteMultigraph(
         4,
         4,
         3,
@@ -142,12 +142,12 @@ def test_uncovered_bound_not_maximum_flagged():
 
 
 def test_golden_n1():
-    g = build_graph(2, 2, 1, [(0, 0, 0), (1, 1, 0)])
+    g = ColouredBipartiteMultigraph(2, 2, 1, [(0, 0, 0), (1, 1, 0)])
     m, oracle = golden_solve(g)
     assert m.size == 1
     assert oracle is None
     # no colour: the engine is full at once
-    m, oracle = golden_solve(build_graph(2, 2, 0, []))
+    m, oracle = golden_solve(ColouredBipartiteMultigraph(2, 2, 0, []))
     assert m.size == 0
     assert oracle is None
     # the 2x2 square has no transversal: the oracle proves size 1

@@ -14,11 +14,10 @@ from rainbowmatch.latin import (
     parse_latin,
     rectangle_to_graph,
     square_to_graph,
-    write_latin,
 )
 from rainbowmatch.oracle import exact_max_rainbow_matching
 
-from helpers import enumerate_latin_squares, max_partial_transversal
+from helpers import enumerate_latin_squares, latin_text, max_partial_transversal
 
 CYCLIC_3 = "1 2 3\n2 3 1\n3 1 2"
 
@@ -68,7 +67,7 @@ def test_parse_error_coordinates():
 def test_write_parse_identity():
     for text in ("1 2\n2 1", CYCLIC_3, "a b c\nb c a\nc a b"):
         rect = parse_latin(text)
-        assert parse_latin(write_latin(rect)) == rect
+        assert parse_latin(latin_text(rect)) == rect
 
 
 def test_square_to_graph_1x1():

@@ -1,7 +1,10 @@
 """The package checks its results with explicit raises, never with ``assert``,
 which ``python -O`` strips: a re-verification must run in every mode.  It
 also carries no unused import, no public function, method or property that
-only tests reach and no error class that no other module names."""
+only tests reach and no error class that no other module names.  A name
+counts as reached when another package module or the benchmark names it;
+``__init__.py``, its imports and its ``__all__`` do not count, since exporting
+a name is not using it."""
 
 import ast
 from collections import Counter
@@ -15,6 +18,7 @@ REACHED_BY_TESTS_ONLY = {
     "check_proper_labelling": "the checker the generator tests rely on",
     "check_uncovered_edge_bound": "acceptance criterion 7",
     "edge_disjoint_guarantee_threshold": "the acceptance check of the paper's threshold",
+    "rectangle_to_graph": "the n x (n+1) rectangle encoding of the paper's edge-disjoint regime",
     "is_rainbow_k_edge_connected": "the paper's notion, pinned by the kernel and verdict snapshots",
 }
 
@@ -95,16 +99,18 @@ def _public_definitions(tree: ast.Module):
 
 
 def test_every_public_function_is_reached_outside_the_tests():
-    # A package module, the package's __all__ or the benchmark must name each
-    # public function, method or property outside its own definition;
-    # bench/tracer.py wraps functions by name.
-    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    # A package module or the benchmark must name each public function,
+    # method or property outside its own definition; bench/tracer.py wraps
+    # functions by name.  __init__.py is left out: its imports and __all__
+    # export a name, they do not use it.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    trees = [ast.parse(path.read_text(), str(path)) for path in modules]
     in_package = sum(map(_names, trees), Counter())
-    elsewhere = _exported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
+    elsewhere = set()
     for path in sorted((ROOT / "bench").glob("*.py")):
         elsewhere |= set(_names(ast.parse(path.read_text(), str(path)), strings=True))
     public = [fn for tree in trees for fn in _public_definitions(tree)]
-    assert len(public) >= 80
+    assert len(public) >= 77
     unreached = [
         fn.name
         for fn in public

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch.budget import SearchBudget
-from rainbowmatch.gen import generate_instance
+from rainbowmatch.gen import generate_instance, generate_proper_digraph
 from rainbowmatch.latin import LatinRectangle, parse_latin, square_to_graph
 from rainbowmatch.menger import build_counterexample
 from rainbowmatch.oracle import (
@@ -39,10 +39,10 @@ def test_oracle_cyclic3():
 def test_oracle_monotone_under_edge_addition():
     base = generate_instance("random", 4, 3, False, seed=21, left_size=6, right_size=6)
     prev = 0
-    from rainbowmatch.core import build_graph
+    from rainbowmatch.core import ColouredBipartiteMultigraph
 
     for cut in range(0, len(base.edges) + 1, 3):
-        g = build_graph(6, 6, 4, base.edges[:cut])
+        g = ColouredBipartiteMultigraph(6, 6, 4, base.edges[:cut])
         size = exact_max_rainbow_matching(g).size
         assert size >= prev
         prev = size
@@ -198,6 +198,18 @@ def test_kd_coloured_modes_on_rainbow_complete():
     D = complete_biorientation(5)
     for mode in ("edge", "vertex", "total"):
         assert is_kd_connected(D, range(5), k=2, d=2, mode=mode).connected
+
+
+@pytest.mark.parametrize("mode", ["uncoloured", "edge", "vertex", "total"])
+@pytest.mark.parametrize("A, outside", [([-1, 0], -1), ([0, 8], 8)], ids=["below", "above"])
+def test_kd_refuses_a_vertex_outside_the_digraph(mode, A, outside):
+    # a BFS from -1 would read vertex 7's out-arcs; every mode raises alike
+    D = generate_proper_digraph(8, 3, 0)
+    message = f"^vertex {outside} is not among the digraph's 8 vertices$"
+    with pytest.raises(ValueError, match=message):
+        is_kd_connected(D, A, 1, 3, mode=mode)
+    with pytest.raises(ValueError, match=message):
+        is_kd_connected(D, [outside], 1, 3, mode=mode)
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -17,7 +17,7 @@ import pytest
 
 from rainbowmatch import oracle
 from rainbowmatch.budget import CLOCK_STRIDE, SearchBudget
-from rainbowmatch.core import build_graph, verify_rainbow_matching
+from rainbowmatch.core import ColouredBipartiteMultigraph, verify_rainbow_matching
 from rainbowmatch.gen import random_latin_square
 from rainbowmatch.latin import square_to_graph
 from rainbowmatch.oracle import exact_max_rainbow_matching
@@ -35,7 +35,7 @@ def _planted(n: int, seed: int):
     for colour, r in enumerate(rng.sample(range(order), n)):
         others = [j for j in range(order) if j != r]
         edges.extend((j, (r + j) % order, colour) for j in [r, *rng.sample(others, n)])
-    return build_graph(order, order, n, edges, edge_disjoint=True)
+    return ColouredBipartiteMultigraph(order, order, n, edges, edge_disjoint=True)
 
 
 def _calls():

@@ -21,7 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmatch.core import Edge, RainbowMatching, build_graph, greedy_rainbow_matching
+from rainbowmatch.core import (
+    ColouredBipartiteMultigraph,
+    Edge,
+    RainbowMatching,
+    greedy_rainbow_matching,
+)
 from rainbowmatch.digraph import Arc, LabelledDigraph, _LazyOutLists, iter_shortest_first
 from rainbowmatch.switching import _Engine, _YSide, build_switch_digraph
 
@@ -49,7 +54,7 @@ def planted_tight_system(n: int, seed: int):
         others = [j for j in range(order) if j != r]
         edges.extend((col[j], sym[(r + j) % order], colour) for j in [r, *rng.sample(others, n)])
         planted.append((col[r], sym[2 * r % order], colour))
-    graph = build_graph(order, order, n, edges, edge_disjoint=True)
+    graph = ColouredBipartiteMultigraph(order, order, n, edges, edge_disjoint=True)
     return graph, RainbowMatching(tuple(Edge(*e) for e in planted))
 
 

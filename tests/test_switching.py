@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from rainbowmatch import switching
 from rainbowmatch.core import (
+    ColouredBipartiteMultigraph,
     Edge,
     MatchingContext,
     RainbowMatching,
-    build_graph,
     greedy_rainbow_matching,
     read_edge_list,
     verify_rainbow_matching,
@@ -23,8 +23,6 @@ from rainbowmatch.errors import (
     BudgetExceeded,
     EmptyMatching,
     ExchangeNotApplicable,
-    PathNotInDigraph,
-    PathNotRainbow,
     PreconditionViolated,
 )
 from rainbowmatch.gen import generate_instance
@@ -37,13 +35,12 @@ from rainbowmatch.switching import (
     apply_switching,
     augment,
     build_switch_digraph,
-    path_to_switching,
     solve_switching_engine,
-    validate_switching,
 )
 
 from helpers import (
     clashing_label_digraphs,
+    colour_path_to_switching,
     deficient_suite,
     missing_colour,
     reference_proper_labelling,
@@ -51,6 +48,7 @@ from helpers import (
     restrict,
     switching_suite,
     tight_text,
+    validate_switching,
 )
 
 LATIN_2x2 = square_to_graph(parse_latin("1 2\n2 1"))
@@ -68,7 +66,7 @@ def _ctx_one_missing(graph, matching=None):
 # A 3-colour instance whose only augmentation needs a length-2 switching:
 # M = {(0,0,c1), (1,1,c2)} misses c0; the free X-vertices reroute c1 and c2
 # before the final colour-2 edge lands on the uncovered pair (4, 2).
-DEPTH2 = build_graph(
+DEPTH2 = ColouredBipartiteMultigraph(
     5,
     3,
     3,
@@ -147,26 +145,11 @@ def test_check_proper_labelling_names_the_first_failure_in_arc_order():
 
 def test_path_to_switching_length1():
     ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
-    sigma = path_to_switching(ctx, ctx.x0, [1, 0])
+    sigma = colour_path_to_switching(ctx, build_switch_digraph(ctx, ctx.x0), [1, 0])
     assert len(sigma.matched_edges) == 1
     assert sigma.free_edges == (Edge(1, 0, 1),)
     assert sigma.matched_edges == (Edge(0, 0, 0),)
     assert validate_switching(ctx, ctx.x0, sigma).ok
-
-
-def test_path_to_switching_rejects_missing_arc():
-    ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
-    with pytest.raises(PathNotInDigraph):
-        path_to_switching(ctx, (), [1, 0])
-
-
-def test_path_to_switching_rejects_nonrainbow():
-    # both hops are rerouted through the same free X-vertex, so the two arc
-    # labels coincide and the colour path is not rainbow
-    g = build_graph(3, 2, 3, [(2, 0, 0), (0, 0, 1), (2, 1, 1), (1, 1, 2)])
-    ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 1), Edge(1, 1, 2))))
-    with pytest.raises(PathNotRainbow):
-        path_to_switching(ctx, ctx.x0, [0, 1, 2])
 
 
 def test_all_short_paths_give_valid_switchings():
@@ -187,7 +170,7 @@ def test_all_short_paths_give_valid_switchings():
             if not path:
                 continue
             verts = [path[0].tail] + [a.head for a in path]
-            sigma = path_to_switching(ctx, ctx.x0, verts, digraph=D)
+            sigma = colour_path_to_switching(ctx, D, verts)
             verdict = validate_switching(ctx, ctx.x0, sigma)
             assert verdict.ok, verdict.reason
             total += 1
@@ -218,7 +201,7 @@ def test_length4_switching_full_exchange():
         if len(p) == 4
     )
     verts = [long_path[0].tail] + [a.head for a in long_path]
-    sigma = path_to_switching(ctx, ctx.x0, verts, digraph=D)
+    sigma = colour_path_to_switching(ctx, D, verts)
     assert len(sigma.free_edges) == 4 and len(sigma.matched_edges) == 4
     assert validate_switching(ctx, ctx.x0, sigma).ok
     out = apply_switching(ctx, sigma)
@@ -236,7 +219,7 @@ def test_validate_switching_clause_i():
 
 def test_validate_switching_clause_iv_shared_x():
     # hand-built: two free edges out of the same X-vertex
-    g = build_graph(
+    g = ColouredBipartiteMultigraph(
         4,
         3,
         3,
@@ -256,14 +239,14 @@ def test_validate_switching_clause_iv_shared_x():
 
 def test_validate_switching_clause_v():
     ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
-    sigma = path_to_switching(ctx, ctx.x0, [1, 0])
+    sigma = colour_path_to_switching(ctx, build_switch_digraph(ctx, ctx.x0), [1, 0])
     verdict = validate_switching(ctx, (), sigma)  # X' empty now
     assert not verdict.ok and verdict.reason.startswith("(v)")
 
 
 def test_apply_switching_length1():
     ctx = MatchingContext(LATIN_2x2, RainbowMatching((Edge(0, 0, 0),)))
-    sigma = path_to_switching(ctx, ctx.x0, [1, 0])
+    sigma = colour_path_to_switching(ctx, build_switch_digraph(ctx, ctx.x0), [1, 0])
     out = apply_switching(ctx, sigma)
     assert out.size == 1
     assert out.colours() == {1}
@@ -274,7 +257,7 @@ def test_apply_switching_length1():
 
 def test_apply_switching_preconditions_named():
     ctx = MatchingContext(DEPTH2, DEPTH2_M)
-    sigma = path_to_switching(ctx, ctx.x0, [0, 1])
+    sigma = colour_path_to_switching(ctx, build_switch_digraph(ctx, ctx.x0), [0, 1])
     outside = Switching(sigma.free_edges, (Edge(1, 1, 1),))  # not in ctx.matching
     with pytest.raises(ExchangeNotApplicable):
         apply_switching(ctx, outside)
@@ -317,7 +300,7 @@ def test_apply_switching_seeded_property():
             if not path:
                 continue
             verts = [path[0].tail] + [a.head for a in path]
-            sigma = path_to_switching(ctx, ctx.x0, verts, digraph=D)
+            sigma = colour_path_to_switching(ctx, D, verts)
             out = apply_switching(ctx, sigma)
             assert verify_rainbow_matching(g, out).ok
             assert out.size == ctx.matching.size
@@ -328,7 +311,7 @@ def test_apply_switching_seeded_property():
 
 
 def test_augment_depth0():
-    g = build_graph(2, 2, 2, [(0, 0, 0), (1, 1, 1)])
+    g = ColouredBipartiteMultigraph(2, 2, 2, [(0, 0, 0), (1, 1, 1)])
     ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 0),)))
     out = augment(ctx, 1)
     assert isinstance(out, RainbowMatching)
@@ -355,7 +338,7 @@ def test_augment_needs_depth2():
 
 def test_engine_greedy_regime():
     edges = [(x, x, 0) for x in range(4)] + [(x, (x + 1) % 4, 1) for x in range(4)]
-    g = build_graph(4, 4, 2, edges)
+    g = ColouredBipartiteMultigraph(4, 4, 2, edges)
     m, _ = solve_switching_engine(g)
     assert m.size == 2
 
@@ -424,7 +407,7 @@ def test_path_switching_converse_round_trip():
             if not path:
                 continue
             verts = [path[0].tail] + [a.head for a in path]
-            sigma = path_to_switching(ctx, ctx.x0, verts, digraph=D)
+            sigma = colour_path_to_switching(ctx, D, verts)
             recovered = [e.c for e in sigma.free_edges] + [sigma.matched_edges[-1].c]
             assert recovered == verts
 
@@ -548,7 +531,7 @@ def _reference_moves(engine, ctx, c_star, flip):
     moves = []
     for path in iter_rainbow_paths(D, c_star, max_len=cap, mode="total"):
         if path:
-            sigma = path_to_switching(ctx, ctx.x0, [c_star] + [a.head for a in path], D)
+            sigma = colour_path_to_switching(ctx, D, [c_star] + [a.head for a in path])
             moves.append(engine.to_host(apply_switching(ctx, sigma), flip))
     return moves
 

@@ -12,7 +12,12 @@ import random
 
 import pytest
 
-from rainbowmatch.core import Edge, build_graph, read_edge_list, verify_rainbow_matching
+from rainbowmatch.core import (
+    ColouredBipartiteMultigraph,
+    Edge,
+    read_edge_list,
+    verify_rainbow_matching,
+)
 from rainbowmatch.gen import generate_instance
 from rainbowmatch.switching import _Engine, _YSide, build_switch_digraph, solve_switching_engine
 
@@ -25,8 +30,9 @@ def _graphs():
         yield generate_instance(
             "random", n, n + i % 3, i % 2 == 0, seed=3100 + i, left_size=n + 2, right_size=n + 3
         )
-    yield build_graph(2, 2, 2, [(0, 1, 0), (1, 0, 0), (1, 1, 1)])  # ids 0 and 1 only
-    yield build_graph(3, 3, 0, [])
+    # ids 0 and 1 only
+    yield ColouredBipartiteMultigraph(2, 2, 2, [(0, 1, 0), (1, 0, 0), (1, 1, 1)])
+    yield ColouredBipartiteMultigraph(3, 3, 0, [])
 
 
 def _probes(edges, left, right, colours):
