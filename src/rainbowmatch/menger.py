@@ -7,15 +7,17 @@ rainbow source-sink paths shares an edge, so the integral analogue of
 Menger's theorem fails while the fractional path-packing and colour-cover
 programs still agree exactly.
 
-The linear programs are solved by a self-contained dense simplex with one
-column per distinct colour set of the paths, numbered by first occurrence;
-later paths with the same set get weight zero.  That is exact: equal columns
-stay equal under row operations, so they keep equal reduced costs, and the
-entering rule takes the lowest index among equals, the first of them.  The
-pivots are exact and fraction-free: Python ints over one common denominator,
-as in integer-preserving Gaussian elimination (Edmonds 1967, Bareiss 1968),
-with the results returned as ``Fraction``.  Beyond 64 paths the verified
-optimum is reported rounded to floats.
+The linear programs are solved by a self-contained revised simplex
+(Dantzig and Orchard-Hays 1954) with one column per distinct colour set of
+the paths, numbered by first occurrence and given by the rows of its
+colours; later paths with the same set get weight zero.  That is exact:
+equal columns have equal reduced costs, and the entering rule takes the
+lowest index among equals, the first of them.  Only the basis inverse is
+pivoted, each column is priced from the rows it meets, and the pivots are
+exact and fraction-free: Python ints over one common denominator, as in
+integer-preserving Gaussian elimination (Edmonds 1967, Bareiss 1968), with
+the results returned as ``Fraction``.  Beyond 64 paths the verified optimum
+is reported rounded to floats.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Sequence
 
 from .budget import BudgetMeter, SearchBudget
@@ -81,6 +83,13 @@ def subdivide_to_simple(D: LabelledDigraph) -> LabelledDigraph:
     return LabelledDigraph(fresh_vertex, arcs)
 
 
+def _check_endpoints(D: LabelledDigraph, u: int, v: int) -> None:
+    # before the u == v shortcut, which would answer for any vertex
+    for end in (u, v):
+        if not 0 <= end < D.vertex_count:
+            raise ValueError(f"vertex {end} is not among the digraph's {D.vertex_count} vertices")
+
+
 def rainbow_st_paths(
     D: LabelledDigraph,
     u: int,
@@ -91,7 +100,9 @@ def rainbow_st_paths(
     """All rainbow u -> v paths (edge-colour convention), length >= 1.
 
     The search stops at path max_paths + 1 and raises PathBudgetExceeded.
+    An endpoint outside D raises ``ValueError``, as the kernel does.
     """
+    _check_endpoints(D, u, v)
     if u == v:  # the kernel's only path from u to u is the empty one
         return ()
     walk = iter_rainbow_paths(
@@ -111,13 +122,15 @@ def verify_property_I(
     budget: SearchBudget | None = None,
 ) -> bool:
     """For every k-colour set there is a rainbow u -> v path of length >= 1
-    avoiding it; false when u == v.
+    avoiding it; false when u == v.  An endpoint outside D raises
+    ``ValueError``, as the kernel does.
 
     Exact, by the one removal search of ``oracle.removal_verdict`` on one
     meter: each tree node stops at its first path.
     """
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
+    _check_endpoints(D, u, v)
     if u == v:  # as in rainbow_st_paths
         return False
     max_len = max(D.vertex_count - 1, 1)
@@ -163,7 +176,7 @@ def fractional_menger(paths: tuple[tuple[Arc, ...], ...]) -> PathLP:
 
     Primal: maximise the total path weight subject to unit capacity per
     colour.  Dual: minimise total colour weight subject to unit coverage of
-    every path.  Both solutions are read off one exact tableau (the dual
+    every path.  Both solutions are read off one exact simplex (the dual
     from the slack reduced costs) and re-verified exactly, as integer
     numerators over one common denominator: primal feasibility, dual
     feasibility, then equal objectives.  Weak duality follows from the two
@@ -177,32 +190,37 @@ def fractional_menger(paths: tuple[tuple[Arc, ...], ...]) -> PathLP:
     if not paths:
         return PathLP((), (), (), {}, 0, 0, True)
 
-    colour_sets = [frozenset(a.label for a in p) for p in paths]
-    columns = list(dict.fromkeys(colour_sets))  # distinct, by first occurrence
-    colours = sorted(set().union(*columns))
+    label = itemgetter(2)
+    colour_sets = [frozenset(map(label, p)) for p in paths]
+    distinct = list(dict.fromkeys(colour_sets))  # by first occurrence
+    colours = sorted(set().union(*distinct))
 
-    # rows: one capacity constraint per colour; columns: one var per colour set
-    A = [[int(c in cs) for cs in columns] for c in colours]
-    x_col, y, _ = _simplex_max(A, [1] * len(colours), [1] * len(columns))
+    # rows: one capacity constraint per colour; columns: one var per colour
+    # set, given by the rows of its colours
+    row_of = {c: i for i, c in enumerate(colours)}
+    columns = [tuple(map(row_of.__getitem__, cs)) for cs in distinct]
+    x_col, y, _ = _simplex_max(columns, [1] * len(colours), [1] * len(columns))
 
     # X / D and Y / D are the primal and dual solutions, exactly
     D = math.lcm(*(v.denominator for v in itertools.chain(x_col, y)))
     X = [v.numerator * (D // v.denominator) for v in x_col]
     Y = [v.numerator * (D // v.denominator) for v in y]
-    for xj, cs in zip(X, columns):
+    load = [0] * len(colours)
+    for xj, cs, rows in zip(X, distinct, columns):
         if xj < 0:
             raise LPNumericalFailure(
                 f"primal infeasible: negative weight on colour set {sorted(cs)}"
             )
-    for c, row in zip(colours, A):
-        if sum(itertools.compress(X, row)) > D:
+        for r in rows:
+            load[r] += xj
+    for c, total in zip(colours, load):
+        if total > D:
             raise LPNumericalFailure(f"primal infeasible at colour {c}")
-    dual = dict(zip(colours, Y))
-    for c, yc in dual.items():
+    for c, yc in zip(colours, Y):
         if yc < 0:
             raise LPNumericalFailure(f"dual infeasible: negative weight on colour {c}")
-    for cs in columns:
-        if sum(map(dual.__getitem__, cs)) < D:
+    for cs, rows in zip(distinct, columns):
+        if sum(map(Y.__getitem__, rows)) < D:
             raise LPNumericalFailure(f"dual infeasible on the path colour set {sorted(cs)}")
     primal, dual_total = Fraction(sum(X), D), Fraction(sum(Y), D)
     if primal != dual_total:
@@ -210,7 +228,7 @@ def fractional_menger(paths: tuple[tuple[Arc, ...], ...]) -> PathLP:
 
     exact = len(paths) <= EXACT_PATH_LIMIT
     number = Fraction if exact else float
-    first = dict(zip(columns, map(number, x_col)))
+    first = dict(zip(distinct, map(number, x_col)))
     x = tuple(first.pop(cs, number(0)) for cs in colour_sets)  # later duplicates get zero
     value = number(primal)
     dual_weights = {c: number(yc) for c, yc in zip(colours, y)}
@@ -224,70 +242,93 @@ def _integral(values) -> list[int]:
     return ints
 
 
-def _simplex_max(A: Sequence[Sequence], b: Sequence, c: Sequence):
-    """Dense tableau simplex for max c.x s.t. Ax <= b, x >= 0, b >= 0.
+def _simplex_max(columns: Sequence[Sequence[int]], b: Sequence, c: Sequence):
+    """Revised simplex for max c.x s.t. Ax <= b, x >= 0, b >= 0.
 
-    The entries must be integral.  Slack variables give the starting basis
-    (no phase one needed).  Returns (x, y, value) as ``Fraction``, with y
-    the dual solution read off the slack reduced costs.
+    A is given by its columns: ``columns[j]`` lists the rows in which
+    column j has a 1, an integer entry a > 1 written as that row repeated a
+    times.  b and c must be integral.  Slack variables give the starting
+    basis (no phase one needed).  Returns (x, y, value) as ``Fraction``,
+    with y the dual solution read off the slack reduced costs.
 
     The entering column has the most negative reduced cost, the lowest
-    index on ties (Dantzig's rule).  The leaving row is the lexicographic
-    least of (rhs, slack columns) divided by its entry in the pivot column.
-    The slack columns hold the rows of the basis inverse, which are
-    linearly independent, so that least is unique, and the rule cannot
-    cycle whatever column enters (Dantzig, Orden and Wolfe 1955).
+    index on ties (Dantzig's rule); the slack columns come after the
+    structural ones.  The leaving row is the lexicographic least of (rhs,
+    row of the basis inverse) divided by its entry in the pivot column.
+    The rows of the basis inverse are linearly independent, so that least
+    is unique, and the rule cannot cycle whatever column enters (Dantzig,
+    Orden and Wolfe 1955).
 
-    The rational tableau is held as ints N over one common denominator
-    ``det`` > 0, the last pivot element (1 at the start).  Every entry of N
-    is a minor of the starting tableau, so each row update
-    ``(t * piv - f * p) // det`` divides exactly.  Signs and ratio
-    comparisons are those of N / det, so every pivot, and hence every
-    result, equals that of a ``Fraction`` tableau under the same rule.
+    Only the m x m basis inverse, the rhs and the objective's slack row Y
+    are held, as ints over one common denominator ``det`` > 0, the last
+    pivot element (1 at the start): row i is [rhs_i, (det * B^-1)_i] and
+    the objective row is [det * value, Y].  Each pivot prices structural
+    column j as the sum of Y over its rows less det * c_j, one C-level sum
+    over a prepared ``itemgetter``; the slack columns' reduced costs are Y
+    itself, and only the entering column is formed, as det * B^-1 times it.
+    These are the numbers a dense tableau holds, so every entry is a minor
+    of the starting tableau and each row update ``(t * piv - f * p) // det``
+    divides exactly.  Signs and ratio comparisons are those of the rational
+    values, so every pivot, and hence every result, equals that of a
+    ``Fraction`` tableau under the same rule.
     """
-    m, n = len(A), len(c)
-    rhs = n + m
-    lex = [rhs, *range(n, rhs)]
-    T = [
-        _integral(A[i]) + [int(j == i) for j in range(m)] + [bi]
-        for i, bi in enumerate(_integral(b))
-    ]
-    T.append([-v for v in _integral(c)] + [0] * (m + 1))
+    m, n = len(b), len(c)
+    place = {i: i + 1 for i in range(m)}  # row i's entry follows the rhs
+    getters = []
+    for j, rows in enumerate(columns):
+        try:
+            at = tuple(map(place.__getitem__, rows))
+        except (KeyError, TypeError):
+            raise ValueError(f"column {j} names a row outside range({m}): {rows!r}") from None
+        if len(at) > 1:
+            getters.append(itemgetter(*at))
+        else:  # a slice keeps the result a sequence, as sum needs
+            getters.append(itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
+    cost = _integral(c)
+    R = [[bi] + [int(i == r) for r in range(m)] for i, bi in enumerate(_integral(b))]
+    R.append([0] * (m + 1))
+    obj = R[m]
     basis = [n + i for i in range(m)]
     det = 1
 
     for _ in range(_MAX_PIVOTS):
-        obj = T[m]
-        least = min(obj[:rhs])
-        if least >= 0:
+        reduced = [sum(g(obj)) - det * cj for g, cj in zip(getters, cost)]
+        least = min(reduced, default=0)
+        slack_least = min(obj[1:], default=0)
+        if least >= 0 <= slack_least:
             break
-        col = obj.index(least)
+        if least <= slack_least:
+            col = reduced.index(least)
+            g = getters[col]
+            column = [sum(g(row)) for row in R[:m]]
+        else:
+            least = slack_least
+            at = obj.index(least, 1)
+            col = n + at - 1
+            column = [row[at] for row in R[:m]]
+        column.append(least)
         pivot_row = None
         for i in range(m):
-            a = T[i][col]
+            a = column[i]
             if a > 0:
                 if pivot_row is not None:
-                    # row / a against best / best_a, lexicographically, cross-multiplied
-                    row, best = T[i], T[pivot_row]
-                    for j in lex:
-                        d = row[j] * best_a - best[j] * a
+                    # R[i] / a against best / piv, lexicographically, cross-multiplied
+                    for t, s in zip(R[i], best):
+                        d = t * piv - s * a
                         if d:
                             break
                     if d > 0:
                         continue
-                pivot_row, best_a = i, a
+                pivot_row, best, piv = i, R[i], a
         if pivot_row is None:
             raise LPNumericalFailure(f"LP unbounded in column {col}; incidence matrix malformed")
-        prow = T[pivot_row]
-        piv = prow[col]
-        for i in range(m + 1):
+        for i, f in enumerate(column):
             if i != pivot_row:
-                row = T[i]
-                f = row[col]
                 if f:
-                    T[i] = [(t * piv - f * p) // det for t, p in zip(row, prow)]
+                    R[i] = [(t * piv - f * p) // det for t, p in zip(R[i], best)]
                 elif piv != det:
-                    T[i] = [t * piv // det for t in row]
+                    R[i] = [t * piv // det for t in R[i]]
+        obj = R[m]
         det = piv
         basis[pivot_row] = col
     else:
@@ -296,7 +337,6 @@ def _simplex_max(A: Sequence[Sequence], b: Sequence, c: Sequence):
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = Fraction(T[i][rhs], det)
-    y = [Fraction(T[m][n + i], det) for i in range(m)]
-    value = Fraction(T[m][rhs], det)
-    return x, y, value
+            x[bv] = Fraction(R[i][0], det)
+    y = [Fraction(v, det) for v in obj[1:]]
+    return x, y, Fraction(obj[0], det)

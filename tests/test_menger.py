@@ -93,6 +93,22 @@ def test_property_I_refuses_a_negative_k():
         verify_property_I(build_counterexample(1, 4), 0, 4, -1)
 
 
+def test_paths_and_property_I_refuse_a_vertex_outside_the_digraph():
+    from rainbowmatch.gen import generate_proper_digraph
+
+    D = generate_proper_digraph(8, 3, 0)
+    for u, v in [(9, 9), (-1, -1), (0, 9), (9, 0), (0, -1), (-1, 0)]:
+        bad = u if not 0 <= u < 8 else v
+        message = rf"^vertex {bad} is not among the digraph's 8 vertices$"
+        with pytest.raises(ValueError, match=message):
+            rainbow_st_paths(D, u, v)
+        with pytest.raises(ValueError, match=message):
+            verify_property_I(D, u, v, 1)
+    # an in-range u == v keeps its answers
+    assert rainbow_st_paths(D, 3, 3) == ()
+    assert verify_property_I(D, 3, 3, 1) is False
+
+
 def test_property_I_stops_at_the_first_path_per_set():
     # One meter counts the whole check: the removal search's 165 tree nodes
     # and their first paths take 2,205 nodes together, while enumerating
@@ -212,7 +228,7 @@ def test_lp_verification_names_what_failed(monkeypatch, x, y, message):
 
     paths = rainbow_st_paths(build_counterexample(1, 4), 0, 4)
     fake = ([Fraction(v) for v in x], [Fraction(v) for v in y], None)
-    monkeypatch.setattr(menger, "_simplex_max", lambda A, b, c: fake)
+    monkeypatch.setattr(menger, "_simplex_max", lambda columns, b, c: fake)
     with pytest.raises(LPNumericalFailure) as failure:
         fractional_menger(paths)
     assert str(failure.value) == message
@@ -224,11 +240,11 @@ def test_simplex_names_an_unbounded_column_and_the_pivot_limit(monkeypatch):
 
     # column 1 is in no row: nothing bounds its variable
     with pytest.raises(LPNumericalFailure, match=r"^LP unbounded in column 1;"):
-        menger._simplex_max([[1, 0]], [1], [1, 1])
+        menger._simplex_max(_columns([[1, 0]]), [1], [1, 1])
     _, A, b, c = _menger_lp(1, 4)
     monkeypatch.setattr(menger, "_MAX_PIVOTS", 1)
     with pytest.raises(LPNumericalFailure, match=r"^pivot limit 1 reached"):
-        menger._simplex_max(A, b, c)
+        menger._simplex_max(_columns(A), b, c)
 
 
 def test_simplex_against_vertex_oracle_random_incidences():
@@ -249,7 +265,7 @@ def test_simplex_against_vertex_oracle_random_incidences():
                 A[rng.below(m)][j] = F(1)
         b = [F(1)] * m
         c = [F(1)] * n
-        x, y, value = _simplex_max(A, b, c)
+        x, y, value = _simplex_max(_columns(A), b, c)
         assert value == lp_max_by_vertex_enumeration(A, b, c)
         # returned dual must certify the same value
         assert sum(y) == value
@@ -310,9 +326,15 @@ def _fraction_simplex(A, b, c, max_pivots=100000):
     return x, [T[m][n + i] for i in range(m)], T[m][rhs]
 
 
+def _columns(A):
+    # the column form _simplex_max takes: per column, the rows where it has
+    # a 1, an integer entry a > 1 written as its row repeated a times
+    return [tuple(i for i, row in enumerate(A) for _ in range(int(row[j]))) for j in range(len(A[0]))]
+
+
 def _menger_lp(k, m):
-    # the LP that fractional_menger hands the simplex: one column per
-    # distinct path colour set, by first occurrence
+    # the LP that fractional_menger hands the simplex, as a dense A: one
+    # column per distinct path colour set, by first occurrence
     paths = rainbow_st_paths(build_counterexample(k, m), 0, m)
     columns = list(dict.fromkeys(frozenset(a.label for a in p) for p in paths))
     colours = sorted(set().union(*columns))
@@ -342,7 +364,7 @@ def test_integer_pivots_match_the_fraction_tableau_on_random_lps(seed):
     from rainbowmatch.menger import _simplex_max
 
     A, b, c = _random_01_lp(seed)
-    got = _simplex_max(A, b, c)
+    got = _simplex_max(_columns(A), b, c)
     # repr pins the Fraction type as well as the values
     assert repr(got) == repr(_fraction_simplex(A, b, c))
 
@@ -351,15 +373,16 @@ def test_integer_pivots_match_the_fraction_tableau_on_counterexamples():
     from rainbowmatch.menger import EXACT_PATH_LIMIT, _simplex_max
 
     # Every counterexample LP up to the 64-path boundary: k = 1 with
-    # m = 4..63 and k = 2 with m = 6, 7; and beyond it (2, 8), (2, 10) and
-    # (3, 8).  The Fraction reference pivots a dense (m+1)-square LP for
-    # k = 1 (1.6 s at m = 63, about 27 s over all m), so it runs on m <= 24,
-    # on the 64-path boundary and on k >= 2; every case checks the value
-    # (m+k)/m and the dual certificate.
-    cases = [(1, m) for m in range(4, 64)] + [(2, 6), (2, 7), (2, 8), (2, 10), (3, 8)]
+    # m = 4..63 and k = 2 with m = 6, 7; and beyond it (2, 8), (2, 10),
+    # (3, 8) and (3, 9), the largest LP `menger --lp` runs in the benchmark's
+    # toolbox workload.  The Fraction reference pivots a dense (m+1)-square
+    # LP for k = 1 (1.6 s at m = 63, about 27 s over all m), so it runs on
+    # m <= 24, on the 64-path boundary and on k >= 2; every case checks the
+    # value (m+k)/m and the dual certificate.
+    cases = [(1, m) for m in range(4, 64)] + [(2, 6), (2, 7), (2, 8), (2, 10), (3, 8), (3, 9)]
     for k, m in cases:
         n_paths, A, b, c = _menger_lp(k, m)
-        x, y, value = got = _simplex_max(A, b, c)
+        x, y, value = got = _simplex_max(_columns(A), b, c)
         assert value == sum(y) == sum(x) == Fraction(m + k, m)
         assert all(sum(yi for yi, row in zip(y, A) if row[j]) >= 1 for j in range(len(c)))
         if k >= 2 or m <= 24 or m == 63:
@@ -371,14 +394,18 @@ def test_integer_pivots_match_the_fraction_tableau_on_counterexamples():
 def test_integer_pivots_reject_non_integral_entries():
     from rainbowmatch.menger import _simplex_max
 
-    with pytest.raises(ValueError):
-        _simplex_max([[Fraction(1, 2)]], [1], [1])
-    with pytest.raises(ValueError):
-        _simplex_max([[1]], [Fraction(3, 2)], [1])
-    with pytest.raises(ValueError):
-        _simplex_max([[1]], [1], [0.5])
-    # integral Fractions are accepted and give the same result as ints
-    assert _simplex_max([[Fraction(2)]], [Fraction(3)], [Fraction(1)]) == (
+    with pytest.raises(ValueError, match=r"^exact simplex needs integral entries"):
+        _simplex_max([(0,)], [Fraction(3, 2)], [1])
+    with pytest.raises(ValueError, match=r"^exact simplex needs integral entries"):
+        _simplex_max([(0,)], [1], [0.5])
+    # a column names its rows by index: one outside range(len(b)), or one
+    # that is not an int, is refused by the column's number
+    for rows in [(1,), (-1,), (0, 0.5), (0, "0")]:
+        with pytest.raises(ValueError, match=r"^column 1 names a row outside range\(1\)"):
+            _simplex_max([(0,), rows], [1], [1, 1])
+    # integral Fractions are accepted and give the same result as ints; the
+    # entry 2 is its row twice
+    assert _simplex_max([(0, 0)], [Fraction(3)], [Fraction(1)]) == (
         [Fraction(3, 2)],
         [Fraction(1, 2)],
         Fraction(3, 2),
