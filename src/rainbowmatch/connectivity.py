@@ -354,7 +354,8 @@ def rainbow_path_through(
     rainbow path of length <= d that avoids S, every colour already on the
     accumulated path and the colours of the anchors still to come.  Every
     vertex on the path has its colour in that set, so no leg revisits one.
-    Legs that cannot be completed name themselves in the raised error.
+    Legs that cannot be completed name themselves in the raised error.  An
+    anchor outside D raises the kernel's ``ValueError``.
     """
     if D.vertex_labels is None:
         raise PreconditionViolated("anchored paths need a totally coloured digraph")
@@ -363,6 +364,9 @@ def rainbow_path_through(
     anchors = list(anchors)
     if not anchors:
         raise PreconditionViolated("need at least one anchor")
+    for a in anchors:  # before any label is read: a label at -1 is vertex n-1's
+        if not 0 <= a < D.vertex_count:
+            raise ValueError(f"vertex {a} is not among the digraph's {D.vertex_count} vertices")
     for a in anchors:
         if a not in aset:
             raise PreconditionViolated(f"anchor {a} outside the connected set")

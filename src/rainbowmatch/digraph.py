@@ -13,10 +13,11 @@ it, since most of its walks end within a few arcs of the missing colour.
 ``iter_rainbow_paths`` is the one rainbow path search; the switching engine,
 the connectivity toolbox, the oracles and the Menger lab all consume it.
 ``iter_shortest_first`` deepens it one length at a time, for the searches
-that want the first shortest path.  The rainbow rule is one of three
-``MODES``, named after the labels that must be pairwise distinct along a
-path: ``"edge"`` (arc labels), ``"vertex"`` (vertex labels, endpoints
-included) or ``"total"`` (arc and vertex labels together).
+that want the first shortest path; a failed engine probe reads it to the
+end.  The rainbow rule is one of three ``MODES``, named after the labels
+that must be pairwise distinct along a path: ``"edge"`` (arc labels),
+``"vertex"`` (vertex labels, endpoints included) or ``"total"`` (arc and
+vertex labels together).
 
 The mode and a single ``forbidden`` label set are the kernel's only rules.
 The set constrains the labels the mode puts in play: arc labels in
@@ -318,12 +319,20 @@ def iter_shortest_first(
     the shorter prefixes again, so the first hit comes cheap and the whole
     stream dear.  ``rules`` are the kernel's: target, mode and ``forbidden``.
     One meter, the default one when none is given, counts every depth.
+
+    A stream without a target ends at the first length that yields no path:
+    such a walk yields every prefix of each path, so no longer path exists.
+    A stream with a target deepens up to ``max_len``.
     """
     meter = meter or BudgetMeter(None)
     for depth in range(max_len + 1):
+        found = False
         for path in iter_rainbow_paths(D, start, max_len=depth, meter=meter, **rules):
             if len(path) == depth:
+                found = True
                 yield path
+        if not found and rules.get("target") is None:
+            return
 
 
 def check_proper_labelling(D: LabelledDigraph) -> Verdict:

@@ -29,7 +29,6 @@ from .core import (
 from .digraph import (
     Arc,
     LabelledDigraph,
-    iter_rainbow_paths,
     iter_shortest_first,
 )
 from .errors import (
@@ -70,12 +69,18 @@ class Switching:
 
 @dataclass(frozen=True)
 class AugmentFailure:
-    """Outcome of an exhausted augmentation search; not a fault."""
+    """Outcome of an exhausted augmentation search; not a fault.
+
+    ``switchings`` holds every switching the search tried, one per rainbow
+    path from c* of at most ``depth_cap`` arcs, sorted by colour path.  The
+    heads of an out-list are distinct, so that is the preorder of one full
+    walk of the switch digraph.  Their end colours are the colours the search
+    reached.  ``depth_cap_exhausted`` is False only for an empty matching,
+    which has no switch digraph to search.
+    """
 
     depth_cap: int
-    deepest_explored: int
-    paths_explored: int
-    frontier: tuple[int, ...]  # colours reachable by rainbow paths
+    switchings: tuple[Switching, ...]
     depth_cap_exhausted: bool
 
 
@@ -170,9 +175,10 @@ def augment(
     uncovered X-vertices, shortest first, up to ``depth_cap`` arcs (default:
     the matching's size plus one); for every reached colour it scans that
     colour's edges from the still-uncovered X-side to the uncovered Y-side.
-    A hit yields the exchanged matching plus the new edge.  Exhaustion
-    returns a structured report (a legitimate outcome: the matching may
-    simply be maximum).  The walk ticks ``meter``.
+    A hit yields the exchanged matching plus the new edge: the first hit in
+    :func:`iter_shortest_first` order, so a shortest one.  Exhaustion
+    returns a structured report with every switching tried (a legitimate
+    outcome: the matching may simply be maximum).  The walks tick ``meter``.
     """
     if c_star in ctx.edge_of_colour or not 0 <= c_star < ctx.graph.colour_count:
         raise PreconditionViolated(f"colour {c_star} is not a missing colour")
@@ -184,24 +190,20 @@ def augment(
         return _with_edge(ctx.matching, e)
 
     if ctx.matching.size == 0:
-        return AugmentFailure(cap, 0, 0, (), False)
+        return AugmentFailure(cap, (), False)
 
     D = build_switch_digraph(ctx, ctx.x0)
-    paths_explored = 0
-    deepest = 0
-    frontier: set[int] = set()
+    tried = []
     for path in iter_shortest_first(D, c_star, max_len=cap, mode="total", meter=meter):
         if not path:
             continue  # depth 0 was tried above
-        paths_explored += 1
-        deepest = len(path)
-        v = path[-1].head
-        frontier.add(v)
         sigma = _arcs_to_switching(ctx, path)
-        e = _closing_edge(ctx, v, sigma.x_vertices())
+        e = _closing_edge(ctx, path[-1].head, sigma.x_vertices())
         if e is not None:
             return _with_edge(apply_switching(ctx, sigma), e)
-    return AugmentFailure(cap, deepest, paths_explored, tuple(sorted(frontier)), True)
+        tried.append(sigma)
+    tried.sort(key=lambda sigma: [m.c for m in sigma.matched_edges])
+    return AugmentFailure(cap, tuple(tried), True)
 
 
 def _closing_edge(ctx: MatchingContext, c: int, sx: frozenset[int]) -> Edge | None:
@@ -251,9 +253,11 @@ def solve_switching_engine(
     of x and y swapped, indexed once per solve, which moves the other side.
     When no single switching augments, the engine explores matchings
     reachable by non-augmenting exchanges on either side (bounded
-    breadth-first rotation) before giving up.  One meter counts every path
-    search, so ``budget`` bounds the whole solve.  Output is always a valid
-    rainbow matching; deterministic for fixed input order, cap and limits.
+    breadth-first rotation) before giving up; the rotation search probes
+    with :func:`augment` too, and the switchings a failed probe tried are
+    its moves.  One meter counts every path search, so ``budget`` bounds
+    the whole solve.  Output is always a valid rainbow matching;
+    deterministic for fixed input order, cap and limits.
     """
     engine = _Engine(graph, depth_cap, BudgetMeter(budget))
     matching = greedy_rainbow_matching(graph)
@@ -333,68 +337,34 @@ class _Engine:
         # Pass 2: rotate through switch-reachable matchings of the same size.
         return self.rotation_search(matching)
 
-    def explore(
-        self, current: RainbowMatching, c_star: int, flip: bool
-    ) -> tuple[RainbowMatching | None, list[RainbowMatching]]:
-        """One side's rotation state for c*: its augmentation, else its moves.
-
-        Moves are the same-size matchings one switching away.  Both answers,
-        on the host, come from one switch digraph and one walk on the solve's meter.
-        The augmentation is :func:`augment`'s: the first hit in
-        :func:`iter_shortest_first` order.  One full walk finds it, because it
-        yields each length's paths in the order that a walk capped at that
-        length does; the shortest hit that comes first wins.
-        """
-        ctx = self.context(current, flip)
-        e = _closing_edge(ctx, c_star, frozenset())
-        if e is not None:
-            return self.to_host(_with_edge(ctx.matching, e), flip), []
-        if current.size == 0:
-            return None, []
-        D = build_switch_digraph(ctx, ctx.x0)
-        cap = self.depth_cap if self.depth_cap is not None else current.size + 1
-        best: tuple[int, RainbowMatching] | None = None  # (length, augmented)
-        moves = []
-        for path in iter_rainbow_paths(D, c_star, max_len=cap, mode="total", meter=self.meter):
-            if not path:
-                continue
-            sigma = _arcs_to_switching(ctx, path)
-            rotated = apply_switching(ctx, sigma)
-            if best is None or len(path) < best[0]:
-                e = _closing_edge(ctx, path[-1].head, sigma.x_vertices())
-                if e is not None:
-                    best = (len(path), _with_edge(rotated, e))
-            moves.append(self.to_host(rotated, flip))
-        if best is not None:
-            return self.to_host(best[1], flip), []
-        return None, moves
-
     def rotation_search(self, matching: RainbowMatching) -> RainbowMatching | None:
         """Breadth-first search over same-size matchings reachable by exchanges.
 
-        States are matchings; moves apply one switching (either side) drawn
-        from a rainbow path of the state's switch digraph, which is walked once
-        per (state, c*, side) for its direct augmentation and its moves.  States
-        are explored breadth first, so the shallowest augmentable state wins.
+        States are matchings.  Each (state, c*, side) is one :func:`augment`
+        probe on the solve's meter: a hit is the augmentation, and a failure
+        lists the state's moves, its switchings applied, in the preorder of
+        one full walk.  States are explored breadth first, so the shallowest
+        augmentable state wins.
         """
         seen: set[frozenset[Edge]] = {matching.edge_set()}
         queue: deque[RainbowMatching] = deque([matching])
         expanded = 0
         while queue:
             current = queue.popleft()
-            missing = sorted(set(range(self.graph.colour_count)) - current.colours())
-            for c_star in missing:
+            sides = [(flip, self.context(current, flip)) for flip in (False, True)]
+            for c_star in sorted(set(range(self.graph.colour_count)) - current.colours()):
                 expanded += 1
                 if expanded > ROTATION_LIMIT:
                     self.trace.stop = "rotation_limit"
                     return None
-                for flip in (False, True):
-                    augmented, moves = self.explore(current, c_star, flip)
-                    if augmented is not None:
+                for flip, ctx in sides:
+                    result = augment(ctx, c_star, self.depth_cap, self.meter)
+                    if isinstance(result, RainbowMatching):
                         self.trace.rotations = expanded
                         self.trace.augmentations.append((c_star, 0))
-                        return augmented
-                    for candidate in moves:
+                        return self.to_host(result, flip)
+                    for sigma in result.switchings:
+                        candidate = self.to_host(apply_switching(ctx, sigma), flip)
                         key = candidate.edge_set()
                         if key not in seen:
                             seen.add(key)

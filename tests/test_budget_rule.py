@@ -67,12 +67,12 @@ def test_golden_runs_the_engine_then_the_oracle_each_on_the_budget(meters_built)
 
 
 def test_a_node_limit_bounds_the_whole_solve():
-    # The solve's one meter: pass 1's probes spend 22 nodes, then the
-    # rotation search 48 more before it runs dry.
-    m, trace = solve_switching_engine(LATIN_6, budget=SearchBudget(node_limit=70))
+    # The solve's one meter: pass 1's probes spend 6 nodes, then the
+    # rotation search's probes 72 more before it runs dry.
+    m, trace = solve_switching_engine(LATIN_6, budget=SearchBudget(node_limit=78))
     assert (m.size, trace.stop) == (5, "stalled")
-    with pytest.raises(BudgetExceeded, match=r"node limit exceeded \(69\)"):
-        solve_switching_engine(LATIN_6, budget=SearchBudget(node_limit=69))
+    with pytest.raises(BudgetExceeded, match=r"node limit exceeded \(77\)"):
+        solve_switching_engine(LATIN_6, budget=SearchBudget(node_limit=77))
 
 
 # The whole cost of one removal verdict: one node per tree node, plus the

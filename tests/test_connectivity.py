@@ -297,6 +297,19 @@ def test_anchored_path_precondition_and_failure():
     assert "leg 0" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "A, anchors, S",
+    [([0, 1, 9], [0, 9], frozenset()), ([0, -1], [0, -1], frozenset({7}))],
+    ids=["past-the-end", "negative"],
+)
+def test_an_anchor_outside_the_digraph_is_named_before_its_label_is_read(A, anchors, S):
+    # vertex 9 has no label to read, and a label read at -1 would be vertex 7's
+    D = generate_proper_digraph(8, 3, 0)
+    bad = anchors[-1]
+    with pytest.raises(ValueError, match=rf"^vertex {bad} is not among the digraph's 8 vertices$"):
+        rainbow_path_through(D, A, anchors, S, 3)
+
+
 def test_returned_paths_are_reverified(monkeypatch):
     # the re-verification is an explicit check, so it holds under python -O
     monkeypatch.setattr(connectivity, "is_rainbow_arc_path", lambda *args, **kwargs: False)

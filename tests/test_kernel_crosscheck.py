@@ -163,3 +163,16 @@ def test_a_shortest_first_stream_without_a_meter_runs_on_one_default_meter(meter
     D = shared_palette_digraph(6, 3, 8, 0)
     assert len({len(p) for p in iter_shortest_first(D, 0, max_len=3, mode="total")}) > 2
     assert meters_built == [1]
+
+
+def test_a_stream_without_a_target_ends_at_its_first_empty_length():
+    # Depths 1-3 tick 1, 2 and 3 arcs; depth 4 ticks 3 and yields nothing,
+    # so no longer path exists and the stream ends there, whatever the cap.
+    D = LabelledDigraph(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "c")])
+    ticks = []
+    for max_len in (4, 50):
+        meter = BudgetMeter(None)
+        paths = list(iter_shortest_first(D, 0, max_len=max_len, meter=meter))
+        assert [len(p) for p in paths] == [0, 1, 2, 3]
+        ticks.append(meter.nodes)
+    assert ticks == [9, 9]

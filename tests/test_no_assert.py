@@ -110,7 +110,7 @@ def test_every_public_function_is_reached_outside_the_tests():
     for path in sorted((ROOT / "bench").glob("*.py")):
         elsewhere |= set(_names(ast.parse(path.read_text(), str(path)), strings=True))
     public = [fn for tree in trees for fn in _public_definitions(tree)]
-    assert len(public) >= 77
+    assert len(public) >= 76
     unreached = [
         fn.name
         for fn in public

@@ -323,7 +323,8 @@ def test_augment_2x2_latin_fails_with_report():
     out = augment(ctx, 1)
     assert isinstance(out, AugmentFailure)
     assert out.depth_cap_exhausted
-    assert out.frontier == (0,)  # colour A reachable, no uncovered edge for it
+    # one switching reaches colour A, and no uncovered edge of A closes it
+    assert out.switchings == (Switching((Edge(1, 0, 1),), (Edge(0, 0, 0),)),)
 
 
 def test_augment_needs_depth2():
@@ -439,8 +440,8 @@ def test_out_degree_witness_on_certified_maxima():
 def test_rotation_search_honours_node_limit(monkeypatch):
     # The order-6 cyclic square has no transversal, so the engine stops at 5
     # after exhausting the rotation search.  On the solve's one meter pass
-    # 1's augment probes spend 22 nodes and the rotation search's move
-    # enumerations 48 more, so 69 nodes cover pass 1 but not the search.
+    # 1's augment probes spend 6 nodes and the rotation search's probes 72
+    # more, so 69 nodes cover pass 1 but not the search.
     g = generate_instance("latin", 6, seed=6)
     tight = SearchBudget(node_limit=69)
     with monkeypatch.context() as patch:
@@ -503,15 +504,20 @@ def test_each_missing_colours_probe_matches_the_restricted_copy():
             if isinstance(want, AugmentFailure):
                 assert got == AugmentFailure(
                     want.depth_cap,
-                    want.deepest_explored,
-                    want.paths_explored,
-                    tuple(cmap[c] for c in want.frontier),
+                    tuple(_relabel_switching(s, cmap) for s in want.switchings),
                     want.depth_cap_exhausted,
                 )
             else:
                 assert got == relabel_matching(want, cmap)
             probes += 1
     assert probes >= 70 and shared >= 15
+
+
+def _relabel_switching(sigma: Switching, colour_map) -> Switching:
+    def edges(es):
+        return tuple(Edge(e.x, e.y, colour_map[e.c]) for e in es)
+
+    return Switching(edges(sigma.free_edges), edges(sigma.matched_edges))
 
 
 def test_augment_needs_a_missing_colour():
@@ -537,12 +543,13 @@ def _reference_moves(engine, ctx, c_star, flip):
 
 
 @pytest.mark.parametrize("depth_cap", [None, 2])
-def test_explore_gives_augment_or_the_reference_moves(monkeypatch, depth_cap):
+def test_a_failed_probe_tries_the_moves_of_one_full_walk(monkeypatch, depth_cap):
     # Replays every (matching, side) the engine builds a context for, with
     # each of its missing colours c*: the states pass 1 probes and those the
-    # rotation search explores, and more.  On the rotation states of these
-    # systems the first hit in preorder is also a shortest one; some pass-1
-    # states are where the two differ.
+    # rotation search explores, and more.  A failed probe's switchings,
+    # applied, are the state's moves in the preorder of one full walk, which
+    # is the order the rotation search queues them in.  The stream tries
+    # them shortest first, so the report must sort them.
     contexts = {}
     context = _Engine.context
 
@@ -556,17 +563,16 @@ def test_explore_gives_augment_or_the_reference_moves(monkeypatch, depth_cap):
         m, _ = solve_switching_engine(graph, depth_cap=depth_cap)
         assert m.size == graph.colour_count
     monkeypatch.undo()
-    outcomes = {"augmented": 0, "moves": 0}
+    failures = reordered = 0
     for (current, flip), engine in contexts.items():
         ctx = engine.context(current, flip)
         for c_star in sorted(set(range(ctx.graph.colour_count)) - current.colours()):
-            augmented, moves = engine.explore(current, c_star, flip)
-            want = augment(ctx, c_star, engine.depth_cap)
-            if isinstance(want, RainbowMatching):
-                assert (augmented, moves) == (engine.to_host(want, flip), [])
-                outcomes["augmented"] += 1
-            else:
-                assert augmented is None
-                assert moves == _reference_moves(engine, ctx, c_star, flip)
-                outcomes["moves"] += 1
-    assert outcomes["augmented"] >= 5 and outcomes["moves"] >= 20
+            result = augment(ctx, c_star, engine.depth_cap)
+            if isinstance(result, RainbowMatching):
+                continue
+            moves = [engine.to_host(apply_switching(ctx, s), flip) for s in result.switchings]
+            assert moves == _reference_moves(engine, ctx, c_star, flip)
+            lengths = [len(s.matched_edges) for s in result.switchings]
+            reordered += lengths != sorted(lengths)
+            failures += 1
+    assert failures >= 25 and reordered >= 20
