@@ -26,6 +26,7 @@ from .digraph import (
     MODES,
     Arc,
     LabelledDigraph,
+    _check_vertices,
     _label_key,
     is_rainbow_arc_path,
     iter_rainbow_paths,
@@ -364,9 +365,7 @@ def rainbow_path_through(
     anchors = list(anchors)
     if not anchors:
         raise PreconditionViolated("need at least one anchor")
-    for a in anchors:  # before any label is read: a label at -1 is vertex n-1's
-        if not 0 <= a < D.vertex_count:
-            raise ValueError(f"vertex {a} is not among the digraph's {D.vertex_count} vertices")
+    _check_vertices(D, anchors)
     for a in anchors:
         if a not in aset:
             raise PreconditionViolated(f"anchor {a} outside the connected set")

@@ -213,6 +213,14 @@ class LabelledDigraph:
         return f"LabelledDigraph(|V|={self.vertex_count}, |A|={len(self.arcs)})"
 
 
+def _check_vertices(D: LabelledDigraph, vertices: Iterable[int]) -> None:
+    """``ValueError`` naming the first of ``vertices`` outside D.  Callers
+    check before they read a label: a label at -1 is vertex n-1's."""
+    for v in vertices:
+        if not 0 <= v < D.vertex_count:
+            raise ValueError(f"vertex {v} is not among the digraph's {D.vertex_count} vertices")
+
+
 def mode_labels(D: LabelledDigraph, mode: str) -> tuple[bool, list | None]:
     """Whether arc labels count under ``mode``, and the vertex labels that do
     (None in ``"edge"`` mode).  ``ValueError`` for a mode not in ``MODES``,
@@ -254,9 +262,7 @@ def iter_rainbow_paths(
     raised on the first ``next`` by a start or target outside the digraph, or
     by a mode that ``mode_labels`` rejects.
     """
-    for end in (start, target):
-        if end is not None and not 0 <= end < D.vertex_count:
-            raise ValueError(f"vertex {end} is not among the digraph's {D.vertex_count} vertices")
+    _check_vertices(D, (start,) if target is None else (start, target))
     edge_rainbow, labels = mode_labels(D, mode)
     if target is None or start == target:
         yield ()

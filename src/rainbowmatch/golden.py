@@ -26,7 +26,7 @@ from .core import (
 from .digraph import LabelledDigraph
 from .errors import ContextInvalid
 from .oracle import OracleResult, exact_max_rainbow_matching
-from .switching import solve_switching_engine
+from .switching import _swapped, _transposed, build_switch_digraph, solve_switching_engine
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -35,9 +35,10 @@ def build_colour_digraph(ctx: MatchingContext) -> LabelledDigraph:
     """Edge-labelled digraph on colours for a matching one short of full.
 
     An arc c -> d labelled by an uncovered vertex v records a colour-c edge
-    from v into d's matching edge; labels from the two sides are tagged to
-    keep them distinct.  The labelling is out-proper because colour classes
-    are matchings.
+    from v into d's matching edge.  Its arcs are those of the two switch
+    digraphs over the uncovered vertices: of ``ctx`` (labels ``("x", v)``)
+    and of the swapped matching on the transposed graph (``("y", v)``).  The
+    labelling is out-proper because colour classes are matchings.
     """
     graph = ctx.graph
     if ctx.matching.size != graph.colour_count - 1 or ctx.matching.size == 0:
@@ -45,21 +46,12 @@ def build_colour_digraph(ctx: MatchingContext) -> LabelledDigraph:
             f"matching of size {ctx.matching.size} with {graph.colour_count} colours; "
             "need size exactly one below the colour count (and non-empty)"
         )
-    x0, y0 = ctx.x0, ctx.y0
-    arcs: list[tuple[int, int, tuple]] = []
-    for c in range(graph.colour_count):
-        for e in graph.colour_classes[c]:
-            x_free, y_free = e.x in x0, e.y in y0
-            if x_free == y_free:
-                continue  # both free or both covered: no matching edge touched
-            if x_free:
-                d = ctx.edge_of_y[e.y].c
-                label = ("x", e.x)
-            else:
-                d = ctx.edge_of_x[e.x].c
-                label = ("y", e.y)
-            if d != c:
-                arcs.append((c, d, label))
+    flipped = MatchingContext(_transposed(graph), RainbowMatching(_swapped(ctx.matching)))
+    arcs = [
+        (a.tail, a.head, (side, a.label))
+        for side, c in (("x", ctx), ("y", flipped))
+        for a in build_switch_digraph(c, c.x0).arcs
+    ]
     return LabelledDigraph(graph.colour_count, arcs)
 
 
@@ -87,6 +79,8 @@ def check_uncovered_edge_bound(
     through the exact solver unless disabled.
     """
     graph = ctx.graph
+    if not 0 <= c < graph.colour_count:
+        raise ValueError(f"colour {c} is not among the graph's {graph.colour_count} colours")
     count = sum(1 for e in graph.colour_classes[c] if e.x in ctx.x0 and e.y in ctx.y0)
     D = build_colour_digraph(ctx)
     (missing,) = set(range(graph.colour_count)).difference(ctx.edge_of_colour)

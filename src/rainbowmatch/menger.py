@@ -31,7 +31,7 @@ from operator import itemgetter, or_
 from typing import Sequence
 
 from .budget import BudgetMeter, SearchBudget
-from .digraph import Arc, LabelledDigraph, iter_rainbow_paths
+from .digraph import Arc, LabelledDigraph, _check_vertices, iter_rainbow_paths
 from .errors import (
     LPNumericalFailure,
     ParameterViolation,
@@ -83,13 +83,6 @@ def subdivide_to_simple(D: LabelledDigraph) -> LabelledDigraph:
     return LabelledDigraph(fresh_vertex, arcs)
 
 
-def _check_endpoints(D: LabelledDigraph, u: int, v: int) -> None:
-    # before the u == v shortcut, which would answer for any vertex
-    for end in (u, v):
-        if not 0 <= end < D.vertex_count:
-            raise ValueError(f"vertex {end} is not among the digraph's {D.vertex_count} vertices")
-
-
 def rainbow_st_paths(
     D: LabelledDigraph,
     u: int,
@@ -102,7 +95,7 @@ def rainbow_st_paths(
     The search stops at path max_paths + 1 and raises PathBudgetExceeded.
     An endpoint outside D raises ``ValueError``, as the kernel does.
     """
-    _check_endpoints(D, u, v)
+    _check_vertices(D, (u, v))  # before the u == v shortcut, which answers for any vertex
     if u == v:  # the kernel's only path from u to u is the empty one
         return ()
     walk = iter_rainbow_paths(
@@ -130,7 +123,7 @@ def verify_property_I(
     """
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
-    _check_endpoints(D, u, v)
+    _check_vertices(D, (u, v))
     if u == v:  # as in rainbow_st_paths
         return False
     max_len = max(D.vertex_count - 1, 1)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .budget import CLOCK_STRIDE, BudgetMeter, SearchBudget
 from .core import ColouredBipartiteMultigraph, Edge, RainbowMatching
-from .digraph import LabelledDigraph, iter_rainbow_paths, mode_labels
+from .digraph import LabelledDigraph, _check_vertices, iter_rainbow_paths, mode_labels
 
 __all__ = [
     "OracleResult",
@@ -326,9 +326,7 @@ def is_kd_connected(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     A = sorted(set(A))
-    for v in A:
-        if not 0 <= v < D.vertex_count:
-            raise ValueError(f"vertex {v} is not among the digraph's {D.vertex_count} vertices")
+    _check_vertices(D, A)
     if len(A) <= 1:
         return ConnectivityVerdict(True, VACUOUS, 0)
     pairs = [(x, y) for x in A for y in A if x != y]

@@ -6,7 +6,8 @@ pairwise equal colours; applying it rewrites the matching while preserving
 its size and Y-cover and trading the missing colour for the sequence's end
 colour.  The switch digraph encodes, per ordered colour pair, the single-
 colour reroutes available through a chosen X-vertex set; its rainbow paths
-are exactly the valid switchings.
+are exactly the valid switchings.  The calculus switches on the X side
+only; the Y side is the same calculus on the transposed graph.
 """
 
 from __future__ import annotations
@@ -72,16 +73,13 @@ class AugmentFailure:
     """Outcome of an exhausted augmentation search; not a fault.
 
     ``switchings`` holds every switching the search tried, one per rainbow
-    path from c* of at most ``depth_cap`` arcs, sorted by colour path.  The
-    heads of an out-list are distinct, so that is the preorder of one full
-    walk of the switch digraph.  Their end colours are the colours the search
-    reached.  ``depth_cap_exhausted`` is False only for an empty matching,
-    which has no switch digraph to search.
+    path from c* within the depth cap, sorted by colour path.  The heads of
+    an out-list are distinct, so that is the preorder of one full walk of
+    the switch digraph.  Their end colours are the colours the search
+    reached; an empty matching has no switch digraph, and tries none.
     """
 
-    depth_cap: int
     switchings: tuple[Switching, ...]
-    depth_cap_exhausted: bool
 
 
 def build_switch_digraph(ctx: MatchingContext, x_prime: Iterable[int]) -> LabelledDigraph:
@@ -190,7 +188,7 @@ def augment(
         return _with_edge(ctx.matching, e)
 
     if ctx.matching.size == 0:
-        return AugmentFailure(cap, (), False)
+        return AugmentFailure(())
 
     D = build_switch_digraph(ctx, ctx.x0)
     tried = []
@@ -203,7 +201,7 @@ def augment(
             return _with_edge(apply_switching(ctx, sigma), e)
         tried.append(sigma)
     tried.sort(key=lambda sigma: [m.c for m in sigma.matched_edges])
-    return AugmentFailure(cap, tuple(tried), True)
+    return AugmentFailure(tuple(tried))
 
 
 def _closing_edge(ctx: MatchingContext, c: int, sx: frozenset[int]) -> Edge | None:
@@ -249,8 +247,8 @@ def solve_switching_engine(
     missing colour c*, on a context of the current matching that works on
     the host graph in host colour ids; one context per side serves every
     missing colour.  Because X-side switchings preserve the
-    Y-cover, every probe is repeated on the Y side: the host with the roles
-    of x and y swapped, indexed once per solve, which moves the other side.
+    Y-cover, every probe is repeated on the Y side: the transposed host, a
+    graph built and validated once per solve, which moves the other side.
     When no single switching augments, the engine explores matchings
     reachable by non-augmenting exchanges on either side (bounded
     breadth-first rotation) before giving up; the rotation search probes
@@ -273,49 +271,40 @@ def solve_switching_engine(
 
 
 _YXC = itemgetter(1, 0, 2)
-_X = itemgetter(0)
 
 
 def _swapped(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     return tuple(map(tuple.__new__, repeat(Edge), map(_YXC, edges)))
 
 
-class _YSide:
-    """The host graph seen from Y: each edge (x, y, c) reads (y, x, c).
+def _transposed(graph: ColouredBipartiteMultigraph) -> ColouredBipartiteMultigraph:
+    """The graph seen from Y: each edge (x, y, c) reads (y, x, c).
 
-    It stands in for the host in a :class:`MatchingContext`, so the
-    calculus, which always switches on the X side, moves host Y-vertices.
-    It indexes its swapped classes once and shares the host's ``has_edge``.
+    Each class keeps the host's edge order.  The calculus, which always
+    switches on the X side, moves host Y-vertices on it.
     """
-
-    __slots__ = ("left_size", "right_size", "colour_count", "colour_classes", "x_index")
-
-    def __init__(self, host: ColouredBipartiteMultigraph):
-        self.left_size = host.right_size
-        self.right_size = host.left_size
-        self.colour_count = host.colour_count
-        self.colour_classes = tuple(map(_swapped, host.colour_classes))
-        self.x_index = tuple(dict(zip(map(_X, cl), cl)) for cl in self.colour_classes)
-
-    has_edge = ColouredBipartiteMultigraph.has_edge
+    swapped = _swapped(graph.edges)
+    return ColouredBipartiteMultigraph(
+        graph.right_size, graph.left_size, graph.colour_count, swapped, graph.edge_disjoint
+    )
 
 
 @dataclass
 class _Engine:
-    """State of one solve: the host graph, its Y side once built, the cap, the meter."""
+    """State of one solve: the host graph, its transpose once built, the cap, the meter."""
 
     graph: ColouredBipartiteMultigraph
     depth_cap: int | None
     meter: BudgetMeter | None
     trace: EngineTrace = field(default_factory=EngineTrace)
-    y_side: _YSide | None = None
+    y_side: ColouredBipartiteMultigraph | None = None
 
     def context(self, matching: RainbowMatching, flip: bool) -> MatchingContext:
         """The context of ``matching`` on one side (Y when ``flip``), in that side's terms."""
         side = self.graph
         if flip:
             if self.y_side is None:
-                self.y_side = _YSide(self.graph)
+                self.y_side = _transposed(self.graph)
             side = self.y_side
             matching = RainbowMatching(_swapped(matching))
         return MatchingContext(side, matching)

@@ -332,6 +332,27 @@ def scan_switch_digraph(ctx, x_prime) -> LabelledDigraph:
     return LabelledDigraph(graph.colour_count, arcs, vertex_labels=labels)
 
 
+def scan_colour_digraph(ctx) -> LabelledDigraph:
+    """The golden colour digraph by one scan of every edge of every colour:
+    an edge with exactly one uncovered end gives an arc from its colour to
+    the colour of the matching edge at its other end, labelled by the
+    uncovered end and its side (the library joins two switch digraphs)."""
+    x0, y0 = ctx.x0, ctx.y0
+    arcs = []
+    for c in range(ctx.graph.colour_count):
+        for e in ctx.graph.colour_classes[c]:
+            x_free, y_free = e.x in x0, e.y in y0
+            if x_free == y_free:
+                continue  # both free or both covered: no matching edge touched
+            if x_free:
+                d, label = ctx.edge_of_y[e.y].c, ("x", e.x)
+            else:
+                d, label = ctx.edge_of_x[e.x].c, ("y", e.y)
+            if d != c:
+                arcs.append((c, d, label))
+    return LabelledDigraph(ctx.graph.colour_count, arcs)
+
+
 def colour_path_to_switching(
     ctx: MatchingContext, D: LabelledDigraph, colours: Sequence[int]
 ) -> Switching:

@@ -310,6 +310,18 @@ def test_an_anchor_outside_the_digraph_is_named_before_its_label_is_read(A, anch
         rainbow_path_through(D, A, anchors, S, 3)
 
 
+def test_one_helper_builds_the_vertex_range_message():
+    # the kernel, anchored paths, the Menger entries and (k, d)-connectedness
+    # all call digraph._check_vertices
+    package = Path(connectivity.__file__).parent
+    builders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if "is not among the digraph's" in path.read_text()
+    ]
+    assert builders == ["digraph.py"]
+
+
 def test_returned_paths_are_reverified(monkeypatch):
     # the re-verification is an explicit check, so it holds under python -O
     monkeypatch.setattr(connectivity, "is_rainbow_arc_path", lambda *args, **kwargs: False)

@@ -1,4 +1,5 @@
-"""Construction of ``LabelledDigraph`` and of the switching engine's Y side.
+"""Construction of ``LabelledDigraph`` and of the switching engine's Y side,
+the transposed host graph.
 
 Both build their arc or edge tuples in bulk.  Whatever form the input takes,
 every stored element must be an ``Arc`` (an ``Edge``) equal to the input, and
@@ -7,10 +8,10 @@ a malformed arc must fail exactly as ``Arc(*a)`` fails on it.
 
 import pytest
 
-from rainbowmatch.core import Edge
+from rainbowmatch.core import ColouredBipartiteMultigraph, Edge
 from rainbowmatch.digraph import Arc, LabelledDigraph
 from rainbowmatch.gen import generate_instance
-from rainbowmatch.switching import _swapped, _YSide
+from rainbowmatch.switching import _swapped, _transposed
 
 ARCS = [(0, 1, "a"), (1, 2, 0), (2, 0, None), (0, 2, (1, 2)), (0, 1, "b")]
 
@@ -58,12 +59,19 @@ def test_range_and_self_loop_messages():
 
 
 def test_y_side_swaps_every_class():
-    g = generate_instance("random", 6, 5, True, seed=3, left_size=7, right_size=8)
-    side = _YSide(g)
-    assert (side.left_size, side.right_size) == (g.right_size, g.left_size)
-    assert len(side.colour_classes) == g.colour_count
-    for host_class, side_class in zip(g.colour_classes, side.colour_classes):
-        assert side_class == tuple(Edge(e.y, e.x, e.c) for e in host_class)
-        assert all(type(e) is Edge for e in side_class)
+    for edge_disjoint in (True, False):
+        g = generate_instance("random", 6, 5, edge_disjoint, seed=3, left_size=7, right_size=8)
+        side = _transposed(g)
+        assert type(side) is ColouredBipartiteMultigraph
+        assert (side.left_size, side.right_size) == (g.right_size, g.left_size)
+        assert (side.colour_count, side.edge_disjoint) == (g.colour_count, edge_disjoint)
+        assert len(side.colour_classes) == g.colour_count
+        for host_class, side_class, at_x in zip(
+            g.colour_classes, side.colour_classes, side.x_index
+        ):
+            assert side_class == tuple(Edge(e.y, e.x, e.c) for e in host_class)
+            assert all(type(e) is Edge for e in side_class)
+            assert list(at_x.items()) == [(e.x, e) for e in side_class]
+        assert _transposed(side) == g
     assert _swapped(()) == ()
     assert _swapped(iter([Edge(1, 2, 3)])) == (Edge(2, 1, 3),)

@@ -35,13 +35,25 @@ tight-12-4 at N=110-200, tight-15-8 at N=130-200, tight-17-0 at
 N=150-200, tight-17-6 at N=200-300 and tight-17-7 at N=110-500.  No run
 went the other way, and the other 85 kept their exit code, stdout and
 stderr byte for byte.
+
+A third digest pins the engine's traffic on the 16 pinned systems of the
+benchmark's ``engine-tight`` workload (n = 24 on order 25, built by
+``bench/corpus.py``, which this suite reads and never changes): each
+solve's matching, augmentation record, rotation count and stop.  It was
+recorded before the engine's Y side became the transposed host graph;
+13 of the 16 solves build that Y side.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
 
 from rainbowmatch.cli import run
-from rainbowmatch.core import write_edge_list
+from rainbowmatch.core import read_edge_list, write_edge_list
 from rainbowmatch.gen import generate_instance
+from rainbowmatch.switching import solve_switching_engine
 
 from helpers import tight_text
 
@@ -52,6 +64,9 @@ TIGHT = [(7, 0), (9, 0), (9, 9), (10, 1), (11, 0), (12, 4), (13, 6), (15, 8), (1
 
 NODE_LIMIT_SHA256 = "d4b8de87e4b80c3194df428b2e8251de7618ad7d4c98224dae843c214d06bd5b"
 NODE_LIMITS = (50, 70, 90, 110, 130, 150, 200, 300, 500, 700)
+
+PINNED_TIGHT_SHA256 = "bc87042e58c9d9eda775283a15129945f096d358ef3d6b25bb67be96e6270dd6"
+BENCH_CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
 
 
 def _instances():
@@ -93,3 +108,19 @@ def test_node_limited_switching_matches_snapshot(tmp_path, capsys):
             out = out.replace(str(path), f"{name}.txt")
             digest.update(f"{name} N={limit} exit {rc}\n{out}{err}".encode())
     assert digest.hexdigest() == NODE_LIMIT_SHA256
+
+
+@pytest.mark.skipif(not BENCH_CORPUS.exists(), reason="no bench/ directory")
+def test_engine_traffic_on_the_pinned_tight_systems_matches_snapshot():
+    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    digest = hashlib.sha256()
+    n, order = 24, 25  # bench/workloads.py: ENGINE_PINNED
+    for i in range(16):
+        edges = corpus.tight_system(n, order, corpus.rng_for("engine-tight", 0, f"pinned-{i}"))
+        graph = read_edge_list(corpus.edge_list_text(order, order, n, edges))
+        matching, trace = solve_switching_engine(graph)
+        record = [tuple(e) for e in matching], trace.augmentations, trace.rotations, trace.stop
+        digest.update(f"pinned-{i} {' '.join(map(str, record))}\n".encode())
+    assert digest.hexdigest() == PINNED_TIGHT_SHA256

@@ -19,7 +19,7 @@ from rainbowmatch.golden import (
 from rainbowmatch.latin import parse_latin, square_to_graph
 from rainbowmatch.oracle import exact_max_rainbow_matching
 
-from helpers import deficient_suite, golden_suite, missing_colour
+from helpers import deficient_suite, golden_suite, missing_colour, scan_colour_digraph
 
 LATIN_2x2 = square_to_graph(parse_latin("1 2\n2 1"))
 
@@ -72,6 +72,45 @@ def test_colour_digraph_out_proper_on_seeded_instances():
             assert len(labels) == len(set(labels))
         checked += 1
     assert checked == 100
+
+
+def _near_full_contexts():
+    """Contexts one edge short of full on seeded instances: each maximum
+    matching less one edge, or with one edge fewer when it is not full."""
+    for i in range(60):
+        n = 2 + i % 7
+        g = generate_instance(
+            "random", n, n + i % 3, i % 2 == 0, seed=9100 + i, left_size=n + 2 + i % 2,
+            right_size=n + 3 - i % 2,
+        )
+        edges = exact_max_rainbow_matching(g).matching.edges
+        for drop in range(len(edges)):
+            m = edges[:drop] + edges[drop + 1 :] if len(edges) == n else edges[: n - 1]
+            if len(m) == n - 1 and m:
+                yield MatchingContext(g, RainbowMatching(m))
+
+
+def test_colour_digraph_equals_the_edge_scan_on_seeded_instances():
+    checked = arcs = sides = 0
+    for ctx in _near_full_contexts():
+        got, want = build_colour_digraph(ctx), scan_colour_digraph(ctx)
+        assert sorted(got.arcs, key=repr) == sorted(want.arcs, key=repr)
+        assert list(map(got.out_arcs, range(got.vertex_count))) == list(
+            map(want.out_arcs, range(want.vertex_count))
+        )
+        checked += 1
+        arcs += len(got.arcs)
+        sides |= {a.label[0] for a in got.arcs} == {"x", "y"}
+    assert checked >= 150 and arcs >= 1000 and sides
+
+
+@pytest.mark.parametrize("c", [3, -1, 10**30], ids=["past-the-end", "negative", "huge"])
+def test_uncovered_bound_names_a_colour_outside_the_graph(c):
+    # colour_classes[3] is past the end, and colour_classes[-1] is colour 2's
+    g = square_to_graph(parse_latin("1 2 3\n2 3 1\n3 1 2"))
+    ctx = MatchingContext(g, RainbowMatching((Edge(0, 0, 0), Edge(1, 1, 2))))
+    with pytest.raises(ValueError, match=rf"^colour {c} is not among the graph's 3 colours$"):
+        check_uncovered_edge_bound(ctx, c, certify=False)
 
 
 def test_uncovered_bound_missing_colour_is_contradiction_probe():

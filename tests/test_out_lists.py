@@ -28,7 +28,7 @@ from rainbowmatch.core import (
     greedy_rainbow_matching,
 )
 from rainbowmatch.digraph import Arc, LabelledDigraph, _LazyOutLists, iter_shortest_first
-from rainbowmatch.switching import _Engine, _YSide, build_switch_digraph
+from rainbowmatch.switching import _Engine, build_switch_digraph
 
 from helpers import assert_built_as_by_constructor, scan_switch_digraph
 
@@ -76,13 +76,14 @@ def test_switch_digraphs_equal_the_constructor_on_both_sides():
             for matching in _matchings(graph, planted, rng):
                 for flip in (False, True):
                     ctx = engine.context(matching, flip)
+                    assert type(ctx.graph) is ColouredBipartiteMultigraph
                     xs = range(ctx.graph.left_size)
                     subsets = [ctx.x0, xs, (), rng.sample(xs, rng.randint(1, len(xs)))]
                     for x_prime in subsets:
                         D = build_switch_digraph(ctx, x_prime)
                         assert_built_as_by_constructor(D)
                         arcs += len(D.arcs)
-                    checked[isinstance(ctx.graph, _YSide)] += 1
+                    checked[flip] += 1
     assert min(checked.values()) >= 200, checked
     assert arcs > 5000
 

@@ -1,11 +1,11 @@
 """The graph's per-colour X index against the structures it replaced.
 
 ``has_edge`` reads ``x_index`` and must answer as a frozenset of the edges
-does, on host graphs and on the engine's Y side, for every probe: edges,
-near misses, bools and tuples of the wrong length.  The switch digraph looks
-X' up in ``x_index`` and must equal the one built by scanning every edge of
-every colour (``helpers.scan_switch_digraph``) on every context the engine
-builds.
+does, on host graphs and on the engine's Y side (the transposed host), for
+every probe: edges, near misses, bools and tuples of the wrong length.  The
+switch digraph looks X' up in ``x_index`` and must equal the one built by
+scanning every edge of every colour (``helpers.scan_switch_digraph``) on
+every context the engine builds, each of which holds a real graph.
 """
 
 import random
@@ -19,7 +19,12 @@ from rainbowmatch.core import (
     verify_rainbow_matching,
 )
 from rainbowmatch.gen import generate_instance
-from rainbowmatch.switching import _Engine, _YSide, build_switch_digraph, solve_switching_engine
+from rainbowmatch.switching import (
+    _Engine,
+    _transposed,
+    build_switch_digraph,
+    solve_switching_engine,
+)
 
 from helpers import scan_switch_digraph, tight_text
 
@@ -57,7 +62,7 @@ GRAPHS = list(_graphs())
 def test_has_edge_answers_as_a_frozenset_of_the_edges(graph):
     sides = [
         (graph, frozenset(graph.edges)),
-        (_YSide(graph), frozenset(Edge(y, x, c) for x, y, c in graph.edges)),
+        (_transposed(graph), frozenset(Edge(y, x, c) for x, y, c in graph.edges)),
     ]
     rng = random.Random(repr(graph))
     for side, reference in sides:
@@ -81,7 +86,7 @@ def test_switch_digraph_equals_the_scan_on_every_engine_context(monkeypatch):
 
     def recording(self, matching, flip):
         ctx = context(self, matching, flip)
-        contexts.append(ctx)
+        contexts.append((flip, ctx))
         return ctx
 
     monkeypatch.setattr(_Engine, "context", recording)
@@ -90,7 +95,8 @@ def test_switch_digraph_equals_the_scan_on_every_engine_context(monkeypatch):
     monkeypatch.undo()
     rng = random.Random("switch-digraph")
     checked = {False: 0, True: 0}
-    for ctx in contexts:
+    for flip, ctx in contexts:
+        assert type(ctx.graph) is ColouredBipartiteMultigraph
         if ctx.matching.size == 0:
             continue
         xs = range(ctx.graph.left_size)
@@ -101,5 +107,5 @@ def test_switch_digraph_equals_the_scan_on_every_engine_context(monkeypatch):
             assert list(map(got.out_arcs, range(got.vertex_count))) == list(want._out)
             assert got.vertex_labels == want.vertex_labels
             assert sorted(got.arcs) == sorted(want.arcs)
-        checked[isinstance(ctx.graph, _YSide)] += 1
+        checked[flip] += 1
     assert min(checked.values()) >= 15, checked
